@@ -10,7 +10,6 @@ exact positive-semidefiniteness test.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -169,12 +168,15 @@ class Polynomial:
             total = total + val
         return total
 
-    def evaluate_float(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        total = 0.0
+    def evaluate_float(self, point):
+        """Float value at one point (n,), or an array of values at each row of
+        a (P, n) batch of points."""
+        pts = np.asarray(point, dtype=float)
+        batch = np.atleast_2d(pts)
+        total = np.zeros(len(batch))
         for alpha, c in self.terms.items():
-            total += float(c) * np.prod(point ** np.array(alpha))
-        return float(total)
+            total += float(c) * np.prod(batch ** np.array(alpha), axis=1)
+        return float(total[0]) if pts.ndim == 1 else total
 
     def substitute(self, replacements: dict) -> "Polynomial":
         """Substitute polynomials for variables: {index: Polynomial}."""
@@ -437,9 +439,15 @@ class SymPolyMatrix(PolyMatrix):
         return RationalSymMatrix(super().evaluate(point))
 
     def evaluate_float(self, point) -> np.ndarray:
-        return np.array(
-            [[p.evaluate_float(point) for p in row] for row in self.entries]
-        )
+        """Float matrix (ell, ell) at one point (n,), or the (P, ell, ell)
+        stack of matrices at a (P, n) batch of points."""
+        pts = np.asarray(point, dtype=float)
+        batch = np.atleast_2d(pts)
+        out = np.empty((len(batch), self.size, self.size))
+        for i, row in enumerate(self.entries):
+            for j in range(i, self.size):
+                out[:, i, j] = out[:, j, i] = row[j].evaluate_float(batch)
+        return out[0] if pts.ndim == 1 else out
 
     def homogenize(self, target_degree: int) -> "SymPolyMatrix":
         return SymPolyMatrix(
@@ -491,19 +499,8 @@ def congruence(P: PolyMatrix, G: SymPolyMatrix) -> SymPolyMatrix:
     return SymPolyMatrix(prod.entries)
 
 
-def homogenize_matrix(F: SymPolyMatrix, target_degree: int) -> SymPolyMatrix:
-    return F.homogenize(target_degree)
-
-
 # ---------------------------------------------------------------------------
-# constant symmetric matrices and exact PSD tests
-
-
-class MatrixTooLargeError(ValueError):
-    """Exact PSD test requested for a matrix above the minor-enumeration cap."""
-
-
-PSD_EXACT_MAX_SIZE = 6
+# constant symmetric matrices and the exact PSD decision
 
 
 class RationalSymMatrix:
@@ -588,68 +585,34 @@ class RationalSymMatrix:
 
 
 def psd_exact(M: RationalSymMatrix, strict: bool = False) -> bool:
-    """Exact PSD/PD decision by principal-minor enumeration (size <= 6).
+    """Exact PSD (strict: PD) decision of any size, from the LDL^T of ldlt.
 
-    Non-strict: all principal minors are >= 0.  Strict: the leading principal
-    minors are > 0 (Sylvester).
+    PSD: no negative pivot and every zero pivot has a zero row.  PD: in
+    addition all M.size pivots are positive.
     """
-    n = M.size
-    if n > PSD_EXACT_MAX_SIZE:
-        raise MatrixTooLargeError(
-            f"exact PSD test limited to size {PSD_EXACT_MAX_SIZE}, got {n}"
-        )
-    if strict:
-        for k in range(1, n + 1):
-            if M.submatrix(range(k)).determinant().sign() <= 0:
-                return False
-        return True
-    for k in range(1, n + 1):
-        for idx in itertools.combinations(range(n), k):
-            if M.submatrix(idx).determinant().sign() < 0:
-                return False
-    return True
+    try:
+        _, pivots = ldlt(M)
+    except ValueError:
+        return False
+    return not strict or len(pivots) == M.size
 
 
 def psd_exact_ldlt(M: RationalSymMatrix) -> bool:
-    """Exact PSD decision of any size via LDL^T with diagonal pivoting.
-
-    A symmetric matrix is PSD iff elimination never meets a negative pivot
-    and every zero pivot has an all-zero row.
-    """
-    n = M.size
-    a = self_entries_copy(M)
-    for k in range(n):
-        piv = a[k][k]
-        s = piv.sign()
-        if s < 0:
-            return False
-        if s == 0:
-            if any(not a[k][j].is_zero() for j in range(k, n)):
-                return False
-            continue
-        inv = piv.inverse()
-        for i in range(k + 1, n):
-            if a[i][k].is_zero():
-                continue
-            factor = a[i][k] * inv
-            for j in range(k, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-    return True
-
-
-def self_entries_copy(M: RationalSymMatrix):
-    return [row[:] for row in M.entries]
+    # kept under this name: perfbench/tracer.py wraps it by name
+    return psd_exact(M)
 
 
 def ldlt(M: RationalSymMatrix):
     """Exact LDL^T of a PSD matrix: returns (columns, pivots) with
     M = sum_r pivots[r] * columns[r] columns[r]^T, pivots[r] > 0.
 
-    Raises ValueError if a negative pivot or an inconsistent zero pivot is
-    met (i.e. the matrix is not PSD).
+    Symmetric elimination without row exchanges; a zero pivot whose row is
+    zero is skipped, so len(pivots) == M.size exactly when M is PD.  Raises
+    ValueError if a negative pivot or a zero pivot with a nonzero row is met
+    (i.e. the matrix is not PSD).
     """
     n = M.size
-    a = self_entries_copy(M)
+    a = [row[:] for row in M.entries]
     cols = []
     pivots = []
     for k in range(n):
@@ -666,17 +629,19 @@ def ldlt(M: RationalSymMatrix):
         cols.append(col)
         pivots.append(piv)
         for i in range(k + 1, n):
-            if a[i][k].is_zero():
+            factor = col[i]
+            if factor.is_zero():
                 continue
-            factor = a[i][k] * inv
             for j in range(k, n):
                 a[i][j] = a[i][j] - factor * a[k][j]
     return cols, pivots
 
 
-def min_eigenvalue_numeric(M, tol: float = 1e-12) -> float:
-    """Numeric smallest eigenvalue of a symmetric matrix."""
+def min_eigenvalue_numeric(M, tol: float = 1e-12):
+    """Numeric smallest eigenvalue of a symmetric matrix (a float), or of
+    each matrix of a (P, ell, ell) stack (an array of P floats)."""
     arr = M.to_numpy() if isinstance(M, RationalSymMatrix) else np.asarray(M, float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.eigvalsh(arr)[0])
+    low = np.linalg.eigvalsh(arr)[..., 0]
+    return float(low) if arr.ndim == 2 else low

@@ -31,7 +31,6 @@ from .algebra import (
     min_eigenvalue_numeric,
     parse_polynomial,
     psd_exact,
-    psd_exact_ldlt,
 )
 from .bernstein import bernstein_norm
 from .polya import polya_certificate
@@ -400,9 +399,7 @@ def verify_certificate(
             ok = False
             messages.append("nonzero residual")
         for idx, block in enumerate(cert.sos_blocks):
-            mat = block.matrix()
-            is_psd = psd_exact(mat) if mat.size <= 6 else psd_exact_ldlt(mat)
-            if not is_psd:
+            if not psd_exact(block.matrix()):
                 ok = False
                 messages.append(f"gram block {idx} is not PSD")
         rnorm = 0.0

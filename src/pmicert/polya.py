@@ -13,11 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ExtRational
+import numpy as np
+
+from .ring import ExtRational, ONE
 from .algebra import (
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
+    ldlt,
     min_eigenvalue_numeric,
     monomials_upto,
     psd_exact,
@@ -31,8 +34,6 @@ from .bernstein import (
     simplex_lattice_float,
     to_bernstein,
 )
-
-NUMERIC_PD_TOL = 1e-10
 
 
 class NotPositiveDefiniteOnSimplex(Exception):
@@ -67,24 +68,30 @@ class PolyaCertificate:
     degree: int
     expansion: BernsteinExpansion
     pd_margins: dict
-    mode: str  # "exact" (leading-minor test) or "numeric"
     fmin_estimate: float | None = None
     norm_estimate: float | None = None
     advisory_degree: int | None = None
 
 
-def _pd_check(mat: RationalSymMatrix):
-    """Return (is_pd, margin).  Exact minors for size <= 6, numeric beyond."""
-    if mat.size <= 6:
-        margin = math.inf
-        for k in range(1, mat.size + 1):
-            det = mat.submatrix(range(k)).determinant()
-            margin = min(margin, float(det))
-            if det.sign() <= 0:
-                return False, margin
-        return True, margin
-    eig = min_eigenvalue_numeric(mat)
-    return eig > NUMERIC_PD_TOL, eig
+def _pd_margin(mat: RationalSymMatrix) -> float | None:
+    """Exact PD test with margin: None if mat is not positive definite, else
+    its smallest leading principal minor as a float.
+
+    The k-th leading principal minor of a PD matrix is the product
+    d_1 ... d_k of its first k LDL^T pivots, so the margin is
+    min_k float(d_1 ... d_k), computed exactly before rounding.
+    """
+    try:
+        _, pivots = ldlt(mat)
+    except ValueError:
+        return None
+    if len(pivots) < mat.size:
+        return None
+    minor, margin = ONE, math.inf
+    for d in pivots:
+        minor = minor * d
+        margin = min(margin, float(minor))
+    return margin
 
 
 def grid_min_eigenvalue(F: SymPolyMatrix, target_points: int):
@@ -95,14 +102,9 @@ def grid_min_eigenvalue(F: SymPolyMatrix, target_points: int):
     n = F.nvars
     res = lattice_resolution_for(n, target_points)
     pts = simplex_lattice_float(n, res)
-    best = math.inf
-    best_pt = None
-    for pt in pts:
-        eig = min_eigenvalue_numeric(F.evaluate_float(pt))
-        if eig < best:
-            best = eig
-            best_pt = pt
-    return best, best_pt, res
+    eigs = min_eigenvalue_numeric(F.evaluate_float(pts))
+    first = int(np.argmin(eigs))
+    return float(eigs[first]), pts[first], res
 
 
 def _markov_refined_lower(F: SymPolyMatrix, grid_min: float, resolution: int) -> float:
@@ -137,18 +139,14 @@ def polya_certificate(
     if max_degree < d:
         raise ValueError(f"max_degree {max_degree} below deg F = {d}")
     expansion = to_bernstein(F, d)
-    mode = "exact" if F.size <= 6 else "numeric"
     for t in range(d, max_degree + 1):
         margins = {}
-        all_pd = True
         for alpha, mat in expansion.items():
-            ok, margin = _pd_check(mat)
-            margins[alpha] = margin
-            if not ok:
-                all_pd = False
+            margins[alpha] = _pd_margin(mat)
+            if margins[alpha] is None:
                 break
-        if all_pd:
-            cert = PolyaCertificate(t, expansion, margins, mode)
+        else:
+            cert = PolyaCertificate(t, expansion, margins)
             _attach_advisory(cert, F, d, grid_points)
             return cert
         if t < max_degree:
@@ -157,19 +155,14 @@ def polya_certificate(
     # failed within the cap: look for an exact refutation point
     n = F.nvars
     res = lattice_resolution_for(n, grid_points or 10**n * (d + 1))
+    exact_pts = simplex_lattice(n, res)
+    eigs = min_eigenvalue_numeric(F.evaluate_float(np.array(exact_pts, dtype=float)))
     witness = None
     witness_eig = None
-    for exact_pt in simplex_lattice(n, res):
-        float_pt = [float(c) for c in exact_pt]
-        eig = min_eigenvalue_numeric(F.evaluate_float(float_pt))
-        if eig < 1e-9 and F.size <= 6:
-            if not psd_exact(F.evaluate(exact_pt), strict=True):
-                witness = exact_pt
-                witness_eig = eig
-                break
-        elif eig <= 0:
-            witness = exact_pt
-            witness_eig = eig
+    for idx in np.flatnonzero(eigs < 1e-9):
+        if not psd_exact(F.evaluate(exact_pts[idx]), strict=True):
+            witness = exact_pts[idx]
+            witness_eig = float(eigs[idx])
             break
     msg = f"no positive-definite expansion up to degree {max_degree}"
     if witness is not None:
@@ -190,7 +183,7 @@ def _attach_advisory(cert, F, d, grid_points):
         fmin = refined if refined > 0 else grid_min
         if fmin > 0 and cert.norm_estimate >= fmin:
             cert.advisory_degree = d + polya_bound(d, cert.norm_estimate, fmin)
-    except Exception:
+    except (ValueError, ArithmeticError):
         pass  # advisory numbers must never break the certificate itself
 
 
@@ -229,14 +222,14 @@ def scherer_hol_step(Fh: SymPolyMatrix, k: int) -> dict:
 
 
 def serialize_polya(cert: PolyaCertificate) -> str:
-    """Certificate text: header (degree, mode, per-alpha margins) followed by
-    the expansion in the shared record format."""
+    """Certificate text: header (degree, the always-exact mode, per-alpha
+    margins) followed by the expansion in the shared record format."""
     from .bernstein import serialize_expansion
 
     lines = [
         "polya-v1",
         f"degree {cert.degree}",
-        f"mode {cert.mode}",
+        "mode exact",
         f"margins {len(cert.pd_margins)}",
     ]
     for alpha in sorted(cert.pd_margins):
@@ -253,7 +246,8 @@ def parse_polya(text: str) -> PolyaCertificate:
     if not lines or lines[0] != "polya-v1":
         raise ExpansionParseError("line 1: missing polya-v1 header")
     degree = int(lines[1].removeprefix("degree "))
-    mode = lines[2].removeprefix("mode ")
+    if lines[2:3] != ["mode exact"]:
+        raise ExpansionParseError("line 3: expected 'mode exact'")
     count = int(lines[3].removeprefix("margins "))
     margins = {}
     for idx in range(count):
@@ -263,7 +257,7 @@ def parse_polya(text: str) -> PolyaCertificate:
         sep = toks.index("margin")
         margins[tuple(int(t) for t in toks[1:sep])] = float(toks[sep + 1])
     expansion = parse_expansion("\n".join(lines[4 + count:]) + "\n")
-    return PolyaCertificate(degree, expansion, margins, mode)
+    return PolyaCertificate(degree, expansion, margins)
 
 
 def simplex_form(e: BernsteinExpansion) -> SymPolyMatrix:

@@ -53,6 +53,25 @@ class TestPolyaCertificate:
         assert psd_exact(m0, strict=True) and psd_exact(m1, strict=True)
         assert from_bernstein(cert.expansion) == F
 
+    def test_seven_by_seven_margins_are_leading_minors(self, rng):
+        # exact at every size: each margin is the float of the smallest
+        # leading principal minor, here over Q[sqrt(2)]
+        n, ell = 2, 7
+        def small():
+            return {(i, j): Polynomial.const(n, rng.randint(-1, 1))
+                    for i in range(ell) for j in range(i, ell)}
+        A, B1, B2 = small(), small(), small()
+        upper = {
+            (i, j): A[i, j] + (60 if i == j else 0) + B1[i, j] * x(0, n) + B2[i, j] * x(1, n)
+            for (i, j) in A
+        }
+        F = SymPolyMatrix.from_upper(ell, upper, n)
+        cert = polya_certificate(F, 4)
+        assert len(cert.pd_margins) == len(list(cert.expansion.items()))
+        for alpha, mat in cert.expansion.items():
+            minors = [float(mat.submatrix(range(k)).determinant()) for k in range(1, ell + 1)]
+            assert cert.pd_margins[alpha] == min(minors)
+
     def test_identity_needs_degree_zero(self):
         cert = polya_certificate(SymPolyMatrix.identity(3, 2), 4)
         assert cert.degree == 0
@@ -144,3 +163,13 @@ class TestPolyaSerialization:
         assert back.degree == cert.degree
         assert from_bernstein(back.expansion) == F
         assert back.pd_margins == cert.pd_margins
+
+    def test_rejects_non_exact_mode(self):
+        from pmicert.bernstein import ExpansionParseError
+        from pmicert.polya import parse_polya, serialize_polya
+
+        F = SymPolyMatrix.identity(2, 1)
+        text = serialize_polya(polya_certificate(F, 3))
+        assert text.splitlines()[2] == "mode exact"
+        with pytest.raises(ExpansionParseError, match="line 3"):
+            parse_polya(text.replace("mode exact", "mode numeric"))
