@@ -174,8 +174,14 @@ class Polynomial:
         pts = np.asarray(point, dtype=float)
         batch = np.atleast_2d(pts)
         total = np.zeros(len(batch))
+        # monomials by repeated multiplication: numpy's power may take a SIMD
+        # or a scalar pow by array layout, and the two differ in the last bit
         for alpha, c in self.terms.items():
-            total += float(c) * np.prod(batch ** np.array(alpha), axis=1)
+            mono = np.ones(len(batch))
+            for i, e in enumerate(alpha):
+                for _ in range(e):
+                    mono *= batch[:, i]
+            total += mono * float(c)
         return float(total[0]) if pts.ndim == 1 else total
 
     def substitute(self, replacements: dict) -> "Polynomial":

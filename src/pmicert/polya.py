@@ -243,19 +243,41 @@ def parse_polya(text: str) -> PolyaCertificate:
     from .bernstein import ExpansionParseError, parse_expansion
 
     lines = text.splitlines()
+
+    def line(idx: int, what: str) -> str:
+        if idx >= len(lines):
+            raise ExpansionParseError(f"line {idx + 1}: unexpected end (expected {what})")
+        return lines[idx]
+
+    def count_field(idx: int, prefix: str) -> int:
+        field = line(idx, repr(prefix))
+        try:
+            if not field.startswith(prefix):
+                raise ValueError
+            return int(field[len(prefix):])
+        except ValueError:
+            raise ExpansionParseError(
+                f"line {idx + 1}: expected {prefix!r} and an integer, got {field!r}"
+            ) from None
+
     if not lines or lines[0] != "polya-v1":
         raise ExpansionParseError("line 1: missing polya-v1 header")
-    degree = int(lines[1].removeprefix("degree "))
+    degree = count_field(1, "degree ")
     if lines[2:3] != ["mode exact"]:
         raise ExpansionParseError("line 3: expected 'mode exact'")
-    count = int(lines[3].removeprefix("margins "))
+    count = count_field(3, "margins ")
+    if count < 0:
+        raise ExpansionParseError(f"line 4: negative margins count {count}")
     margins = {}
-    for idx in range(count):
-        toks = lines[4 + idx].split()
-        if toks[0] != "alpha" or "margin" not in toks:
-            raise ExpansionParseError(f"line {5 + idx}: malformed margin record")
-        sep = toks.index("margin")
-        margins[tuple(int(t) for t in toks[1:sep])] = float(toks[sep + 1])
+    for idx in range(4, 4 + count):
+        toks = line(idx, "margin record").split()
+        try:
+            sep = toks.index("margin")
+            if toks[0] != "alpha" or len(toks) != sep + 2:
+                raise ValueError
+            margins[tuple(int(t) for t in toks[1:sep])] = float(toks[sep + 1])
+        except ValueError:
+            raise ExpansionParseError(f"line {idx + 1}: malformed margin record") from None
     expansion = parse_expansion("\n".join(lines[4 + count:]) + "\n")
     return PolyaCertificate(degree, expansion, margins)
 

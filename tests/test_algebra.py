@@ -294,9 +294,8 @@ class TestBatchEvaluation:
             assert batch.shape == (9, ell, ell)
             for p, row in zip(pts, batch):
                 assert np.array_equal(row, F.evaluate_float(p))
-                # numpy's power takes a SIMD or a scalar pow depending on the
-                # array layout, so on some processors a monomial of the old
-                # 1-D per-point loop differs from the batch in the last bit
+                # the old per-point loop took monomials from numpy's power,
+                # which can differ from repeated products in the last bit
                 for i in range(ell):
                     for j in range(ell):
                         ref, scale = _reference_eval(F[i, j], p)
@@ -304,6 +303,27 @@ class TestBatchEvaluation:
             poly = F[0, ell - 1]
             values = poly.evaluate_float(pts)
             assert list(values) == [poly.evaluate_float(p) for p in pts]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_rows_equal_single_points_many(self, rng, n):
+        # numpy's power can give other last bits by array layout on AVX-512
+        # processors; IEEE products in Python floats are the layout-free
+        # reference, summed in the same term order
+        F = random_sym_matrix(rng, 2, n, 3)
+        pts = np.random.default_rng(n).uniform(-1.5, 1.5, (2000, n))
+        batch = F.evaluate_float(pts)
+        for p, row in zip(pts, batch):
+            assert np.array_equal(row, F.evaluate_float(p))
+            for i in range(2):
+                for j in range(2):
+                    ref = 0.0
+                    for alpha, c in F[i, j].terms.items():
+                        mono = 1.0
+                        for v, e in zip(p.tolist(), alpha):
+                            for _ in range(e):
+                                mono *= v
+                        ref += mono * float(c)
+                    assert row[i, j] == ref
 
     def test_batch_matches_exact_values(self, rng):
         for _ in range(8):

@@ -169,6 +169,28 @@ class TestPipelines:
             f"--gamma={Fraction(gamma)}",
         ]) == 0
 
+    @pytest.mark.parametrize(
+        "f, g, extra, expect",
+        [
+            (-(x() * x()), Polynomial.zero(1), [], {"status": "infeasible"}),
+            (x(), Polynomial.const(1, -1), [], {"error": "relaxation appears unbounded above"}),
+            (x(), Polynomial.const(1, 1) - x() * x(), ["--max-iter", "3"],
+             {"error": "iteration budget 3 exhausted"}),
+        ],
+        ids=["infeasible", "unbounded", "budget"],
+    )
+    def test_relax_failure_is_exit_one_json(self, tmp_path, capsys, f, g, extra, expect):
+        path = tmp_path / "p.pmi"
+        path.write_text(dump_problem(
+            ProblemData(1, 1, 1, SymPolyMatrix.scalar(f), SymPolyMatrix.scalar(g))
+        ))
+        rc = main(["relax", str(path), "--order", "1", "--json", *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        payload = json.loads(captured.out)
+        assert expect.items() <= payload.items()
+        assert "Traceback" not in captured.err
+
     def test_export_sdpa_stdout(self, problems, capsys):
         assert main(["export-sdpa", str(problems["fx"]), "--order", "1"]) == 0
         text = capsys.readouterr().out

@@ -173,3 +173,30 @@ class TestPolyaSerialization:
         assert text.splitlines()[2] == "mode exact"
         with pytest.raises(ExpansionParseError, match="line 3"):
             parse_polya(text.replace("mode exact", "mode numeric"))
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda lines: lines[:1], 2),                                   # header only
+            (lambda lines: lines[:3], 4),                                   # no margins line
+            (lambda lines: lines[:1] + ["degree x"] + lines[2:], 2),
+            (lambda lines: lines[:3] + ["margins -1"] + lines[4:], 4),
+            (lambda lines: lines[:3] + ["margins three"] + lines[4:], 4),
+            (lambda lines: lines[:3] + ["margins 3"] + lines[4:5], 6),      # one record of 3
+            (lambda lines: lines[:4] + ["alpha 0 margin"] + lines[5:], 5),  # no value
+            (lambda lines: lines[:4] + ["alpha 0 margin x"] + lines[5:], 5),
+            (lambda lines: lines[:4] + ["alpha z margin 1.0"] + lines[5:], 5),
+            (lambda lines: lines[:4] + [""] + lines[5:], 5),
+        ],
+        ids=["header-only", "no-margins", "degree-not-int", "negative-count", "count-not-int",
+             "missing-records", "margin-without-value", "margin-not-float", "alpha-not-int",
+             "empty-record"],
+    )
+    def test_rejects_malformed_header_with_line(self, edit, line):
+        from pmicert.bernstein import ExpansionParseError
+        from pmicert.polya import parse_polya, serialize_polya
+
+        lines = serialize_polya(polya_certificate(SymPolyMatrix.identity(2, 1), 3)).splitlines()
+        assert lines[3:5] == ["margins 1", "alpha 0 margin 1.0"]
+        with pytest.raises(ExpansionParseError, match=f"^line {line}: "):
+            parse_polya("\n".join(edit(lines)) + "\n")

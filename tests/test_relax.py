@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pmicert.algebra import Polynomial, SymPolyMatrix
@@ -8,6 +9,7 @@ from pmicert.certify import ball_constraint, verify_certificate
 from pmicert.relax import (
     Infeasible,
     MaxIterationsError,
+    RelaxResult,
     SolverError,
     build_relaxation,
     certificate_target,
@@ -110,10 +112,19 @@ class TestSolve:
         assert (r1.X0 == r2.X0).all()
 
     def test_infeasible(self):
-        p = build_relaxation(x(), scalar(Polynomial.zero(1)), 1)
+        # strongly infeasible: the moment vector y = (0, 0, 1) gives -1 on
+        # -x^2 - gamma for every gamma and >= 0 on every square
+        p = build_relaxation(-(x() * x()), scalar(Polynomial.zero(1)), 1)
         result = solve_sdp(p)
         assert isinstance(result, Infeasible)
         assert result.residual > 0
+
+    def test_weakly_infeasible_exhausts_budget(self):
+        # x - gamma is never SOS, but its distance to the SOS cone goes to 0
+        # as gamma -> -inf, so the displacement converges to 0
+        p = build_relaxation(x(), scalar(Polynomial.zero(1)), 1)
+        with pytest.raises(MaxIterationsError):
+            solve_sdp(p, max_iter=500)
 
     def test_unbounded(self):
         p = build_relaxation(x(), scalar(Polynomial.const(1, -1)), 1)
@@ -140,6 +151,113 @@ class TestHierarchy:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             hierarchy(x(), ball_constraint(1), 3, 1)
+
+    def test_nonconvex_disc_monotone(self):
+        x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        vals = hierarchy(-(x1 * x1) - 3 * x2 * x2 - x1 + x2, ball_constraint(2), 1, 2)
+        assert len(vals) == 2
+
+
+def _trust_region_min(A, b):
+    """min x^T A x + b^T x over |x| <= 1 for an indefinite A whose bottom
+    eigenvector is not orthogonal to b: x(lam) = -(A + lam I)^-1 b / 2 with
+    |x(lam)| = 1 and lam > -lambda_min(A), by bisection on the secular
+    equation."""
+    w, U = np.linalg.eigh(np.array(A, dtype=float))
+    g = U.T @ np.array(b, dtype=float)
+
+    def x_of(lam):
+        return -g / (2.0 * (w + lam))
+
+    lo, hi = -w[0], -w[0] + 1.0
+    while x_of(hi) @ x_of(hi) > 1.0:
+        hi += hi - lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if x_of(mid) @ x_of(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    y = x_of(hi)
+    return float(y @ (w * y) + g @ y)
+
+
+def _two_vars():
+    return Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+
+
+def _box(n):
+    one = Polynomial.const(n, 1)
+    return SymPolyMatrix([
+        [one - Polynomial.variable(n, i) ** 2 if i == j else Polynomial.zero(n)
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def _fixed_linear():
+    x1, x2 = _two_vars()
+    return x1 + 2 * x2, ball_constraint(2), 1, -math.sqrt(5)
+
+
+def _fixed_convex():
+    x1, x2 = _two_vars()
+    c = Polynomial.const
+    f = (x1 - c(2, Fraction(1, 3))) ** 2 + (x2 + c(2, Fraction(1, 5))) ** 2
+    return f, ball_constraint(2), 2, 0.0
+
+
+def _fixed_box():
+    x1, x2 = _two_vars()
+    return x1 * x1 + 2 * x1 + 3 * x2 * x2 + 6 * x2, _box(2), 2, -4.0
+
+
+def _fixed_nonconvex():
+    x1, x2 = _two_vars()
+    f = -(x1 * x1) - 3 * x2 * x2 - x1 + x2
+    return f, ball_constraint(2), 1, _trust_region_min([[-1, 0], [0, -3]], [-1, 1])
+
+
+class TestMultivariateBounds:
+    """Relaxation values against closed forms and verified certificates on
+    instances with more than one variable; a solver that reports loose lower
+    bounds fails these."""
+
+    def test_trust_region_reference(self):
+        assert abs(_fixed_nonconvex()[3] + 4.0997976) < 1e-7
+
+    @pytest.mark.parametrize(
+        "instance", [_fixed_linear, _fixed_convex, _fixed_box, _fixed_nonconvex],
+        ids=["linear", "convex", "box", "nonconvex"],
+    )
+    def test_fixed_instances(self, instance):
+        f, G, k, ref = instance()
+        p, r = solve_relaxation(f, G, k)
+        assert isinstance(r, RelaxResult)
+        assert abs(r.gamma - ref) <= 1e-5 * max(1.0, abs(ref))
+        cert = extract_certificate(r, p)
+        report = verify_certificate(certificate_target(p, r.gamma), G, cert,
+                                    mode="numeric", tol=1e-6)
+        assert report.ok, report.messages
+
+    def test_ball_n3(self):
+        x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+        f = x1 * x2 + x3 * x3 * x1 - x2
+        G = ball_constraint(3)
+        p, r = solve_relaxation(f, G, 2)
+        assert r.gamma > -1.30
+        # the minimum over the ball: f at (-1/2, sqrt(3)/2, 0); SLSQP from
+        # random starts finds no lower value
+        ref = -3 * math.sqrt(3) / 4
+        assert abs(r.gamma - ref) <= 1e-5 * abs(ref)
+        pts = np.random.default_rng(0).normal(size=(4000, 3))
+        pts *= np.random.default_rng(1).uniform(0, 1, (4000, 1)) ** (1 / 3)
+        pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
+        assert r.gamma <= f.evaluate_float(pts).min()
+        cert = extract_certificate(r, p)
+        report = verify_certificate(certificate_target(p, r.gamma), G, cert,
+                                    mode="numeric", tol=1e-6)
+        assert report.ok, report.messages
 
 
 def test_numeric_certificate_serialization_round_trip():
