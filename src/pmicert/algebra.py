@@ -11,6 +11,7 @@ exact positive-semidefiniteness test.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -21,6 +22,9 @@ Exponent = tuple
 
 def _grlex_key(alpha: Exponent):
     return (sum(alpha), alpha)
+
+
+_new = object.__new__
 
 
 class Polynomial:
@@ -35,17 +39,24 @@ class Polynomial:
             if any(e < 0 for e in alpha):
                 raise ValueError(f"negative exponent in {alpha}")
             coeff = ExtRational.coerce(coeff)
-            if not coeff.is_zero():
-                clean[alpha] = clean.get(alpha, ZERO) + coeff
-                if clean[alpha].is_zero():
-                    del clean[alpha]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+            prev = clean.get(alpha)
+            clean[alpha] = coeff if prev is None else prev + coeff
+        _set_nvars(self, nvars)
+        _set_terms(self, {a: c for a, c in clean.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Internal results: terms already map valid exponent tuples to
+        ExtRational coefficients, each exponent once; only zeros are dropped."""
+        out = _new(cls)
+        _set_nvars(out, nvars)
+        _set_terms(out, {a: c for a, c in terms.items() if c})
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -95,13 +106,14 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, ZERO) + c
-        return Polynomial(self.nvars, terms)
+            prev = terms.get(alpha)
+            terms[alpha] = c if prev is None else prev + c
+        return Polynomial._from_clean(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {a: -c for a, c in self.terms.items()})
+        return Polynomial._from_clean(self.nvars, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -114,20 +126,18 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             scalar = ExtRational.coerce(other)
-            return Polynomial(
+            return Polynomial._from_clean(
                 self.nvars, {a: c * scalar for a, c in self.terms.items()}
             )
         self._check(other)
         out: dict = {}
+        get = out.get
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(a1, a2))
-                prod = c1 * c2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return Polynomial(self.nvars, out)
+                key = tuple(map(add, a1, a2))
+                prev = get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return Polynomial._from_clean(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -247,6 +257,11 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial<{self.nvars}>({self.to_text()})"
+
+
+# the slots' own setters, past the __setattr__ guard
+_set_nvars = Polynomial.nvars.__set__
+_set_terms = Polynomial.terms.__set__
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:

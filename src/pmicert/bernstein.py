@@ -316,10 +316,15 @@ def serialize_expansion(e: BernsteinExpansion) -> str:
 
 
 def parse_expansion(text: str) -> BernsteinExpansion:
+    return parse_expansion_lines(text.splitlines(), 0)
+
+
+def parse_expansion_lines(lines: list, start: int) -> BernsteinExpansion:
+    """The expansion record that begins at lines[start]; error messages
+    number the lines of the whole list from 1."""
     from .ring import parse_ext_rational
 
-    lines = text.splitlines()
-    pos = 0
+    pos = start
 
     def take(expect):
         nonlocal pos
@@ -329,21 +334,32 @@ def parse_expansion(text: str) -> BernsteinExpansion:
         pos += 1
         return line
 
-    def field(prefix):
+    def count(prefix):
         line = take(prefix)
-        if not line.startswith(prefix):
-            raise ExpansionParseError(f"line {pos}: expected {prefix!r}, got {line!r}")
-        return line[len(prefix):]
+        try:
+            if not line.startswith(prefix):
+                raise ValueError
+            return int(line[len(prefix):])
+        except ValueError:
+            raise ExpansionParseError(
+                f"line {pos}: expected {prefix!r} and an integer, got {line!r}"
+            ) from None
 
     if take("header") != "bexp-v1":
-        raise ExpansionParseError("line 1: missing bexp-v1 header")
-    nvars = int(field("nvars "))
-    degree = int(field("degree "))
-    ell = int(field("size "))
-    records = int(field("records "))
+        raise ExpansionParseError(f"line {pos}: missing bexp-v1 header")
+    nvars = count("nvars ")
+    degree = count("degree ")
+    ell = count("size ")
+    records = count("records ")
     coeffs = {}
     for _ in range(records):
-        alpha = tuple(int(tok) for tok in field("alpha ").split())
+        line = take("alpha ")
+        try:
+            if not line.startswith("alpha "):
+                raise ValueError
+            alpha = tuple(int(tok) for tok in line[len("alpha "):].split())
+        except ValueError:
+            raise ExpansionParseError(f"line {pos}: expected 'alpha ', got {line!r}") from None
         grid = [[ZERO] * ell for _ in range(ell)]
         for i in range(ell):
             toks = take("matrix row").split()
@@ -354,7 +370,10 @@ def parse_expansion(text: str) -> BernsteinExpansion:
             for j, tok in enumerate(toks):
                 if not (tok.startswith("(") and tok.endswith(")")):
                     raise ExpansionParseError(f"line {pos}: malformed entry {tok!r}")
-                v = parse_ext_rational(tok[1:-1])
+                try:
+                    v = parse_ext_rational(tok[1:-1])
+                except ValueError as exc:
+                    raise ExpansionParseError(f"line {pos}: {exc}") from None
                 grid[i][j] = v
                 grid[j][i] = v
         coeffs[alpha] = RationalSymMatrix(grid)

@@ -487,11 +487,21 @@ class _Reader:
             )
         return line[len(prefix):].split()
 
+    def polynomial(self, expect: str, nvars: int) -> Polynomial:
+        line = self.next(expect)
+        try:
+            return parse_polynomial(line, nvars)
+        except ValueError as exc:
+            raise CertificateParseError(f"line {self.pos}: {exc}") from None
+
 
 def _parse_coeff(token: str, where: str) -> ExtRational:
     if not (token.startswith("(") and token.endswith(")")):
         raise CertificateParseError(f"{where}: malformed coefficient {token!r}")
-    return parse_ext_rational(token[1:-1])
+    try:
+        return parse_ext_rational(token[1:-1])
+    except ValueError as exc:
+        raise CertificateParseError(f"{where}: {exc}") from None
 
 
 def deserialize(text: str) -> QMCertificate:
@@ -537,7 +547,7 @@ def deserialize(text: str) -> QMCertificate:
         for _ in range(rows):
             row = []
             for _ in range(cols):
-                row.append(parse_polynomial(r.next("multiplier entry"), nvars))
+                row.append(r.polynomial("multiplier entry", nvars))
             entries.append(row)
         mults.append(MultiplierTerm(scale, PolyMatrix(entries)))
     sphere_toks = r.expect_prefix("sphere-multiplier ")
@@ -547,7 +557,7 @@ def deserialize(text: str) -> QMCertificate:
         upper = {}
         for i in range(size):
             for j in range(i, size):
-                upper[(i, j)] = parse_polynomial(r.next("sphere entry"), nvars)
+                upper[(i, j)] = r.polynomial("sphere entry", nvars)
         sphere = SymPolyMatrix.from_upper(size, upper, nvars)
     if r.next("end") != "end":
         raise CertificateParseError(f"line {r.pos}: missing 'end' marker")

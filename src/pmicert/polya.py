@@ -240,7 +240,7 @@ def serialize_polya(cert: PolyaCertificate) -> str:
 
 
 def parse_polya(text: str) -> PolyaCertificate:
-    from .bernstein import ExpansionParseError, parse_expansion
+    from .bernstein import ExpansionParseError, parse_expansion_lines
 
     lines = text.splitlines()
 
@@ -278,7 +278,7 @@ def parse_polya(text: str) -> PolyaCertificate:
             margins[tuple(int(t) for t in toks[1:sep])] = float(toks[sep + 1])
         except ValueError:
             raise ExpansionParseError(f"line {idx + 1}: malformed margin record") from None
-    expansion = parse_expansion("\n".join(lines[4 + count:]) + "\n")
+    expansion = parse_expansion_lines(lines, 4 + count)
     return PolyaCertificate(degree, expansion, margins)
 
 

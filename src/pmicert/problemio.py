@@ -42,7 +42,10 @@ def _poly_from_terms(terms, n: int, where: str) -> Polynomial:
                 f"{where}: term {idx} has {len(exps)} exponents, expected {n}"
             )
         key = tuple(int(e) for e in exps)
-        out[key] = parse_ext_rational(str(coeff))
+        try:
+            out[key] = parse_ext_rational(str(coeff))
+        except ValueError as exc:
+            raise ProblemFormatError(f"{where}: term {idx}: {exc}") from None
     return Polynomial(n, out)
 
 

@@ -1,49 +1,98 @@
 """Exact arithmetic in the quadratic extension Q[sqrt(r)].
 
-Every value is a + b*sqrt(r) with a, b rational and r a fixed nonnegative
-integer radicand.  Perfect-square radicands collapse to plain rationals at
-construction time, so purely rational values always carry radicand 0 and can
-be combined freely with values of any radicand.  Signs, comparisons and
-equality are decided exactly.
+Every value is (p + q*sqrt(r))/d with integers p, q, d and r, kept in one
+canonical form: d > 0, gcd(p, q, d) = 1, r = 0 whenever q = 0, and r never a
+perfect square while q != 0.  Perfect-square radicands collapse to plain
+rationals at construction time, so purely rational values always carry
+radicand 0 and can be combined freely with values of any radicand.  Signs,
+comparisons and equality are decided exactly.
+
+The public constructor ExtRational(a, b, radicand) validates its arguments;
+the results of arithmetic are built by _make, which only restores the sign of
+d and the common factor.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+
+_gcd = math.gcd
+_new = object.__new__
 
 
 class RadicandMismatch(ValueError):
     """Two values with different irrational radicands were combined."""
 
 
-def _sqrt_if_square(r: int) -> int | None:
-    s = math.isqrt(r)
-    return s if s * s == r else None
+def _make(p: int, q: int, d: int, r: int) -> "ExtRational":
+    """(p + q*sqrt(r))/d, unvalidated: the caller guarantees d != 0 and that r
+    is not a perfect square when q != 0."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    if q:
+        g = _gcd(p, q, d)
+    else:
+        g = _gcd(p, d)
+        r = 0
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    x = _new(ExtRational)
+    x._p = p
+    x._q = q
+    x._d = d
+    x._r = r
+    return x
+
+
+def _canonical(p: int, q: int, d: int, r: int) -> "ExtRational":
+    """(p + q*sqrt(r))/d for any d != 0 and r >= 0: a perfect-square radicand
+    folds into the rational part."""
+    if q:
+        root = math.isqrt(r)
+        if root * root == r:
+            p += q * root
+            q = 0
+    return _make(p, q, d, r)
+
+
+def _radicand(r1: int, r2: int) -> int:
+    if r1 and r2 and r1 != r2:
+        raise RadicandMismatch(f"cannot mix sqrt({r1}) with sqrt({r2})")
+    return r1 or r2
 
 
 class ExtRational:
-    __slots__ = ("a", "b", "radicand")
+    # value (_p + _q*sqrt(_r))/_d in the canonical form of the module docstring
+    __slots__ = ("_p", "_q", "_d", "_r")
 
-    def __init__(self, a=0, b=0, radicand: int = 0):
+    def __new__(cls, a=0, b=0, radicand: int = 0):
         a = Fraction(a)
         b = Fraction(b)
-        radicand = int(radicand)
-        if radicand < 0:
+        r = int(radicand)
+        if r < 0:
             raise ValueError("radicand must be nonnegative")
-        if b != 0:
-            root = _sqrt_if_square(radicand)
-            if root is not None:
-                a += b * root
-                b = Fraction(0)
-        if b == 0:
-            radicand = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "radicand", radicand)
+        d = math.lcm(a.denominator, b.denominator)
+        return _canonical(
+            a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d, r
+        )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtRational is immutable")
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(radicand)."""
+        return Fraction(self._q, self._d)
+
+    @property
+    def radicand(self) -> int:
+        return self._r
 
     @classmethod
     def sqrt(cls, r: int) -> "ExtRational":
@@ -52,10 +101,12 @@ class ExtRational:
 
     @classmethod
     def coerce(cls, value) -> "ExtRational":
-        if isinstance(value, ExtRational):
+        if type(value) is ExtRational:
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1, 0)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator, 0)
         if isinstance(value, str):
             return parse_ext_rational(value)
         raise TypeError(f"cannot interpret {value!r} as ExtRational")
@@ -64,80 +115,93 @@ class ExtRational:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._q
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._q:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self._p, self._d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._p and not self._q
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        p, q = self._p, self._q
+        if not q:
+            return (p > 0) - (p < 0)
+        if p >= 0 and q > 0:
             return 1
-        if a < 0 and b < 0:
+        if p <= 0 and q < 0:
             return -1
-        # mixed signs: compare a^2 against b^2 * r
-        lhs = a * a
-        rhs = b * b * self.radicand
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        # mixed signs: p^2 != q^2 r because r is not a perfect square
+        dominant = p * p > q * q * self._r
+        return 1 if dominant == (p > 0) else -1
 
     # -- arithmetic -------------------------------------------------------
 
-    def _unify(self, other: "ExtRational") -> int:
-        if self.radicand == 0:
-            return other.radicand
-        if other.radicand == 0 or other.radicand == self.radicand:
-            return self.radicand
-        raise RadicandMismatch(
-            f"cannot mix sqrt({self.radicand}) with sqrt({other.radicand})"
-        )
-
     def __add__(self, other):
-        other = ExtRational.coerce(other)
-        r = self._unify(other)
-        return ExtRational(self.a + other.a, self.b + other.b, r)
+        if type(other) is not ExtRational:
+            other = ExtRational.coerce(other)
+        d1, d2 = self._d, other._d
+        q1, q2 = self._q, other._q
+        if d1 == d2:
+            p, q, d = self._p + other._p, q1 + q2, d1
+        else:
+            p, q, d = self._p * d2 + other._p * d1, q1 * d2 + q2 * d1, d1 * d2
+        if not q1 or not q2:
+            return _make(p, q, d, self._r or other._r)
+        return _make(p, q, d, _radicand(self._r, other._r))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtRational(-self.a, -self.b, self.radicand)
+        x = _new(ExtRational)
+        x._p = -self._p
+        x._q = -self._q
+        x._d = self._d
+        x._r = self._r
+        return x
 
     def __sub__(self, other):
-        return self + (-ExtRational.coerce(other))
+        if type(other) is not ExtRational:
+            other = ExtRational.coerce(other)
+        d1, d2 = self._d, other._d
+        q1, q2 = self._q, other._q
+        if d1 == d2:
+            p, q, d = self._p - other._p, q1 - q2, d1
+        else:
+            p, q, d = self._p * d2 - other._p * d1, q1 * d2 - q2 * d1, d1 * d2
+        if not q1 or not q2:
+            return _make(p, q, d, self._r or other._r)
+        return _make(p, q, d, _radicand(self._r, other._r))
 
     def __rsub__(self, other):
-        return ExtRational.coerce(other) + (-self)
+        return ExtRational.coerce(other) + -self
 
     def __mul__(self, other):
-        other = ExtRational.coerce(other)
-        r = self._unify(other)
-        return ExtRational(
-            self.a * other.a + self.b * other.b * r,
-            self.a * other.b + self.b * other.a,
-            r,
-        )
+        if type(other) is not ExtRational:
+            other = ExtRational.coerce(other)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        if not q2:
+            return _make(p1 * p2, q1 * p2, self._d * other._d, self._r)
+        if not q1:
+            return _make(p1 * p2, p1 * q2, self._d * other._d, other._r)
+        r = _radicand(self._r, other._r)
+        return _make(p1 * p2 + q1 * q2 * r, p1 * q2 + q1 * p2, self._d * other._d, r)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtRational":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero")
-        # 1/(a + b sqrt r) = (a - b sqrt r)/(a^2 - b^2 r); the denominator is
-        # nonzero because sqrt(r) is irrational whenever b != 0 survives
-        # normalization.
-        den = self.a * self.a - self.b * self.b * self.radicand
-        return ExtRational(self.a / den, -self.b / den, self.radicand)
+        p, q, d = self._p, self._q, self._d
+        if not q:
+            if not p:
+                raise ZeroDivisionError("division by zero")
+            return _make(d, 0, p, 0)
+        # d/(p + q sqrt r) = d (p - q sqrt r)/(p^2 - q^2 r); the denominator is
+        # nonzero because sqrt(r) is irrational whenever q != 0
+        r = self._r
+        return _make(d * p, -d * q, p * p - q * q * r, r)
 
     def __truediv__(self, other):
         return self * ExtRational.coerce(other).inverse()
@@ -150,7 +214,7 @@ class ExtRational:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self.inverse() ** (-k)
-        out = ExtRational(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -162,18 +226,23 @@ class ExtRational:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = ExtRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not ExtRational:
+            try:
+                other = ExtRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         return (
-            self.a == other.a
-            and self.b == other.b
-            and (self.b == 0 or self.radicand == other.radicand)
+            self._p == other._p
+            and self._q == other._q
+            and self._d == other._d
+            and self._r == other._r
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.radicand))
+        # a rational value hashes like the equal int or Fraction
+        if not self._q:
+            return hash(Fraction(self._p, self._d))
+        return hash((self._p, self._q, self._d, self._r))
 
     def __lt__(self, other):
         return (self - ExtRational.coerce(other)).sign() < 0
@@ -191,49 +260,74 @@ class ExtRational:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.radicand)
+        d = self._d
+        return self._p / d + self._q / d * math.sqrt(self._r)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._p or self._q)
 
     # -- text form --------------------------------------------------------
 
     def __str__(self):
-        a = f"{self.a.numerator}/{self.a.denominator}"
-        if self.b == 0:
+        p, q, d = self._p, self._q, self._d
+        g = _gcd(p, d)
+        a = f"{p // g}/{d // g}"
+        if not q:
             return a
-        if self.b > 0:
-            b = f"{self.b.numerator}/{self.b.denominator}"
-            return f"{a}+{b}*sqrt({self.radicand})"
-        nb = -self.b
-        b = f"{nb.numerator}/{nb.denominator}"
-        return f"{a}-{b}*sqrt({self.radicand})"
+        g = _gcd(q, d)
+        return f"{a}{'+' if q > 0 else '-'}{abs(q) // g}/{d // g}*sqrt({self._r})"
 
     def __repr__(self):
         return f"ExtRational({self})"
 
 
+_RATIONAL = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?|([0-9]*)\.([0-9]*))")
+_RADICAND = re.compile(r"\*sqrt\((-?)([0-9]+)\)")
+
+
+def _parse_rational(text: str, whole: str) -> tuple:
+    """(numerator, denominator) of 'p', 'p/q' or a finite decimal, with
+    denominator > 0; the integers are no longer than the text."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None or (m[2] is None and not (m[4] or m[5])):
+        raise ValueError(f"malformed coefficient {whole!r}")
+    sign = -1 if m[1] == "-" else 1
+    if m[2] is not None:
+        den = int(m[3]) if m[3] is not None else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in coefficient {whole!r}")
+        return sign * int(m[2]), den
+    frac = m[5]
+    return sign * int((m[4] + frac) or "0"), 10 ** len(frac)
+
+
 def parse_ext_rational(text: str) -> ExtRational:
-    """Parse 'p/q', 'p/q+r/s*sqrt(n)' or 'p/q-r/s*sqrt(n)' (whitespace ok)."""
+    """Parse 'p', 'p/q', 'p/q+r/s*sqrt(n)', 'p/q-r/s*sqrt(n)' or 'r/s*sqrt(n)'
+    with nonnegative integer n, where each rational may also be a finite
+    decimal ('-1.25'); spaces are ignored.  Exponents, '_' separators, zero
+    denominators and negative radicands raise ValueError."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty coefficient string")
-    if "sqrt" not in s:
-        return ExtRational(Fraction(s))
-    star = s.index("*sqrt(")
-    if not s.endswith(")"):
+    star = s.find("*sqrt(")
+    if star == -1:
+        p, d = _parse_rational(s, text)
+        return _make(p, 0, d, 0)
+    root = _RADICAND.fullmatch(s, star)
+    if root is None:
         raise ValueError(f"malformed coefficient {text!r}")
-    radicand = int(s[star + 6 : -1])
+    if root[1]:
+        raise ValueError(f"negative radicand in coefficient {text!r}")
     head = s[:star]
-    # split head into rational part and sqrt-coefficient at the last +/- that
-    # is not a leading sign or an exponent sign inside a fraction
-    split = -1
-    for idx in range(1, len(head)):
-        if head[idx] in "+-" and head[idx - 1] not in "+-/":
-            split = idx
-    if split == -1:
-        return ExtRational(0, Fraction(head), radicand)
-    return ExtRational(Fraction(head[:split]), Fraction(head[split:]), radicand)
+    # the sqrt coefficient starts at the last sign that is not the leading one
+    split = max(head.rfind("+"), head.rfind("-"))
+    if split > 0:
+        pa, da = _parse_rational(head[:split], text)
+        pb, db = _parse_rational(head[split:], text)
+    else:
+        pa, da = 0, 1
+        pb, db = _parse_rational(head, text)
+    return _canonical(pa * db, pb * da, da * db, int(root[2]))
 
 
 ZERO = ExtRational(0)

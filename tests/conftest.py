@@ -1,10 +1,21 @@
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from pmicert.ring import ExtRational
 from pmicert.algebra import PolyMatrix, Polynomial, SymPolyMatrix, monomials_upto
+
+# property tests draw the same examples on every run and keep no example
+# database; hypothesis's other cache (constants read from the source) goes to
+# a temporary directory removed at exit instead of ./.hypothesis/
+settings.register_profile("pmicert", derandomize=True, database=None, deadline=None)
+settings.load_profile("pmicert")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="pmicert-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def random_poly(rng: random.Random, nvars: int, degree: int, span: int = 3) -> Polynomial:

@@ -63,6 +63,54 @@ class TestPolynomialArithmetic:
             p.evaluate([1, 2])
 
 
+class TestInternalResults:
+    """Sums, negations and products are built by Polynomial._from_clean,
+    which skips the validation of the public constructor."""
+
+    @staticmethod
+    def _check(result: Polynomial):
+        assert all(not c.is_zero() for c in result.terms.values())
+        assert all(type(c) is ExtRational for c in result.terms.values())
+        assert result == Polynomial(result.nvars, result.terms)
+
+    def test_cancellation_leaves_no_zero_terms(self, rng):
+        for _ in range(20):
+            p = random_poly(rng, 2, 3)
+            q = random_poly(rng, 2, 2)
+            for result in (p + (-p), p - p, (p + q) - q - p, p * 0, 0 * p):
+                self._check(result)
+                assert result.terms == {}
+            self._check((p + q) - q)
+            assert (p + q) - q == p
+        y = x(2, 1)
+        prod = (x(2) + y) * (x(2) - y)          # the x*y terms cancel
+        self._check(prod)
+        assert set(prod.terms) == {(2, 0), (0, 2)}
+        s2 = Polynomial.const(1, ExtRational.sqrt(2))
+        conj = (x() + s2) * (x() - s2)          # the sqrt(2)*x terms cancel
+        self._check(conj)
+        assert conj == x() * x() - 2
+
+    def test_results_equal_validated_construction(self, rng):
+        for _ in range(20):
+            p = random_poly(rng, 3, 2)
+            q = random_poly(rng, 3, 2)
+            c = ExtRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2), 3)
+            for result in (p + q, p - q, -p, p * q, p * c, p * q - q * p):
+                self._check(result)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError, match="wrong length"):
+            Polynomial(1, {(1, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(2, {(1, -1): 1})
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): 0.5})
+        assert Polynomial(1, {(1,): 0, (0,): "1/2"}).terms == {(0,): ExtRational(Fraction(1, 2))}
+
+
 class TestHomogenize:
     def test_simple(self):
         p = x() * x() + 1

@@ -300,6 +300,25 @@ class TestSerialization:
         with pytest.raises(CertificateParseError):
             deserialize("not-a-cert\n")
 
+    @pytest.mark.parametrize("coeff", ["1/0", "1e999999999", "1_000", "1/2*sqrt(-2)"])
+    def test_bad_coefficient_names_its_line(self, coeff):
+        text = serialize(facet_certificate("upper", 1)[1])
+        lines = text.splitlines()
+        gram = lines.index("gram")
+        lines[gram + 1] = f"({coeff})"
+        with pytest.raises(CertificateParseError, match=f"^line {gram + 2}: "):
+            deserialize("\n".join(lines))
+        mult = next(i for i, line in enumerate(lines) if line.startswith("multiplier 0 "))
+        lines = text.splitlines()
+        lines[mult + 1] = f"({coeff}) * x1^1"
+        with pytest.raises(CertificateParseError, match=f"^line {mult + 2}: "):
+            deserialize("\n".join(lines))
+        scale = lines[mult].split()[3]
+        lines = text.splitlines()
+        lines[mult] = lines[mult].replace(scale, f"({coeff})")
+        with pytest.raises(CertificateParseError, match=f"^line {mult + 1}: "):
+            deserialize("\n".join(lines))
+
     def test_gram_row_length_checked(self):
         text = serialize(facet_certificate("upper", 1)[1])
         lines = text.splitlines()

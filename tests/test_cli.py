@@ -67,6 +67,35 @@ class TestProblemIO:
             parse_problem(json.dumps(doc))
 
 
+BAD_COEFFICIENTS = ["1/0", "1e999999999", "1_000", "1/2+1/3*sqrt(-3)"]
+
+
+def _problem_with_coefficient(coeff: str) -> str:
+    return json.dumps({
+        "n": 1, "ell": 1, "m": 1,
+        "F": [{"row": 0, "col": 0, "terms": [[[0], "1"], [[1], coeff]]}],
+        "G": [{"row": 0, "col": 0, "terms": [[[0], "1"]]}],
+    })
+
+
+class TestBadCoefficients:
+    @pytest.mark.parametrize("coeff", BAD_COEFFICIENTS)
+    def test_problem_error_names_entry_and_term(self, coeff):
+        from pmicert.problemio import ProblemFormatError
+
+        with pytest.raises(ProblemFormatError, match=r"^F\[0,0\]: term 1: "):
+            parse_problem(_problem_with_coefficient(coeff))
+
+    @pytest.mark.parametrize("coeff", BAD_COEFFICIENTS)
+    def test_cli_exit_two_without_traceback(self, coeff, tmp_path, capsys):
+        bad = tmp_path / "bad.pmi"
+        bad.write_text(_problem_with_coefficient(coeff))
+        assert main(["scalarize", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: F[0,0]: term 1: ")
+        assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_scalarize_success(self, problems, capsys):
         assert main(["scalarize", str(problems["g2"])]) == 0

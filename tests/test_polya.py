@@ -200,3 +200,14 @@ class TestPolyaSerialization:
         assert lines[3:5] == ["margins 1", "alpha 0 margin 1.0"]
         with pytest.raises(ExpansionParseError, match=f"^line {line}: "):
             parse_polya("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize("coeff", ["1/0", "1e999999999", "1_000", "1/2*sqrt(-2)"])
+    def test_bad_matrix_entry_names_its_line(self, coeff):
+        from pmicert.bernstein import ExpansionParseError
+        from pmicert.polya import parse_polya, serialize_polya
+
+        lines = serialize_polya(polya_certificate(SymPolyMatrix.identity(2, 1), 3)).splitlines()
+        row = lines.index("records 1") + 3      # the second row of the only record
+        lines[row] = f"(0/1) ({coeff})"
+        with pytest.raises(ExpansionParseError, match=f"^line {row + 1}: "):
+            parse_polya("\n".join(lines) + "\n")
