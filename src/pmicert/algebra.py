@@ -10,6 +10,7 @@ exact positive-semidefiniteness test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
@@ -290,6 +291,14 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         prev = terms.get(key, ZERO)
         terms[key] = prev + coeff
     return Polynomial(nvars, terms)
+
+
+def multinomial(total: int, parts) -> int:
+    """total! / prod(p! for p in parts); the parts sum to total."""
+    out = math.factorial(total)
+    for p in parts:
+        out //= math.factorial(p)
+    return out
 
 
 def monomials_upto(nvars: int, degree: int) -> list:

@@ -7,34 +7,30 @@ with |alpha| <= t is
     multinom(t; alpha, t-|alpha|) * (n + sqrt(n))^(-t)
         * (sqrt(n) - x_1 - ... - x_n)^(t-|alpha|) * prod (1 + x_i)^alpha_i,
 
-an exact polynomial over Q[sqrt(n)].  Monomial -> Bernstein conversion is an
-exact linear solve against the basis (the inverse map is cached per (n, t));
-degree elevation uses the standard convex-combination recurrence and never
-re-solves.  Spectral norms of coefficient matrices are numeric.
+an exact polynomial over Q[sqrt(n)].  Monomial -> Bernstein conversion is the
+closed form on a simplex (Farouki, "The Bernstein polynomial basis: a
+centennial retrospective", CAGD 2012), straight to any degree t >= deg F,
+exact or in floats, with no linear solve and no table kept between calls.
+Degree elevation uses the standard convex-combination recurrence.  Spectral
+norms of coefficient matrices are numeric.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, ONE
+from .ring import ExtRational, ZERO
 from .algebra import (
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
     monomials_upto,
+    multinomial,
 )
-
-
-def _multinomial(t: int, parts) -> int:
-    num = math.factorial(t)
-    for p in parts:
-        num //= math.factorial(p)
-    return num
 
 
 def basis_poly(alpha, t: int, n: int) -> Polynomial:
@@ -45,7 +41,7 @@ def basis_poly(alpha, t: int, n: int) -> Polynomial:
     if sum(alpha) > t:
         raise ValueError(f"|alpha| = {sum(alpha)} exceeds degree {t}")
     slack = t - sum(alpha)
-    coeff = ExtRational(_multinomial(t, alpha + (slack,)))
+    coeff = ExtRational(multinomial(t, alpha + (slack,)))
     coeff = coeff * (ExtRational(n, 1, n) ** (-t)) if t else coeff
     # sqrt(n) - x_1 - ... - x_n
     upper = Polynomial(n, {(0,) * n: ExtRational.sqrt(n)})
@@ -58,43 +54,62 @@ def basis_poly(alpha, t: int, n: int) -> Polynomial:
     return out
 
 
-@lru_cache(maxsize=64)
-def _basis_cache(n: int, t: int):
-    return {alpha: basis_poly(alpha, t, n) for alpha in monomials_upto(n, t)}
+def _monomial_to_bernstein(entries, ell: int, n: int, t: int, c, zero) -> dict:
+    """Degree-t Bernstein coefficients {alpha: ell x ell grid} of a symmetric
+    grid of {exponent: coefficient} maps on n variables.
 
-
-def _invert_exact(mat):
-    """Gauss-Jordan inverse of a square matrix over Q[sqrt(n)]."""
-    k = len(mat)
-    a = [row[:] + [ONE if i == j else ZERO for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("basis conversion matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [v * inv for v in a[col]]
-        for r in range(k):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[k:] for row in a]
-
-
-@lru_cache(maxsize=32)
-def _conversion_inverse(n: int, t: int):
-    """Inverse of the (Bernstein coefficients -> monomial coefficients) map."""
+    c = n + sqrt(n) and zero are exact or float; the coefficients meet only
+    c, ints and each other.  Substituting x_i = c*lambda_i - 1, with
+    lambda_i = (1 + x_i)/c, turns a_gamma x^gamma into sum_{beta <= gamma}
+    C(gamma, beta) (-1)^|gamma - beta| c^|beta| a_gamma lambda^beta, and on
+    the simplex lambda^beta = sum_{alpha >= beta} C(alpha, beta) /
+    multinom(t; beta, t - |beta|) B_alpha, where C(., .) is the product of
+    coordinate binomials.  (-1)^|gamma| goes on the input and (-1)^|beta|
+    into the weight, so both steps use one table.
+    """
+    upper = [(i, j) for i in range(ell) for j in range(i, ell)]
+    d = max((sum(g) for i, j in upper for g in entries[i][j]), default=0)
+    if t < d:
+        raise ValueError(f"target degree {t} below matrix degree {d}")
     alphas = monomials_upto(n, t)
-    basis = _basis_cache(n, t)
-    mat = [[basis[alpha].coeff(gamma) for alpha in alphas] for gamma in alphas]
-    return alphas, _invert_exact(mat)
-
-
-@lru_cache(maxsize=32)
-def _conversion_inverse_float(n: int, t: int) -> np.ndarray:
-    _, inv = _conversion_inverse(n, t)
-    return np.array([[float(v) for v in row] for row in inv])
+    # beta <= alpha with |beta| <= d, and prod_i C(alpha_i, beta_i)
+    below = {
+        alpha: [
+            (beta, math.prod(map(math.comb, alpha, beta)))
+            for beta in itertools.product(*(range(e + 1) for e in alpha))
+            if sum(beta) <= d
+        ]
+        for alpha in alphas
+    }
+    powers = [c**0]  # (-c)^k in the ring of c
+    for _ in range(d):
+        powers.append(powers[-1] * -c)
+    weight = {
+        beta: powers[sum(beta)] / multinomial(t, beta + (t - sum(beta),))
+        for beta in monomials_upto(n, d)
+    }
+    grids = {alpha: [[zero] * ell for _ in range(ell)] for alpha in alphas}
+    for i, j in upper:
+        shifted = {}
+        for gamma, a in entries[i][j].items():
+            if sum(gamma) & 1:
+                a = -a
+            for beta, k in below[gamma]:
+                v = a if k == 1 else a * k
+                prev = shifted.get(beta)
+                shifted[beta] = v if prev is None else prev + v
+        scaled = {beta: v * weight[beta] for beta, v in shifted.items() if v}
+        for alpha in alphas:
+            acc = None
+            for beta, k in below[alpha]:
+                v = scaled.get(beta)
+                if v is not None:
+                    if k != 1:
+                        v = v * k
+                    acc = v if acc is None else acc + v
+            if acc is not None:
+                grids[alpha][i][j] = grids[alpha][j][i] = acc
+    return grids
 
 
 class BernsteinExpansion:
@@ -132,40 +147,18 @@ class BernsteinExpansion:
 
 def to_bernstein(F: SymPolyMatrix, t: int) -> BernsteinExpansion:
     """Exact Bernstein expansion of F at degree t >= deg F."""
-    d = max(F.degree, 0)
-    if t < d:
-        raise ValueError(f"target degree {t} below matrix degree {d}")
     n = F.nvars
-    alphas, inv = _conversion_inverse(n, d)
-    k = len(alphas)
-    ell = F.size
-    # solve for each upper-triangle entry and assemble symmetric matrices
-    coeff_grids = {alpha: [[ZERO] * ell for _ in range(ell)] for alpha in alphas}
-    for i in range(ell):
-        for j in range(i, ell):
-            rhs = [F.entries[i][j].coeff(gamma) for gamma in alphas]
-            for r in range(k):
-                acc = ZERO
-                for c in range(k):
-                    if not rhs[c].is_zero():
-                        acc = acc + inv[r][c] * rhs[c]
-                coeff_grids[alphas[r]][i][j] = acc
-                coeff_grids[alphas[r]][j][i] = acc
-    expansion = BernsteinExpansion(
-        n, d, ell, {a: RationalSymMatrix(g) for a, g in coeff_grids.items()}
-    )
-    if t > d:
-        expansion = elevate(expansion, t)
-    return expansion
+    entries = [[p.terms for p in row] for row in F.entries]
+    grids = _monomial_to_bernstein(entries, F.size, n, t, ExtRational(n, 1, n), ZERO)
+    return BernsteinExpansion(n, t, F.size, {a: RationalSymMatrix(g) for a, g in grids.items()})
 
 
 def from_bernstein(e: BernsteinExpansion) -> SymPolyMatrix:
     """Exact reconstruction sum_alpha coeffs[alpha] * B_alpha."""
-    basis = _basis_cache(e.nvars, e.degree)
     ell = e.ell
     grid = [[Polynomial.zero(e.nvars) for _ in range(ell)] for _ in range(ell)]
     for alpha, mat in e.items():
-        b = basis[alpha]
+        b = basis_poly(alpha, e.degree, e.nvars)
         for i in range(ell):
             for j in range(i, ell):
                 if mat[i, j].is_zero():
@@ -211,7 +204,7 @@ def _spectral_norm(mat: np.ndarray) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def bernstein_norm(F: SymPolyMatrix, t: int | None = None, tol: float = 1e-12) -> float:
+def bernstein_norm(F: SymPolyMatrix, t: int | None = None) -> float:
     """Max spectral norm of the degree-t coefficient matrices (default t = deg F)."""
     if t is None:
         t = max(F.degree, 0)
@@ -229,21 +222,8 @@ def bernstein_norm_float(entry_dicts, nvars: int, ell: int, t: int) -> float:
     entry_dicts is an ell x ell grid of {exponent tuple: float} maps; the
     matrix degree must be <= t.
     """
-    alphas = monomials_upto(nvars, t)
-    index = {a: r for r, a in enumerate(alphas)}
-    inv = _conversion_inverse_float(nvars, t)
-    coeff = np.zeros((len(alphas), ell, ell))
-    for i in range(ell):
-        for j in range(i, ell):
-            rhs = np.zeros(len(alphas))
-            for gamma, v in entry_dicts[i][j].items():
-                if gamma not in index:
-                    raise ValueError(f"monomial {gamma} exceeds degree {t}")
-                rhs[index[gamma]] = v
-            sol = inv @ rhs
-            coeff[:, i, j] = sol
-            coeff[:, j, i] = sol
-    return max(_spectral_norm(coeff[r]) for r in range(len(alphas)))
+    grids = _monomial_to_bernstein(entry_dicts, ell, nvars, t, nvars + math.sqrt(nvars), 0.0)
+    return max(_spectral_norm(np.array(g)) for g in grids.values())
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .algebra import (
     congruence,
     ldlt,
     min_eigenvalue_numeric,
+    multinomial,
     parse_polynomial,
     psd_exact,
 )
@@ -302,12 +303,7 @@ def assemble_simplex_putinar(
     matrix_squares = []
     out_mults = []
     for alpha, mat in pc.expansion.items():
-        slack = t - sum(alpha)
-        mult = math.factorial(t)
-        for a in alpha:
-            mult //= math.factorial(a)
-        mult //= math.factorial(slack)
-        c_alpha = scale_base * mult
+        c_alpha = scale_base * multinomial(t, alpha + (t - sum(alpha),))
         S, sigma = _product_membership(alpha, t, n, facet_cache)
         cols, pivots = ldlt(mat)
         columns = [

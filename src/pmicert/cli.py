@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .ring import ExtRational, parse_ext_rational
+from .ring import parse_ext_rational
 from .algebra import SymPolyMatrix
 from . import bounds as bounds_mod
 from .bounds import BoundInputs
@@ -34,8 +34,6 @@ from .relax import (
     SolverError,
     build_relaxation,
     extract_certificate,
-    certificate_target,
-    hierarchy,
     solve_relaxation,
 )
 from .scalarize import charpoly_scalarization, scalarize
@@ -49,8 +47,12 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human, end="" if human.endswith("\n") else "\n")
 
 
-def _parse_rational_arg(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_rational_arg(flag: str, text: str) -> Fraction:
+    """A rational option value, bounded by its text (no exponent notation)."""
+    try:
+        return parse_ext_rational(text).as_fraction()
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_bound(args) -> int:
@@ -67,7 +69,9 @@ def _cmd_bound(args) -> int:
         return 0
     if formula == "perturbation":
         value = bounds_mod.perturbation_bound(
-            _parse_rational_arg(args.eps), args.eta_int, _parse_rational_arg(args.C)
+            _parse_rational_arg("--eps", args.eps),
+            args.eta_int,
+            _parse_rational_arg("--C", args.C),
         )
         _emit(args, {"formula": "perturbation", "value": str(value)},
               f"k >= {value}  (C * eps^(-7 eta - 3))")
@@ -77,10 +81,10 @@ def _cmd_bound(args) -> int:
         m=args.m,
         d=args.d,
         d_G=args.d_G,
-        ratio=_parse_rational_arg(args.ratio),
-        kappa=_parse_rational_arg(args.kappa),
+        ratio=_parse_rational_arg("--ratio", args.ratio),
+        kappa=_parse_rational_arg("--kappa", args.kappa),
         eta=args.eta_int,
-        C=_parse_rational_arg(args.C),
+        C=_parse_rational_arg("--C", args.C),
     )
     if formula == "rate":
         eps = bounds_mod.convergence_rate(inputs, args.order, args.f_norm)

@@ -23,9 +23,9 @@ from .algebra import (
     PolyMatrix,
     Polynomial,
     SymPolyMatrix,
-    congruence,
     min_eigenvalue_numeric,
     monomials_upto,
+    multinomial,
 )
 from .certify import (
     MultiplierTerm,
@@ -204,12 +204,7 @@ def _u_power_squares(j: int, n: int):
     """(1+||x||^2)^j as a sum of squared monomials: list of (weight, exponent)."""
     out = []
     for gamma in monomials_upto(n, j):
-        rest = j - sum(gamma)
-        w = math.factorial(j)
-        for g in gamma:
-            w //= math.factorial(g)
-        w //= math.factorial(rest)
-        out.append((ExtRational(w), gamma))
+        out.append((ExtRational(multinomial(j, gamma + (j - sum(gamma),))), gamma))
     return out
 
 

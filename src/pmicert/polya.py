@@ -23,6 +23,7 @@ from .algebra import (
     ldlt,
     min_eigenvalue_numeric,
     monomials_upto,
+    multinomial,
     psd_exact,
 )
 from .bernstein import (
@@ -138,7 +139,7 @@ def polya_certificate(
     d = max(F.degree, 0)
     if max_degree < d:
         raise ValueError(f"max_degree {max_degree} below deg F = {d}")
-    expansion = to_bernstein(F, d)
+    first = expansion = to_bernstein(F, d)
     for t in range(d, max_degree + 1):
         margins = {}
         for alpha, mat in expansion.items():
@@ -147,7 +148,7 @@ def polya_certificate(
                 break
         else:
             cert = PolyaCertificate(t, expansion, margins)
-            _attach_advisory(cert, F, d, grid_points)
+            _attach_advisory(cert, F, d, grid_points, first)
             return cert
         if t < max_degree:
             expansion = elevate(expansion, t + 1)
@@ -174,11 +175,12 @@ def polya_certificate(
     raise NotPositiveDefiniteOnSimplex(msg, witness, witness_eig)
 
 
-def _attach_advisory(cert, F, d, grid_points):
+def _attach_advisory(cert, F, d, grid_points, first):
+    """Advisory numbers; first is the degree-d expansion of F."""
     try:
         grid_min, _, res = grid_min_eigenvalue(F, grid_points or 10**F.nvars * (d + 1))
         cert.fmin_estimate = grid_min
-        cert.norm_estimate = norm_of_expansion(to_bernstein(F, d))
+        cert.norm_estimate = norm_of_expansion(first)
         refined = _markov_refined_lower(F, grid_min, res)
         fmin = refined if refined > 0 else grid_min
         if fmin > 0 and cert.norm_estimate >= fmin:
@@ -209,10 +211,7 @@ def scherer_hol_step(Fh: SymPolyMatrix, k: int) -> dict:
     for beta in monomials_upto(N, total):
         if sum(beta) != total:
             continue
-        mult = math.factorial(total)
-        for b in beta:
-            mult //= math.factorial(b)
-        inv = ExtRational(Fraction(1, mult))
+        inv = ExtRational(Fraction(1, multinomial(total, beta)))
         grid = [
             [scaled.entries[i][j].coeff(beta) * inv for j in range(Fh.size)]
             for i in range(Fh.size)
@@ -289,12 +288,8 @@ def simplex_form(e: BernsteinExpansion) -> SymPolyMatrix:
     n, t, ell = e.nvars, e.degree, e.ell
     grid = [[Polynomial.zero(n + 1) for _ in range(ell)] for _ in range(ell)]
     for alpha, mat in e.items():
-        slack = t - sum(alpha)
-        mult = math.factorial(t)
-        for a in alpha:
-            mult //= math.factorial(a)
-        mult //= math.factorial(slack)
-        mono = alpha + (slack,)
+        mono = alpha + (t - sum(alpha),)
+        mult = multinomial(t, mono)
         for i in range(ell):
             for j in range(ell):
                 if mat[i, j].is_zero():

@@ -142,7 +142,10 @@ class ExtRational:
 
     def __add__(self, other):
         if type(other) is not ExtRational:
-            other = ExtRational.coerce(other)
+            try:
+                other = ExtRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         d1, d2 = self._d, other._d
         q1, q2 = self._q, other._q
         if d1 == d2:
@@ -165,7 +168,10 @@ class ExtRational:
 
     def __sub__(self, other):
         if type(other) is not ExtRational:
-            other = ExtRational.coerce(other)
+            try:
+                other = ExtRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         d1, d2 = self._d, other._d
         q1, q2 = self._q, other._q
         if d1 == d2:
@@ -181,7 +187,10 @@ class ExtRational:
 
     def __mul__(self, other):
         if type(other) is not ExtRational:
-            other = ExtRational.coerce(other)
+            try:
+                other = ExtRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         p1, q1, p2, q2 = self._p, self._q, other._p, other._q
         if not q2:
             return _make(p1 * p2, q1 * p2, self._d * other._d, self._r)
@@ -204,7 +213,12 @@ class ExtRational:
         return _make(d * p, -d * q, p * p - q * q * r, r)
 
     def __truediv__(self, other):
-        return self * ExtRational.coerce(other).inverse()
+        if type(other) is not ExtRational:
+            try:
+                other = ExtRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return ExtRational.coerce(other) * self.inverse()

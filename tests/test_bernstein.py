@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -101,13 +102,32 @@ class TestConversion:
         assert coeffs == [ExtRational(1), ExtRational(-1), ExtRational(1)]
 
     def test_round_trip_random(self, rng):
-        for _ in range(100):
-            n = rng.randint(1, 2)
-            ell = rng.randint(1, 2)
-            deg = rng.randint(0, 3)
-            M = random_sym_matrix(rng, ell, n, deg)
-            t = max(M.degree, 0) + rng.randint(0, 1)
-            assert from_bernstein(to_bernstein(M, t)) == M
+        # every (n, t) with C(n + t, n) <= 120 for n <= 7, except that n = 1
+        # stops at t = 24 (the from_bernstein oracle costs O(t^4) there);
+        # matrix degree t and a random lower degree alternate
+        for n in range(1, 8):
+            t = 0
+            while math.comb(n + t, n) <= 120 and (n > 1 or t <= 24):
+                deg = t if t % 2 == 0 else rng.randint(0, t - 1)
+                M = random_sym_matrix(rng, rng.randint(1, 3), n, deg)
+                e = to_bernstein(M, t)
+                assert from_bernstein(e) == M, (n, t)
+                lifted = elevate(to_bernstein(M, max(M.degree, 0)), t)
+                assert lifted.coeffs == e.coeffs, (n, t)
+                t += 1
+
+    def test_cold_conversion_n4_t6(self, rng):
+        # a full-degree matrix; the corner coefficients are the values of M
+        # at the vertices of the scaled simplex
+        n, t = 4, 6
+        M = random_sym_matrix(rng, 2, n, t)
+        e = to_bernstein(M, t)
+        assert len(e.coeffs) == math.comb(n + t, n)
+        corner = ExtRational(n - 1, 1, n)  # n + sqrt(n) - 1
+        assert e[(0,) * n] == M.evaluate([ExtRational(-1)] * n)
+        for i in range(n):
+            vertex = [corner if j == i else ExtRational(-1) for j in range(n)]
+            assert e[tuple(t if j == i else 0 for j in range(n))] == M.evaluate(vertex)
 
     def test_degree_too_small(self):
         with pytest.raises(ValueError):
@@ -210,11 +230,16 @@ class TestNorms:
             assert best >= 0.95 * normB
 
     def test_float_norm_matches_exact_path(self, rng):
-        p = random_poly(rng, 2, 2)
-        exact = bernstein_norm(scalar(p), 3)
-        dicts = [[{a: float(c) for a, c in p.terms.items()}]]
-        approx = bernstein_norm_float(dicts, 2, 1, 3)
-        assert abs(exact - approx) < 1e-9
+        cases = [(2, 2, 3), (3, 2, 2), (3, 3, 5), (4, 2, 3), (4, 4, 4)]
+        for (n, deg, t), ell in itertools.product(cases, (1, 2, 3)):
+            M = random_sym_matrix(rng, ell, n, deg)
+            dicts = [
+                [{a: float(c) for a, c in M.entries[i][j].terms.items()} for j in range(ell)]
+                for i in range(ell)
+            ]
+            exact = bernstein_norm(M, t)
+            approx = bernstein_norm_float(dicts, n, ell, t)
+            assert abs(approx - exact) <= 1e-12 * exact
 
 
 def test_exact_lattice_points_lie_on_simplex():

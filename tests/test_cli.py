@@ -227,6 +227,27 @@ class TestPipelines:
 
         assert parse_sdpa(text).ncons == 3
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--C", "1e200000"),
+            ("--ratio", "1e5"),
+            ("--kappa", "1/0"),
+            ("--C", "1+1*sqrt(2)"),
+        ],
+    )
+    def test_bound_rational_option_rejected(self, capsys, flag, value):
+        assert main(["bound", "--formula", "putinar-matrix", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+    def test_bound_rational_option_forms(self, capsys):
+        args = ["bound", "--formula", "perturbation", "--json", "--eta", "1"]
+        assert main(args + ["--eps", "0.5", "--C", "3/2"]) == 0
+        decimal = capsys.readouterr().out
+        assert main(args + ["--eps", "1/2", "--C", "1.5"]) == 0
+        assert capsys.readouterr().out == decimal
+
     def test_bound_eta_and_theta(self, capsys):
         assert main(["bound", "--formula", "theta", "--m", "3"]) == 0
         assert "42" in capsys.readouterr().out

@@ -82,6 +82,24 @@ def test_parse_plain_and_sqrt_only():
         parse_ext_rational("1/2+1/3*sqrt(2")
 
 
+def test_unknown_operand_defers_to_reflected_method():
+    from pmicert.algebra import Polynomial
+
+    x = Polynomial.variable(1, 0)
+    two = ExtRational(2)
+    assert two * x == x * two == Polynomial(1, {(1,): 2})
+    assert two + x == x + two == Polynomial(1, {(0,): 2, (1,): 1})
+    assert two - x == -(x - two)
+    for op in (
+        lambda: two * object(),
+        lambda: two + object(),
+        lambda: two - object(),
+        lambda: two / object(),
+    ):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ExtRational(1) / ExtRational(0)
