@@ -1,10 +1,13 @@
 """Closed-form degree bounds, exponent estimates and convergence rates.
 
 All formulas are evaluated exactly over big integers / rationals whenever the
-inputs are rational with an integral Lojasiewicz exponent; otherwise a
-floating-point value is produced (through logarithms, so astronomically large
-results degrade to inf rather than raising).  Every report carries a
-factor-by-factor breakdown whose product reproduces the value, plus caveats:
+inputs are rational with an integral Lojasiewicz exponent and the factors fit
+the exact budget (_EXACT_BIT_LIMIT); otherwise a floating-point value is
+produced (through logarithms, so astronomically large results degrade to inf,
+with their log10 in the extras, rather than raising).  Every report carries a
+factor-by-factor breakdown whose product reproduces the value (except where a
+factor overflows to inf in floating point and the product does not), plus
+caveats:
 the universal constant C and the Lojasiewicz data (kappa, eta) are user
 parameters, not computed quantities, so the outputs are formula evaluations
 rather than certified thresholds.
@@ -25,7 +28,12 @@ C_CAVEAT = (
 )
 LOJ_CAVEAT = "kappa and eta are user-supplied Lojasiewicz data, not computed here"
 
-_EXACT_LOG2_LIMIT = 4e6  # beyond ~1 Mbit, fall back to floating point
+# Bits an exact evaluation may form: numerator plus denominator bits of C and
+# of every factor base, times the exponent.  14,000 bits keep every exact
+# factor and value printable within Python's default limit of 4,300 digits
+# for int to str conversion; beyond that the value is reported in floating
+# point.
+_EXACT_BIT_LIMIT = 14_000
 
 
 def theta(m: int) -> int:
@@ -133,13 +141,21 @@ def _log2(v) -> float:
     return math.log2(v)
 
 
+def _bits(v) -> int:
+    f = Fraction(v)
+    return abs(f.numerator).bit_length() + f.denominator.bit_length()
+
+
 def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> BoundReport:
     """factors: list of (name, base, exponent); value = C * prod base^exp."""
     caveats = [C_CAVEAT, LOJ_CAVEAT]
     if inputs.m < 2:
         caveats.append("formula evaluated outside its intended range m >= 2")
     log2_total = _log2(inputs.C) + sum(e * _log2(b) for _, b, e in factors if b != 1 or e)
-    exact = inputs.is_exact() and log2_total <= _EXACT_LOG2_LIMIT
+    # bounds every exact factor, even one that a ratio < 1 cancels in the product
+    exact = inputs.is_exact() and (
+        _bits(inputs.C) + sum(e * _bits(b) for _, b, e in factors) <= _EXACT_BIT_LIMIT
+    )
     if inputs.is_exact() and not exact:
         caveats.append(
             "magnitude exceeds the exact-arithmetic budget; value reported in floating point"
@@ -154,13 +170,18 @@ def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> Bou
         if value.denominator == 1:
             value = int(value)
     else:
-        value = math.inf if log2_total > 1023 else float(inputs.C)
+        floats = [math.inf if _log2(inputs.C) > 1023 else float(inputs.C)]
         for name, base, exp in factors:
             lf = exp * _log2(base)
-            f = math.inf if lf > 1023 else float(base) ** float(exp)
-            out_factors.append((name, f))
-            if value != math.inf:
-                value = value * f if f != math.inf else math.inf
+            floats.append(math.inf if lf > 1023 else float(base) ** float(exp))
+            out_factors.append((name, floats[-1]))
+        if log2_total > 1023:
+            value = math.inf
+        elif math.inf in floats:
+            # a factor overflows but the product does not: take it from its log
+            value = 2.0 ** log2_total
+        else:
+            value = math.prod(floats)
     report = BoundReport(formula_id, value, out_factors, caveats, extras or {})
     if value == math.inf:
         report.extras["log10"] = log2_total * math.log10(2)

@@ -34,7 +34,7 @@ from .relax import (
     SolverError,
     build_relaxation,
     extract_certificate,
-    solve_relaxation,
+    solve_sdp,
 )
 from .scalarize import charpoly_scalarization, scalarize
 from .sdpa import export_sdpa
@@ -263,15 +263,12 @@ def _cmd_relax(args) -> int:
     if prob.ell != 1:
         print("error: relax expects a scalar objective (ell = 1)", file=sys.stderr)
         return 2
-    f = prob.F[0, 0]
+    p = build_relaxation(prob.F[0, 0], prob.G, args.order)
     if args.export_sdpa:
-        p = build_relaxation(f, prob.G, args.order)
         with open(args.export_sdpa, "w", encoding="utf-8") as fh:
             fh.write(export_sdpa(p))
     try:
-        p, result = solve_relaxation(
-            f, prob.G, args.order, tol=args.tol, max_iter=args.max_iter
-        )
+        result = solve_sdp(p, tol=args.tol, max_iter=args.max_iter)
     except (SolverError, MaxIterationsError) as exc:
         _emit(args, {"error": str(exc)}, f"FAIL: {exc}")
         return 1

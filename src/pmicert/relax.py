@@ -7,10 +7,11 @@ degree <= k and one PSD block of size m*N1 encoding sum_i v_i^T G v_i with
 deg v_i <= k' (k' chosen so the products never exceed degree 2k).  One
 Douglas-Rachford loop maximizes gamma directly: gamma is a variable of the
 affine coefficient-matching set, riding on the constant-monomial constraint,
-and the loop alternates projections onto that set and onto PSD x PSD x R.
-It exits optimal (small displacement, closed duality gap), infeasible or
-unbounded (converged nonzero displacement), or on the iteration budget.
-Everything is deterministic for fixed inputs.
+and the loop alternates projections onto that set and onto PSD x PSD x R,
+with safeguarded Anderson acceleration of the fixed-point map.  It exits
+optimal (small displacement, closed duality gap), infeasible or unbounded
+(converged nonzero displacement with PSD Gram blocks), or on the
+iteration budget.  Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -154,31 +155,61 @@ def _constraint_matrix(p: SDPProblem) -> np.ndarray:
 def _psd_project(X: np.ndarray) -> np.ndarray:
     X = 0.5 * (X + X.T)
     w, U = np.linalg.eigh(X)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return (U * w) @ U.T
+
+
+def _blocks_psd(v: np.ndarray, N0: int, M1: int, floor: float) -> bool:
+    """Both Gram blocks of v have every eigenvalue >= floor."""
+    s0 = N0 * N0
+    return min(np.linalg.eigvalsh(v[:s0].reshape(N0, N0))[0],
+               np.linalg.eigvalsh(v[s0:s0 + M1 * M1].reshape(M1, M1))[0]) >= floor
 
 
 # Prox step of the objective -gamma: gamma moves up by STEP before each affine
 # projection.  On ball and box instances with n <= 3, 3.0 had the smallest
-# worst case of the values tried (3,324 iterations): 2.5 took 34,376 on one
-# instance, 1.0 exceeded 60,000 on a box instance whose minimizer sits at a
-# corner with a zero multiplier, and 10.0 took 10,831 there.  Such degenerate
-# instances converge sublinearly for any STEP; some exhaust the budget.
+# worst case of the values tried for the plain Douglas-Rachford loop (3,324
+# iterations): 2.5 took 34,376 on one instance, 1.0 exceeded 60,000 on a box
+# instance whose minimizer sits at a corner with a zero multiplier, and 10.0
+# took 10,831 there.
 STEP = 3.0
+
+# Anderson acceleration of the fixed-point map z -> z + D (type II, as in
+# SCS 3.x; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020): the last AA_MEMORY
+# secant pairs, Tikhonov weight AA_REG relative to the trace of the secant
+# Gram matrix, and an accelerated point is kept only if its |D| is at most
+# AA_SAFEGUARD times the |D| of the point it was extrapolated from.  Over the
+# 11 relax benchmark jobs, 32 box instances at k = 2 and 28 ball and arrow
+# instances, memory 12 took the fewest evaluations of the memories 3 to 20
+# tried (10,762; 10 took 14,567 and 11 took 10,953); memory 3 exhausted the
+# 60,000 budget on two box instances, and 4 to 6 took up to 28,368 on one.
+AA_MEMORY = 12
+AA_REG = 1e-10
+AA_SAFEGUARD = 1.0
 
 
 def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
-    """Maximize gamma with one Douglas-Rachford loop.
+    """Maximize gamma with one Douglas-Rachford loop, Anderson-accelerated.
 
-    The variable is z = (vec X0, vec X1, gamma); each iteration projects
-    z + STEP*e_gamma onto the affine coefficient-matching set (x, with
-    multiplier mu) and 2x - z onto PSD x PSD x R (y), then moves z by the
-    displacement D = y - x.  Exits:
+    The variable is z = (vec X0, vec X1, gamma); each evaluation of the DR map
+    projects z + STEP*e_gamma onto the affine coefficient-matching set (x,
+    with multiplier mu) and 2x - z onto PSD x PSD x R (y), giving the
+    displacement D = y - x.  The next z is the type-II Anderson point
+    z + D - (dZ + dG) g over the last AA_MEMORY differences dZ of evaluated
+    points and dG of their displacements, with g the regularized
+    least-squares fit of D by dG.  The safeguard is checked on the next
+    evaluation: if |D| there exceeds AA_SAFEGUARD times |D| at the point the
+    step was taken from, the loop falls back to the plain DR point z + D of
+    that base point, clears the history and evaluates again.  Every
+    evaluation counts as one iteration.  Exits, each decided on the point
+    evaluated last:
 
     - RelaxResult (the affine-side x) once |D| < feas_tol and gamma is within
       tol*max(1, |gamma|) of the dual value b.mu/STEP (mu/STEP is the moment
       vector);
-    - once D has converged to a nonzero vector (Banjac et al., JOTA 2019),
+    - once the displacements of two consecutive evaluations agree on a
+      nonzero D (Banjac et al., JOTA 2019) whose Gram blocks are PSD to
+      within sqrt(feas_tol)*|D|, as those of a limit displacement are,
       SolverError when D moves gamma (unbounded above), else Infeasible;
     - MaxIterationsError when max_iter iterations end first, as they do on a
       weakly infeasible problem, which has no converged displacement.
@@ -193,7 +224,17 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     gram_pinv = np.linalg.pinv(A @ A.T)
     b = np.array([float(v) for v in p.rhs])
     feas_tol = max(tol * 1e-2, 1e-10)
-    z = np.zeros(A.shape[1])
+    dim = A.shape[1]
+    z = np.zeros(dim)
+    # ring buffers of the last AA_MEMORY differences of accepted evaluations:
+    # of their plain DR images z + D (dZ + dG in the step), of their D, and
+    # the Gram matrix of the latter
+    dT = np.zeros((AA_MEMORY, dim))
+    dG = np.zeros((AA_MEMORY, dim))
+    GtG = np.zeros((AA_MEMORY, AA_MEMORY))
+    h = slot = 0
+    last = None      # (z + D, D) of the last accepted evaluation
+    fallback = None  # (z + D, |D|) of the point the pending Anderson step left
     D_prev = None
     for it in range(1, max_iter + 1):
         w = z.copy()
@@ -207,8 +248,7 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
             v[-1:],
         ))
         D = y - x
-        z += D
-        res = float(np.linalg.norm(D))
+        res = math.sqrt(D @ D)
         gamma = float(x[-1])
         if res < feas_tol and abs(float(b @ mu) / STEP - gamma) < tol * max(1.0, abs(gamma)):
             X0 = x[:s0].reshape(N0, N0)
@@ -216,11 +256,32 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
             margin = min(min_eigenvalue_numeric(X0), min_eigenvalue_numeric(X1))
             return RelaxResult(gamma, X0, X1, res, margin, it)
         if (D_prev is not None and res > feas_tol
-                and np.linalg.norm(D - D_prev) <= feas_tol * res):
+                and np.linalg.norm(D - D_prev) <= feas_tol * res
+                and _blocks_psd(D, N0, M1, -math.sqrt(feas_tol) * res)):
             if D[-1] > feas_tol:
                 raise SolverError("relaxation appears unbounded above")
             return Infeasible(res, gamma, it)
         D_prev = D
+        if fallback is not None and res > AA_SAFEGUARD * fallback[1]:
+            z, h, slot, last, fallback = fallback[0], 0, 0, None, None
+            continue
+        zD = z + D
+        if last is not None:
+            dT[slot] = zD - last[0]
+            dG[slot] = D - last[1]
+            h = min(h + 1, AA_MEMORY)
+            GtG[slot, :h] = GtG[:h, slot] = dG[:h] @ dG[slot]
+            slot = (slot + 1) % AA_MEMORY
+        last = (zD, D)
+        H = GtG[:h, :h].copy()
+        trace = H.trace()
+        if trace > 0.0:
+            H.flat[::h + 1] += AA_REG * trace
+            fallback = (zD, res)
+            z = zD - np.linalg.solve(H, dG[:h] @ D) @ dT[:h]
+        else:
+            fallback = None
+            z = zD
     raise MaxIterationsError(f"iteration budget {max_iter} exhausted")
 
 

@@ -75,6 +75,16 @@ class TestMatrixBound:
         assert any("floating point" in c for c in report.caveats)
 
 
+    def test_exact_budget_bounds_each_factor(self):
+        # ratio^(7 eta + 3) = 8^-(7 eta + 3) cancels 8^(7 eta): the product is
+        # 3^6 theta(2)^3 / 8^3, but neither factor is formed exactly
+        report = putinar_matrix_bound(all_ones(eta=100000, ratio=Fraction(1, 8)))
+        assert isinstance(report.value, float)
+        assert abs(report.value - 729 * 216 / 512) <= 1e-9 * report.value
+        assert any("floating point" in c for c in report.caveats)
+        assert dict(report.factors)["8^(7*eta)"] == math.inf
+
+
 class TestScalarAndLicq:
     def test_scalar_all_ones(self):
         assert putinar_scalar_bound(all_ones()).value == 8**7 * 2**3

@@ -248,6 +248,33 @@ class TestPipelines:
         assert main(args + ["--eps", "1/2", "--C", "1.5"]) == 0
         assert capsys.readouterr().out == decimal
 
+    @pytest.mark.parametrize("ratio", ["1", "1/8"])
+    def test_bound_large_eta_reported_in_floating_point(self, capsys, ratio):
+        # 8^(7 eta) alone has 2.1 million bits: never formed exactly, even
+        # when ratio^(7 eta + 3) cancels it
+        args = ["bound", "--formula", "putinar-matrix", "--eta", "100000",
+                "--ratio", ratio, "--json"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        value = float(payload["value"])
+        if value == float("inf"):
+            assert float(payload["extras"]["log10"]) > 600000
+        else:
+            assert abs(value - 729 * 216 / 512) <= 1e-9 * value
+
+    def test_bound_huge_C_cancelled_by_ratio(self, capsys):
+        # C = 2^1100 exceeds a float, and ratio^(7 eta + 3) = 2^-14600 has
+        # more bits than the exact budget: the float path takes the value
+        # from its log, 2^-13000 or so, which is 0.0
+        args = ["bound", "--formula", "putinar-matrix", "--C", str(2**1100),
+                "--ratio", f"1/{2**200}", "--eta", "10", "--json"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert float(json.loads(out)["value"]) == 0.0
+
     def test_bound_eta_and_theta(self, capsys):
         assert main(["bound", "--formula", "theta", "--m", "3"]) == 0
         assert "42" in capsys.readouterr().out

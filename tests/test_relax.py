@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pmicert.algebra import Polynomial, SymPolyMatrix
+from pmicert import relax
+from pmicert.algebra import Polynomial, SymPolyMatrix, psd_exact
 from pmicert.certify import ball_constraint, verify_certificate
+from pmicert.scalarize import scalarize
 from pmicert.relax import (
     Infeasible,
     MaxIterationsError,
@@ -254,6 +257,115 @@ class TestMultivariateBounds:
         pts *= np.random.default_rng(1).uniform(0, 1, (4000, 1)) ** (1 / 3)
         pts /= np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None]
         assert r.gamma <= f.evaluate_float(pts).min()
+        cert = extract_certificate(r, p)
+        report = verify_certificate(certificate_target(p, r.gamma), G, cert,
+                                    mode="numeric", tol=1e-6)
+        assert report.ok, report.messages
+
+
+def _box_separable(rng, n):
+    """sum a_i x_i^2 + b_i x_i over [-1, 1]^n: a convex coordinate has its
+    minimizer at a multiple of 1/4, a concave one at a corner.  Returns
+    (a, b)."""
+    grid = [Fraction(k, 4) for k in range(-4, 5)]
+    a, b = [], []
+    for _ in range(n):
+        ai = rng.choice((-3, -2, -1, 1, 2, 3, 4))
+        if ai > 0:
+            bi = -2 * ai * rng.choice(grid)
+        else:
+            bi = rng.choice((-2, -1, 1, 2))
+        a.append(ai)
+        b.append(bi)
+    return a, b
+
+
+def _box_min(a, b):
+    """Exact minimum of sum a_i x_i^2 + b_i x_i over [-1, 1]^n, coordinate
+    by coordinate: the smaller endpoint, or the clipped vertex."""
+    total = Fraction(0)
+    for ai, bi in zip(a, b):
+        cands = [Fraction(-1), Fraction(1)]
+        if ai > 0:
+            cands.append(min(max(Fraction(-bi, 2 * ai), Fraction(-1)), Fraction(1)))
+        total += min(ai * t * t + bi * t for t in cands)
+    return total
+
+
+def _box_instance(a, b):
+    n = len(a)
+    xs = [Polynomial.variable(n, i) for i in range(n)]
+    f = Polynomial.zero(n)
+    for ai, bi, xi in zip(a, b, xs):
+        f = f + Polynomial.const(n, ai) * xi * xi + Polynomial.const(n, bi) * xi
+    return f, _box(n)
+
+
+def _check_box(a, b):
+    f, G = _box_instance(a, b)
+    ref = float(_box_min(a, b))
+    p, r = solve_relaxation(f, G, 2)
+    assert isinstance(r, RelaxResult)
+    assert abs(r.gamma - ref) <= 1e-5 * max(1.0, abs(ref)), (a, b, r.gamma, ref)
+    cert = extract_certificate(r, p)
+    report = verify_certificate(certificate_target(p, r.gamma), G, cert,
+                                mode="numeric", tol=1e-6)
+    assert report.ok, report.messages
+
+
+class TestDegenerateBox:
+    """Box instances whose minimizer sits at a corner with a zero multiplier,
+    on which the unaccelerated loop converged sublinearly and exhausted its
+    60,000-iteration budget."""
+
+    @pytest.mark.parametrize("a, b, ref", [
+        ([4, -3], [-8, -2], -9),     # 4 x1^2 - 8 x1 - 3 x2^2 - 2 x2
+        ([1, 2], [1, 4], Fraction(-9, 4)),
+    ], ids=["opt-9", "opt-2.25"])
+    def test_known_instances(self, a, b, ref):
+        assert _box_min(a, b) == ref
+        _check_box(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_draws(self, n):
+        for seed in range(15):
+            _check_box(*_box_separable(random.Random(seed), n))
+
+
+    def test_transient_displacement_is_not_infeasible(self, monkeypatch):
+        # with memory 13 an Anderson step lands where plain DR steps keep the
+        # displacement constant for a while, at |D| = 0.18 with an indefinite
+        # Gram block: not a limit displacement, so the loop must go on
+        monkeypatch.setattr(relax, "AA_MEMORY", 13)
+        _check_box(*_box_separable(random.Random(14), 3))
+
+
+class TestMatrixConstraint:
+    """A non-diagonal 2x2 constraint, checked against the set itself: sample
+    points whose membership exact scalarization and an exact LDL^T decide
+    alike give the minimum of f from above."""
+
+    def test_against_samples(self):
+        x1, x2 = _two_vars()
+        one = Polynomial.const(2, 1)
+        G = SymPolyMatrix([[one - x1 * x1, x1 + x2], [x1 + x2, one - x2 * x2]])
+        f = x1 - 2 * x2 + x1 * x2
+        system = scalarize(G)
+        values = []
+        for i in range(-8, 9):
+            for j in range(-8, 9):
+                pt = (Fraction(i, 8), Fraction(j, 8))
+                inside = psd_exact(G.evaluate(pt))
+                assert inside == all(d.evaluate(pt).sign() >= 0 for d, _ in system.entries)
+                if inside:
+                    values.append(f.evaluate(pt).as_fraction())
+        assert len(values) > 100
+        ref = float(min(values))  # -4 at (-1, 1), where G vanishes
+        p, r = solve_relaxation(f, G, 2)
+        assert isinstance(r, RelaxResult)
+        assert r.gamma <= ref + 1e-6
+        # the minimizer is a sample point, so the bound is also tight
+        assert r.gamma >= ref - 1e-5
         cert = extract_certificate(r, p)
         report = verify_certificate(certificate_target(p, r.gamma), G, cert,
                                     mode="numeric", tol=1e-6)
