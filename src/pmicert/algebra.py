@@ -195,24 +195,6 @@ class Polynomial:
             total += mono * float(c)
         return float(total[0]) if pts.ndim == 1 else total
 
-    def substitute(self, replacements: dict) -> "Polynomial":
-        """Substitute polynomials for variables: {index: Polynomial}."""
-        if not replacements:
-            return self
-        nvars_out = next(iter(replacements.values())).nvars
-        out = Polynomial.zero(nvars_out)
-        for alpha, c in self.terms.items():
-            factor = Polynomial.const(nvars_out, c)
-            for i, e in enumerate(alpha):
-                if e == 0:
-                    continue
-                if i in replacements:
-                    factor = factor * replacements[i] ** e
-                else:
-                    raise ValueError(f"no replacement given for variable {i}")
-            out = out + factor
-        return out
-
     def homogenize(self, target_degree: int) -> "Polynomial":
         """Return x0^target * p(x/x0) in nvars+1 variables (x0 first)."""
         d = self.degree
@@ -234,10 +216,6 @@ class Polynomial:
             key = alpha[1:]
             terms[key] = terms.get(key, ZERO) + c
         return Polynomial(self.nvars - 1, terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(a) for a in self.terms}
-        return len(degs) <= 1
 
     # -- text form --------------------------------------------------------
 
@@ -291,6 +269,96 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         prev = terms.get(key, ZERO)
         terms[key] = prev + coeff
     return Polynomial(nvars, terms)
+
+
+def lower_triangle_rows(grid) -> list:
+    """Row r of a symmetric grid as its first r + 1 entries, each a '(coeff)'
+    token: the lines LineReader.grid reads back."""
+    return [" ".join(f"({v})" for v in row[: r + 1]) for r, row in enumerate(grid)]
+
+
+class LineReader:
+    """Cursor over the lines of a certificate text (.qmc, .bexp, .polya).
+
+    The read methods raise ValueError; parse() reports it as 'line N: ...',
+    N the 1-based number of the line being read.  A declared size is checked
+    against the text that remains before anything of that size is built.
+    """
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0  # lines consumed; the last one read is line self.pos
+
+    def parse(self, read, error: type):
+        """read(self), with each ValueError re-raised as error('line N: ...')."""
+        try:
+            return read(self)
+        except ValueError as exc:
+            raise error(f"line {self.pos}: {exc}") from None
+
+    def lines_left(self) -> int:
+        return len(self.lines) - self.pos
+
+    def chars_left(self) -> int:
+        return sum(map(len, self.lines[self.pos:]))
+
+    def line(self, expect: str) -> str:
+        self.pos += 1
+        if self.pos > len(self.lines):
+            raise ValueError(f"unexpected end of file (expected {expect})")
+        return self.lines[self.pos - 1]
+
+    def rest(self, prefix: str) -> str:
+        """What follows a required prefix on the next line."""
+        line = self.line(repr(prefix))
+        if not line.startswith(prefix):
+            raise ValueError(f"expected {prefix!r}, got {line!r}")
+        return line[len(prefix):]
+
+    def literal(self, text: str) -> None:
+        if self.rest(text):
+            raise ValueError(f"expected {text!r}, got {self.lines[self.pos - 1]!r}")
+
+    def natural(self, token: str, what: str, limit: int | None = None) -> int:
+        """A non-negative decimal integer, at most limit."""
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"{what}: expected a non-negative integer, got {token!r}")
+        value = int(token)
+        if limit is not None and value > limit:
+            raise ValueError(f"{what} {value} is too large for the rest of the file")
+        return value
+
+    def field(self, prefix: str, limit: int | None = None) -> int:
+        """The integer N of a line 'prefix N', at most limit."""
+        return self.natural(self.rest(prefix), prefix.strip(), limit)
+
+    def exponents(self, text: str, nvars: int | None = None) -> tuple:
+        """Whitespace-separated exponents, exactly nvars of them if given."""
+        alpha = tuple(self.natural(tok, "exponent") for tok in text.split())
+        if nvars is not None and len(alpha) != nvars:
+            raise ValueError(f"expected {nvars} exponents, got {len(alpha)}")
+        return alpha
+
+    def coeff(self, token: str) -> ExtRational:
+        if not (token.startswith("(") and token.endswith(")")):
+            raise ValueError(f"malformed coefficient {token!r}")
+        return parse_ext_rational(token[1:-1])
+
+    def polynomial(self, nvars: int) -> Polynomial:
+        return parse_polynomial(self.line("a polynomial"), nvars)
+
+    def grid(self, dim: int, what: str) -> list:
+        """A symmetric dim x dim grid of '(coeff)' tokens written as its lower
+        triangle, row r on one line of r + 1 tokens."""
+        if dim > self.lines_left():
+            raise ValueError(f"{what} size {dim} is too large for the rest of the file")
+        rows = []
+        for r in range(dim):
+            toks = self.line(f"{what} row").split()
+            if len(toks) != r + 1:
+                raise ValueError(f"{what} row {r} has {len(toks)} entries, expected {r + 1}")
+            rows.append([self.coeff(tok) for tok in toks])
+        return [rows[i] + [rows[j][i] for j in range(i + 1, dim)] for i in range(dim)]
 
 
 def multinomial(total: int, parts) -> int:

@@ -25,9 +25,11 @@ import numpy as np
 
 from .ring import ExtRational, ZERO
 from .algebra import (
+    LineReader,
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
+    lower_triangle_rows,
     monomials_upto,
     multinomial,
 )
@@ -115,21 +117,16 @@ def _monomial_to_bernstein(entries, ell: int, n: int, t: int, c, zero) -> dict:
 class BernsteinExpansion:
     """Coefficient matrices of a symmetric polynomial matrix in the basis.
 
-    Every alpha with |alpha| <= degree is present; zero matrices are stored
-    explicitly so positivity checks visit the full index set.
+    coeffs holds every alpha with |alpha| <= degree, zero matrices included,
+    so positivity checks visit the full index set.
     """
 
     __slots__ = ("nvars", "degree", "ell", "coeffs")
 
     def __init__(self, nvars: int, degree: int, ell: int, coeffs: dict):
-        full = {}
-        for alpha in monomials_upto(nvars, degree):
-            m = coeffs.get(alpha)
-            if m is None:
-                m = RationalSymMatrix([[ZERO] * ell for _ in range(ell)])
-            if m.size != ell:
-                raise ValueError("coefficient matrix size mismatch")
-            full[alpha] = m
+        full = {alpha: coeffs[alpha] for alpha in monomials_upto(nvars, degree)}
+        if any(m.size != ell for m in full.values()):
+            raise ValueError("coefficient matrix size mismatch")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "ell", ell)
@@ -288,75 +285,31 @@ def serialize_expansion(e: BernsteinExpansion) -> str:
     ]
     for alpha in monomials_upto(e.nvars, e.degree):
         lines.append("alpha " + " ".join(str(v) for v in alpha))
-        mat = e.coeffs[alpha]
-        for i in range(e.ell):
-            lines.append(" ".join(f"({mat[i, j]})" for j in range(i + 1)))
+        lines.extend(lower_triangle_rows(e.coeffs[alpha].entries))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def parse_expansion(text: str) -> BernsteinExpansion:
-    return parse_expansion_lines(text.splitlines(), 0)
+    return LineReader(text).parse(read_expansion, ExpansionParseError)
 
 
-def parse_expansion_lines(lines: list, start: int) -> BernsteinExpansion:
-    """The expansion record that begins at lines[start]; error messages
-    number the lines of the whole list from 1."""
-    from .ring import parse_ext_rational
-
-    pos = start
-
-    def take(expect):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ExpansionParseError(f"line {pos + 1}: unexpected end (expected {expect})")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    def count(prefix):
-        line = take(prefix)
-        try:
-            if not line.startswith(prefix):
-                raise ValueError
-            return int(line[len(prefix):])
-        except ValueError:
-            raise ExpansionParseError(
-                f"line {pos}: expected {prefix!r} and an integer, got {line!r}"
-            ) from None
-
-    if take("header") != "bexp-v1":
-        raise ExpansionParseError(f"line {pos}: missing bexp-v1 header")
-    nvars = count("nvars ")
-    degree = count("degree ")
-    ell = count("size ")
-    records = count("records ")
+def read_expansion(r: LineReader) -> BernsteinExpansion:
+    """The expansion record at the reader's cursor: every alpha with
+    |alpha| <= degree exactly once, as serialize_expansion writes it."""
+    r.literal("bexp-v1")
+    nvars = r.field("nvars ", r.chars_left())  # each alpha line names nvars exponents
+    degree = r.field("degree ", r.lines_left())
+    ell = r.field("size ", r.lines_left())
+    records = r.field("records ", r.lines_left() // (ell + 1))
+    full = math.comb(nvars + degree, nvars)
+    if records != full:
+        raise ValueError(f"records {records}, expected C(nvars + degree, nvars) = {full}")
     coeffs = {}
     for _ in range(records):
-        line = take("alpha ")
-        try:
-            if not line.startswith("alpha "):
-                raise ValueError
-            alpha = tuple(int(tok) for tok in line[len("alpha "):].split())
-        except ValueError:
-            raise ExpansionParseError(f"line {pos}: expected 'alpha ', got {line!r}") from None
-        grid = [[ZERO] * ell for _ in range(ell)]
-        for i in range(ell):
-            toks = take("matrix row").split()
-            if len(toks) != i + 1:
-                raise ExpansionParseError(
-                    f"line {pos}: matrix row {i} has {len(toks)} entries, expected {i + 1}"
-                )
-            for j, tok in enumerate(toks):
-                if not (tok.startswith("(") and tok.endswith(")")):
-                    raise ExpansionParseError(f"line {pos}: malformed entry {tok!r}")
-                try:
-                    v = parse_ext_rational(tok[1:-1])
-                except ValueError as exc:
-                    raise ExpansionParseError(f"line {pos}: {exc}") from None
-                grid[i][j] = v
-                grid[j][i] = v
-        coeffs[alpha] = RationalSymMatrix(grid)
-    if take("end") != "end":
-        raise ExpansionParseError(f"line {pos}: missing 'end' marker")
+        alpha = r.exponents(r.rest("alpha "), nvars)
+        if sum(alpha) > degree or alpha in coeffs:
+            raise ValueError(f"alpha {alpha} repeated or above degree {degree}")
+        coeffs[alpha] = RationalSymMatrix(r.grid(ell, "matrix"))
+    r.literal("end")
     return BernsteinExpansion(nvars, degree, ell, coeffs)

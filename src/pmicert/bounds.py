@@ -146,23 +146,19 @@ def _bits(v) -> int:
     return abs(f.numerator).bit_length() + f.denominator.bit_length()
 
 
-def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> BoundReport:
-    """factors: list of (name, base, exponent); value = C * prod base^exp."""
-    caveats = [C_CAVEAT, LOJ_CAVEAT]
-    if inputs.m < 2:
-        caveats.append("formula evaluated outside its intended range m >= 2")
-    log2_total = _log2(inputs.C) + sum(e * _log2(b) for _, b, e in factors if b != 1 or e)
+def _product(C, factors, exact: bool):
+    """C * prod base^exp over factors (name, base, exp), exactly when exact
+    is asked for and C and every factor fit _EXACT_BIT_LIMIT, else in
+    floating point.  Returns (value, [(name, factor)], log2 of the value,
+    whether it is exact)."""
+    log2_total = _log2(C) + sum(e * _log2(b) for _, b, e in factors if b != 1 or e)
     # bounds every exact factor, even one that a ratio < 1 cancels in the product
-    exact = inputs.is_exact() and (
-        _bits(inputs.C) + sum(e * _bits(b) for _, b, e in factors) <= _EXACT_BIT_LIMIT
+    exact = exact and (
+        _bits(C) + sum(e * _bits(b) for _, b, e in factors) <= _EXACT_BIT_LIMIT
     )
-    if inputs.is_exact() and not exact:
-        caveats.append(
-            "magnitude exceeds the exact-arithmetic budget; value reported in floating point"
-        )
-    out_factors = [("C", inputs.C)]
+    out_factors = [("C", C)]
     if exact:
-        value = Fraction(inputs.C)
+        value = Fraction(C)
         for name, base, exp in factors:
             f = Fraction(base) ** exp
             out_factors.append((name, f if f.denominator != 1 else int(f)))
@@ -170,7 +166,7 @@ def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> Bou
         if value.denominator == 1:
             value = int(value)
     else:
-        floats = [math.inf if _log2(inputs.C) > 1023 else float(inputs.C)]
+        floats = [math.inf if _log2(C) > 1023 else float(C)]
         for name, base, exp in factors:
             lf = exp * _log2(base)
             floats.append(math.inf if lf > 1023 else float(base) ** float(exp))
@@ -182,6 +178,19 @@ def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> Bou
             value = 2.0 ** log2_total
         else:
             value = math.prod(floats)
+    return value, out_factors, log2_total, exact
+
+
+def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> BoundReport:
+    """factors: list of (name, base, exponent); value = C * prod base^exp."""
+    caveats = [C_CAVEAT, LOJ_CAVEAT]
+    if inputs.m < 2:
+        caveats.append("formula evaluated outside its intended range m >= 2")
+    value, out_factors, log2_total, exact = _product(inputs.C, factors, inputs.is_exact())
+    if inputs.is_exact() and not exact:
+        caveats.append(
+            "magnitude exceeds the exact-arithmetic budget; value reported in floating point"
+        )
     report = BoundReport(formula_id, value, out_factors, caveats, extras or {})
     if value == math.inf:
         report.extras["log10"] = log2_total * math.log10(2)
@@ -306,15 +315,9 @@ def markov_gradient_bound(p: Polynomial) -> float:
 
 def perturbation_bound(eps, eta=1, C=1):
     """Degree C * eps^(-7 eta - 3) sufficient after the standard identity
-    perturbation of a merely-PSD matrix."""
-    if isinstance(eps, float):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return float(C) * eps ** -(7 * float(eta) + 3)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if isinstance(eta, int) and not isinstance(C, float):
-        value = Fraction(C) * eps ** -(7 * eta + 3)
-        return int(value) if value.denominator == 1 else value
-    return float(C) * float(eps) ** -(7 * float(eta) + 3)
+    perturbation of a merely-PSD matrix, evaluated as C * (1/eps)^(7 eta + 3)
+    within the exact budget of the other formulas."""
+    if eps <= 0 or eta <= 0 or C <= 0:
+        raise ValueError("eps, eta and C must be positive")
+    exact = isinstance(eta, int) and not isinstance(eps, float) and not isinstance(C, float)
+    return _product(C, [("eps^-(7*eta+3)", Fraction(1) / eps, 7 * eta + 3)], exact)[0]

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import ExtRational, ZERO, ONE, parse_ext_rational
+from .ring import ExtRational, ZERO, ONE
 from .algebra import (
+    LineReader,
     PolyMatrix,
     Polynomial,
     RationalSymMatrix,
@@ -29,8 +30,8 @@ from .algebra import (
     congruence,
     ldlt,
     min_eigenvalue_numeric,
+    lower_triangle_rows,
     multinomial,
-    parse_polynomial,
     psd_exact,
 )
 from .bernstein import bernstein_norm
@@ -420,10 +421,6 @@ def verify_certificate(
 # serialization
 
 
-def _fmt_coeff(v: ExtRational) -> str:
-    return f"({v})"
-
-
 def serialize(cert: QMCertificate) -> str:
     lines = ["qmcert-v1"]
     lines.append(f"mode {cert.mode}")
@@ -434,127 +431,60 @@ def serialize(cert: QMCertificate) -> str:
     lines.append(f"sos-blocks {len(cert.sos_blocks)}")
     for bi, block in enumerate(cert.sos_blocks):
         lines.append(f"block {bi} basis {len(block.basis)}")
-        for beta in block.basis:
-            lines.append(" ".join(str(e) for e in beta))
+        lines.extend(" ".join(map(str, beta)) for beta in block.basis)
         lines.append("gram")
-        for r in range(len(block.gram)):
-            lines.append(" ".join(_fmt_coeff(block.gram[r][c]) for c in range(r + 1)))
+        lines.extend(lower_triangle_rows(block.gram))
     lines.append(f"multipliers {len(cert.multipliers)}")
     for mi, term in enumerate(cert.multipliers):
         lines.append(
-            f"multiplier {mi} scale {_fmt_coeff(term.scale)} "
+            f"multiplier {mi} scale ({term.scale}) "
             f"rows {term.matrix.rows} cols {term.matrix.cols}"
         )
-        for r in range(term.matrix.rows):
-            for c in range(term.matrix.cols):
-                lines.append(term.matrix[r, c].to_text())
-    if cert.sphere_multiplier is not None:
-        lines.append(f"sphere-multiplier {cert.sphere_multiplier.size}")
-        H = cert.sphere_multiplier
-        for r in range(H.size):
-            for c in range(r, H.size):
-                lines.append(H[r, c].to_text())
-    else:
-        lines.append("sphere-multiplier none")
+        lines.extend(p.to_text() for row in term.matrix.entries for p in row)
+    H = cert.sphere_multiplier
+    lines.append(f"sphere-multiplier {'none' if H is None else H.size}")
+    if H is not None:
+        lines.extend(H[r, c].to_text() for r in range(H.size) for c in range(r, H.size))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self, expect: str | None = None) -> str:
-        if self.pos >= len(self.lines):
-            raise CertificateParseError(
-                f"line {self.pos + 1}: unexpected end of file"
-                + (f" (expected {expect})" if expect else "")
-            )
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect_prefix(self, prefix: str) -> list:
-        line = self.next(prefix)
-        if not line.startswith(prefix):
-            raise CertificateParseError(
-                f"line {self.pos}: expected {prefix!r}, got {line!r}"
-            )
-        return line[len(prefix):].split()
-
-    def polynomial(self, expect: str, nvars: int) -> Polynomial:
-        line = self.next(expect)
-        try:
-            return parse_polynomial(line, nvars)
-        except ValueError as exc:
-            raise CertificateParseError(f"line {self.pos}: {exc}") from None
-
-
-def _parse_coeff(token: str, where: str) -> ExtRational:
-    if not (token.startswith("(") and token.endswith(")")):
-        raise CertificateParseError(f"{where}: malformed coefficient {token!r}")
-    try:
-        return parse_ext_rational(token[1:-1])
-    except ValueError as exc:
-        raise CertificateParseError(f"{where}: {exc}") from None
-
-
 def deserialize(text: str) -> QMCertificate:
-    r = _Reader(text)
-    if r.next("header") != "qmcert-v1":
-        raise CertificateParseError("line 1: missing qmcert-v1 header")
-    mode = r.expect_prefix("mode ")[0]
-    nvars = int(r.expect_prefix("nvars ")[0])
-    ell = int(r.expect_prefix("size ")[0])
-    m = int(r.expect_prefix("constraint-size ")[0])
-    k = int(r.expect_prefix("degree ")[0])
-    nblocks = int(r.expect_prefix("sos-blocks ")[0])
+    return LineReader(text).parse(_read_certificate, CertificateParseError)
+
+
+def _read_certificate(r: LineReader) -> QMCertificate:
+    r.literal("qmcert-v1")
+    mode = r.rest("mode ")
+    if mode not in ("exact", "numeric"):
+        raise ValueError(f"unknown mode {mode!r}")
+    # every basis and polynomial line names all nvars variables
+    nvars = r.field("nvars ", r.chars_left())
+    ell = r.field("size ", r.chars_left())
+    m = r.field("constraint-size ")
+    k = r.field("degree ")
     blocks = []
-    for bi in range(nblocks):
-        head = r.expect_prefix(f"block {bi} basis ")
-        count = int(head[0])
-        basis = []
-        for _ in range(count):
-            basis.append(tuple(int(tok) for tok in r.next("basis exponents").split()))
-        if r.next("gram") != "gram":
-            raise CertificateParseError(f"line {r.pos}: expected 'gram'")
-        dim = count * ell
-        gram = [[ZERO] * dim for _ in range(dim)]
-        for row in range(dim):
-            toks = r.next("gram row").split()
-            if len(toks) != row + 1:
-                raise CertificateParseError(
-                    f"line {r.pos}: gram row {row} has {len(toks)} entries, expected {row + 1}"
-                )
-            for col, tok in enumerate(toks):
-                v = _parse_coeff(tok, f"line {r.pos}")
-                gram[row][col] = v
-                gram[col][row] = v
-        blocks.append(SOSBlock(basis, gram))
-    nmult = int(r.expect_prefix("multipliers ")[0])
+    for bi in range(r.field("sos-blocks ")):
+        count = r.field(f"block {bi} basis ", r.lines_left())
+        basis = [r.exponents(r.line("basis exponents"), nvars) for _ in range(count)]
+        r.literal("gram")
+        blocks.append(SOSBlock(basis, r.grid(count * ell, "gram")))
     mults = []
-    for mi in range(nmult):
-        toks = r.expect_prefix(f"multiplier {mi} scale ")
-        scale = _parse_coeff(toks[0], f"line {r.pos}")
-        rows = int(toks[2])
-        cols = int(toks[4])
-        entries = []
-        for _ in range(rows):
-            row = []
-            for _ in range(cols):
-                row.append(r.polynomial("multiplier entry", nvars))
-            entries.append(row)
+    for mi in range(r.field("multipliers ")):
+        toks = r.rest(f"multiplier {mi} scale ").split()
+        if len(toks) != 5 or toks[1::2] != ["rows", "cols"]:
+            raise ValueError("expected '(scale) rows R cols C'")
+        scale = r.coeff(toks[0])
+        rows, cols = r.natural(toks[2], "rows"), r.natural(toks[4], "cols")
+        if rows * cols > r.lines_left():
+            raise ValueError(f"{rows}x{cols} multiplier is too large for the rest of the file")
+        entries = [[r.polynomial(nvars) for _ in range(cols)] for _ in range(rows)]
         mults.append(MultiplierTerm(scale, PolyMatrix(entries)))
-    sphere_toks = r.expect_prefix("sphere-multiplier ")
     sphere = None
-    if sphere_toks[0] != "none":
-        size = int(sphere_toks[0])
-        upper = {}
-        for i in range(size):
-            for j in range(i, size):
-                upper[(i, j)] = r.polynomial("sphere entry", nvars)
+    declared = r.rest("sphere-multiplier ")
+    if declared != "none":
+        size = r.natural(declared, "sphere-multiplier", r.lines_left())
+        upper = {(i, j): r.polynomial(nvars) for i in range(size) for j in range(i, size)}
         sphere = SymPolyMatrix.from_upper(size, upper, nvars)
-    if r.next("end") != "end":
-        raise CertificateParseError(f"line {r.pos}: missing 'end' marker")
+    r.literal("end")
     return QMCertificate(nvars, ell, m, k, mode, blocks, mults, sphere)

@@ -17,7 +17,6 @@ from .algebra import SymPolyMatrix
 from . import bounds as bounds_mod
 from .bounds import BoundInputs
 from .certify import (
-    CertificateParseError,
     ball_constraint,
     deserialize,
     serialize,
@@ -27,7 +26,7 @@ from .certify import (
 )
 from .homogenize import EmptyFeasibleSample, estimate_homogenized_min, lift_problem
 from .polya import NotPositiveDefiniteOnSimplex, polya_certificate
-from .problemio import ProblemFormatError, load_problem
+from .problemio import load_problem
 from .relax import (
     Infeasible,
     MaxIterationsError,
@@ -431,8 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, CertificateParseError, FileNotFoundError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:  # the parsers' errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .ring import ExtRational, ONE
 from .algebra import (
+    LineReader,
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
@@ -28,9 +29,12 @@ from .algebra import (
 )
 from .bernstein import (
     BernsteinExpansion,
+    ExpansionParseError,
     elevate,
     lattice_resolution_for,
     norm_of_expansion,
+    read_expansion,
+    serialize_expansion,
     simplex_lattice,
     simplex_lattice_float,
     to_bernstein,
@@ -223,8 +227,6 @@ def scherer_hol_step(Fh: SymPolyMatrix, k: int) -> dict:
 def serialize_polya(cert: PolyaCertificate) -> str:
     """Certificate text: header (degree, the always-exact mode, per-alpha
     margins) followed by the expansion in the shared record format."""
-    from .bernstein import serialize_expansion
-
     lines = [
         "polya-v1",
         f"degree {cert.degree}",
@@ -239,46 +241,18 @@ def serialize_polya(cert: PolyaCertificate) -> str:
 
 
 def parse_polya(text: str) -> PolyaCertificate:
-    from .bernstein import ExpansionParseError, parse_expansion_lines
+    return LineReader(text).parse(_read_polya, ExpansionParseError)
 
-    lines = text.splitlines()
 
-    def line(idx: int, what: str) -> str:
-        if idx >= len(lines):
-            raise ExpansionParseError(f"line {idx + 1}: unexpected end (expected {what})")
-        return lines[idx]
-
-    def count_field(idx: int, prefix: str) -> int:
-        field = line(idx, repr(prefix))
-        try:
-            if not field.startswith(prefix):
-                raise ValueError
-            return int(field[len(prefix):])
-        except ValueError:
-            raise ExpansionParseError(
-                f"line {idx + 1}: expected {prefix!r} and an integer, got {field!r}"
-            ) from None
-
-    if not lines or lines[0] != "polya-v1":
-        raise ExpansionParseError("line 1: missing polya-v1 header")
-    degree = count_field(1, "degree ")
-    if lines[2:3] != ["mode exact"]:
-        raise ExpansionParseError("line 3: expected 'mode exact'")
-    count = count_field(3, "margins ")
-    if count < 0:
-        raise ExpansionParseError(f"line 4: negative margins count {count}")
+def _read_polya(r: LineReader) -> PolyaCertificate:
+    r.literal("polya-v1")
+    degree = r.field("degree ")
+    r.literal("mode exact")
     margins = {}
-    for idx in range(4, 4 + count):
-        toks = line(idx, "margin record").split()
-        try:
-            sep = toks.index("margin")
-            if toks[0] != "alpha" or len(toks) != sep + 2:
-                raise ValueError
-            margins[tuple(int(t) for t in toks[1:sep])] = float(toks[sep + 1])
-        except ValueError:
-            raise ExpansionParseError(f"line {idx + 1}: malformed margin record") from None
-    expansion = parse_expansion_lines(lines, 4 + count)
-    return PolyaCertificate(degree, expansion, margins)
+    for _ in range(r.field("margins ")):
+        head, _, value = r.rest("alpha ").partition(" margin ")
+        margins[r.exponents(head)] = float(value)
+    return PolyaCertificate(degree, read_expansion(r), margins)
 
 
 def simplex_form(e: BernsteinExpansion) -> SymPolyMatrix:

@@ -28,20 +28,36 @@ class ProblemData:
     G: SymPolyMatrix
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemFormatError(f"{where} must be a list")
+    return value
+
+
+def _natural(value, where: str) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = -1
+    if out < 0:
+        raise ProblemFormatError(f"{where} must be a non-negative integer")
+    return out
+
+
 def _poly_from_terms(terms, n: int, where: str) -> Polynomial:
     out = {}
-    for idx, term in enumerate(terms):
+    for idx, term in enumerate(_list(terms, f"{where}: terms")):
         try:
             exps, coeff = term
         except (TypeError, ValueError):
             raise ProblemFormatError(
                 f"{where}: term {idx} must be [exponents, coefficient]"
             )
-        if len(exps) != n:
+        if len(_list(exps, f"{where}: term {idx} exponents")) != n:
             raise ProblemFormatError(
                 f"{where}: term {idx} has {len(exps)} exponents, expected {n}"
             )
-        key = tuple(int(e) for e in exps)
+        key = tuple(_natural(e, f"{where}: term {idx} exponent") for e in exps)
         try:
             out[key] = parse_ext_rational(str(coeff))
         except ValueError as exc:
@@ -51,12 +67,12 @@ def _poly_from_terms(terms, n: int, where: str) -> Polynomial:
 
 def _matrix_from_entries(entries, size: int, n: int, name: str) -> SymPolyMatrix:
     upper = {}
-    for entry in entries:
-        try:
-            i, j = int(entry["row"]), int(entry["col"])
-        except (KeyError, TypeError):
-            raise ProblemFormatError(f"{name}: entries need 'row' and 'col'")
-        if not (0 <= i < size and 0 <= j < size):
+    for entry in _list(entries, name):
+        if not isinstance(entry, dict):
+            raise ProblemFormatError(f"{name}: entries must be objects with 'row' and 'col'")
+        i = _natural(entry.get("row"), f"{name}: row")
+        j = _natural(entry.get("col"), f"{name}: col")
+        if max(i, j) >= size:
             raise ProblemFormatError(f"{name}: entry ({i},{j}) out of range for size {size}")
         poly = _poly_from_terms(entry.get("terms", []), n, f"{name}[{i},{j}]")
         key = (min(i, j), max(i, j))
@@ -67,16 +83,16 @@ def _matrix_from_entries(entries, size: int, n: int, name: str) -> SymPolyMatrix
 
 
 def parse_problem(text: str) -> ProblemData:
+    """Errors name the field or entry; n, ell and m are bounded by the text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
-    for key in ("n", "ell", "m"):
-        if key not in doc:
-            raise ProblemFormatError(f"missing field {key!r}")
-    n, ell, m = int(doc["n"]), int(doc["ell"]), int(doc["m"])
-    if n < 1 or ell < 1 or m < 1:
-        raise ProblemFormatError("n, ell, m must be positive")
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("top level must be a JSON object")
+    n, ell, m = (_natural(doc.get(key), key) for key in ("n", "ell", "m"))
+    if not 1 <= min(n, ell, m) <= max(n, ell, m) <= len(text):
+        raise ProblemFormatError("n, ell, m must be positive and at most the file length")
     F = _matrix_from_entries(doc.get("F", []), ell, n, "F")
     G = _matrix_from_entries(doc.get("G", []), m, n, "G")
     return ProblemData(n, ell, m, F, G)

@@ -113,10 +113,6 @@ class ExtRational:
 
     # -- predicates -------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return not self._q
-
     def as_fraction(self) -> Fraction:
         if self._q:
             raise ValueError(f"{self} is irrational")

@@ -67,37 +67,45 @@ def export_sdpa(p: SDPProblem) -> str:
 
 
 def parse_sdpa(text: str) -> SdpaData:
-    """Text-level parser for the exported format (round-trip stable)."""
+    """Text-level parser for the exported format (round-trip stable).  Each
+    error names its 1-based line in the file, comment lines counted."""
     gamma_constraint = 0
-    body = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("*") or line.startswith('"'):
-            if "free objective scalar gamma" in line:
-                gamma_constraint = int(line.split()[2])
-            continue
-        body.append(line)
-    if len(body) < 4:
-        raise ValueError("truncated SDPA file: missing header lines")
-    ncons = int(body[0])
-    nblocks = int(body[1])
-    sizes = [int(tok) for tok in body[2].split()]
-    if len(sizes) != nblocks:
-        raise ValueError(f"block size list has {len(sizes)} entries, expected {nblocks}")
-    objective = [float(tok) for tok in body[3].split()]
-    if len(objective) != ncons:
-        raise ValueError(f"objective vector has {len(objective)} entries, expected {ncons}")
-    entries = []
-    for line in body[4:]:
-        toks = line.split()
-        if len(toks) != 5:
-            raise ValueError(f"malformed entry line: {line!r}")
-        cons, blk, i, j = (int(t) for t in toks[:4])
-        if not (1 <= cons <= ncons and 1 <= blk <= nblocks):
-            raise ValueError(f"entry indices out of range: {line!r}")
-        if not (1 <= i <= j <= sizes[blk - 1]):
-            raise ValueError(f"entry not in upper triangle of its block: {line!r}")
-        entries.append((cons, blk, i, j, float(toks[4])))
+    body = []  # (line number, text) of the non-comment lines
+    number = 0
+    try:
+        for number, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if line.startswith(("*", '"')):
+                if "free objective scalar gamma" in line:
+                    gamma_constraint = int(line.split()[2])
+            elif line:
+                body.append((number, line))
+        if len(body) < 4:
+            number += 1
+            raise ValueError("truncated SDPA file: missing header lines")
+        number, line = body[0]
+        ncons = int(line)
+        number, line = body[1]
+        nblocks = int(line)
+        number, line = body[2]
+        sizes = [int(tok) for tok in line.split()]
+        if len(sizes) != nblocks:
+            raise ValueError(f"block size list has {len(sizes)} entries, expected {nblocks}")
+        number, line = body[3]
+        objective = [float(tok) for tok in line.split()]
+        if len(objective) != ncons:
+            raise ValueError(f"objective vector has {len(objective)} entries, expected {ncons}")
+        entries = []
+        for number, line in body[4:]:
+            toks = line.split()
+            if len(toks) != 5:
+                raise ValueError(f"malformed entry line: {line!r}")
+            cons, blk, i, j = (int(t) for t in toks[:4])
+            if not (1 <= cons <= ncons and 1 <= blk <= nblocks):
+                raise ValueError(f"entry indices out of range: {line!r}")
+            if not (1 <= i <= j <= sizes[blk - 1]):
+                raise ValueError(f"entry not in upper triangle of its block: {line!r}")
+            entries.append((cons, blk, i, j, float(toks[4])))
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
     return SdpaData(ncons, nblocks, sizes, objective, entries, gamma_constraint)

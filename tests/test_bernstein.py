@@ -285,3 +285,46 @@ class TestExpansionSerialization:
         with pytest.raises(ExpansionParseError) as info:
             parse_expansion("\n".join(text.splitlines()[:6]))
         assert "line" in str(info.value)
+
+    def test_declared_degree_bounded_by_text(self):
+        from pmicert.bernstein import ExpansionParseError, parse_expansion
+
+        text = "bexp-v1\nnvars 2\ndegree 1000\nsize 1\nrecords 0\nend\n"
+        assert len(text) == 49
+        with pytest.raises(ExpansionParseError, match="^line 3: degree 1000"):
+            parse_expansion(text)
+
+    def test_oversized_matrix_rejected_before_allocation(self):
+        import tracemalloc
+
+        from pmicert.bernstein import ExpansionParseError, parse_expansion
+
+        text = "bexp-v1\nnvars 1\ndegree 0\nsize 3000\nrecords 1\nalpha 0\n(1/1)\nend\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpansionParseError, match="^line 4: size 3000"):
+                parse_expansion(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # a 3000 x 3000 grid alone is 72 MB of pointers
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            # one record fewer than the C(nvars + degree, nvars) = 3 written
+            (lambda lines: lines[:4] + ["records 2"] + lines[5:9] + lines[11:], 5),
+            # the right count, but alpha 0 twice and alpha 1 missing
+            (lambda lines: lines[:7] + lines[5:7] + lines[9:], 8),
+            (lambda lines: lines[:7] + ["alpha 3"] + lines[8:], 8),
+        ],
+        ids=["short-count", "repeated-alpha", "alpha-above-degree"],
+    )
+    def test_every_alpha_exactly_once(self, edit, line):
+        from pmicert.bernstein import ExpansionParseError, parse_expansion, serialize_expansion
+
+        lines = serialize_expansion(to_bernstein(scalar(x() + 2), 2)).splitlines()
+        assert [lines[4], lines[5], lines[7], lines[9]] == [
+            "records 3", "alpha 0", "alpha 1", "alpha 2"]
+        with pytest.raises(ExpansionParseError, match=f"^line {line}: "):
+            parse_expansion("\n".join(edit(lines)) + "\n")

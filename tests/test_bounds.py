@@ -221,6 +221,17 @@ class TestPerturbation:
         b = perturbation_bound(Fraction(1, 8), 1, 1)
         assert b == a * 2**10
 
+    def test_float_eps_never_overflows(self):
+        assert perturbation_bound(1e-300, 5) == math.inf
+        assert perturbation_bound(0.5) == 1024.0
+        assert perturbation_bound(Fraction(1, 2), 1000) == math.inf  # 14,006 bits
+
+    def test_past_budget_cancels_to_float(self):
+        # C = 2^10000 and (1/eps)^(7 eta + 3) = 2^-10000 are past the exact
+        # budget and the float range; their product comes from its log
+        value = perturbation_bound(Fraction(2**1000), 1, Fraction(2**10000))
+        assert isinstance(value, float) and value == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             perturbation_bound(Fraction(0))

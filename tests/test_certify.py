@@ -319,6 +319,69 @@ class TestSerialization:
         with pytest.raises(CertificateParseError, match=f"^line {mult + 1}: "):
             deserialize("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "prefix, replacement",
+        [
+            ("multiplier 0 ", "multiplier 0 scale (1)"),
+            ("mode ", "mode "),
+            ("mode ", "mode fuzzy"),
+            ("sos-blocks ", "sos-blocks "),
+            ("nvars ", "nvars x"),
+        ],
+        ids=["multiplier-no-shape", "mode-empty", "mode-unknown", "sos-blocks-empty",
+             "nvars-not-int"],
+    )
+    def test_malformed_header_names_its_line(self, tmp_path, capsys, prefix, replacement):
+        from pmicert.cli import main
+        from pmicert.problemio import ProblemData, dump_problem
+
+        lines = serialize(trivial_ball_witness(1)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[at] = replacement
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(CertificateParseError, match=f"^line {at + 1}: "):
+            deserialize(text)
+        cert, prob = tmp_path / "c.qmc", tmp_path / "p.pmi"
+        cert.write_text(text)
+        G = ball_constraint(1)
+        prob.write_text(dump_problem(ProblemData(1, 1, 1, G, G)))
+        assert main(["verify", str(cert), str(prob)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {at + 1}: ")
+
+    def test_nvars_error_names_line_three(self):
+        text = serialize(trivial_ball_witness(1)).replace("nvars 1", "nvars x")
+        with pytest.raises(CertificateParseError, match="^line 3: nvars"):
+            deserialize(text)
+
+    def test_oversized_gram_rejected_before_allocation(self):
+        import tracemalloc
+
+        text = ("qmcert-v1\nmode exact\nnvars 1\nsize 4000\nconstraint-size 1\n"
+                "degree 2\nsos-blocks 1\nblock 0 basis 1\n0\ngram\n(1/1)\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificateParseError, match="^line 4: size 4000"):
+                deserialize(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # a 4000 x 4000 grid alone is 128 MB of pointers
+
+    def test_nvars_bounded_by_text(self):
+        text = ("qmcert-v1\nmode exact\nnvars 10000000\nsize 1\nconstraint-size 1\n"
+                "degree 2\nsos-blocks 0\nmultipliers 1\n"
+                "multiplier 0 scale (1/1) rows 1 cols 1\n(1/1) * 1\n"
+                "sphere-multiplier none\nend\n")
+        with pytest.raises(CertificateParseError, match="^line 3: nvars 10000000"):
+            deserialize(text)
+
+    def test_oversized_multiplier_and_sphere_rejected(self):
+        text = serialize(trivial_ball_witness(1))
+        with pytest.raises(CertificateParseError, match="multiplier"):
+            deserialize(text.replace("rows 1 cols 1", "rows 100000 cols 100000"))
+        with pytest.raises(CertificateParseError, match="sphere-multiplier 100000"):
+            deserialize(text.replace("sphere-multiplier none", "sphere-multiplier 100000"))
+
     def test_gram_row_length_checked(self):
         text = serialize(facet_certificate("upper", 1)[1])
         lines = text.splitlines()

@@ -96,6 +96,50 @@ class TestBadCoefficients:
         assert "Traceback" not in err
 
 
+def _problem_doc(**changes) -> str:
+    doc = {
+        "n": 1, "ell": 1, "m": 1,
+        "F": [{"row": 0, "col": 0, "terms": [[[0], "1"]]}],
+        "G": [{"row": 0, "col": 0, "terms": [[[0], "1"]]}],
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+class TestMalformedProblems:
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("5", "top level"),
+            (_problem_doc(F=5), "F must be a list"),
+            (_problem_doc(F=[{"row": 0, "col": 0, "terms": 5}]), r"F\[0,0\]: terms"),
+            (_problem_doc(F=[{"row": 0, "col": 0, "terms": [[5, "1"]]}]),
+             r"F\[0,0\]: term 0 exponents"),
+            (_problem_doc(F=[{"row": 0, "col": 0, "terms": [[[-1], "1"]]}]),
+             r"F\[0,0\]: term 0 exponent"),
+            (_problem_doc(F=[[0, 0]]), "F: entries"),
+            (_problem_doc(G=[{"row": "x", "col": 0}]), "G: row"),
+            (_problem_doc(n=None), "n must be"),
+            (_problem_doc(ell=1e400), "ell must be"),
+            (_problem_doc(m=10**6), "at most"),
+            ('{"n": ' + "9" * 5000 + "}", "not valid JSON"),
+        ],
+        ids=["top-level-number", "F-not-list", "terms-not-list", "exponents-not-list",
+             "negative-exponent", "entry-not-object", "row-not-int", "n-null",
+             "ell-overflows", "m-beyond-text", "digit-limit"],
+    )
+    def test_format_error_names_field_and_exits_two(self, tmp_path, capsys, text, where):
+        from pmicert.problemio import ProblemFormatError
+
+        with pytest.raises(ProblemFormatError, match=where):
+            parse_problem(text)
+        bad = tmp_path / "bad.pmi"
+        bad.write_text(text)
+        assert main(["scalarize", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestExitCodes:
     def test_scalarize_success(self, problems, capsys):
         assert main(["scalarize", str(problems["g2"])]) == 0
@@ -113,6 +157,17 @@ class TestExitCodes:
 
     def test_missing_file_is_exit_two(self, tmp_path):
         assert main(["scalarize", str(tmp_path / "nope.pmi")]) == 2
+
+    @pytest.mark.parametrize("which", ["certificate", "problem"])
+    def test_unreadable_path_is_exit_two(self, problems, tmp_path, capsys, which):
+        cert = tmp_path / "c.qmc"
+        assert main(["certify-simplex", str(problems["mat"]), "--out", str(cert)]) == 0
+        capsys.readouterr()
+        args = [str(cert), str(problems["mat"])]
+        args[["certificate", "problem"].index(which)] = str(tmp_path)  # a directory
+        assert main(["verify", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_verify_failure_is_exit_one(self, problems, tmp_path, capsys):
         assert main([
@@ -274,6 +329,14 @@ class TestPipelines:
         out, err = capsys.readouterr()
         assert err == ""
         assert float(json.loads(out)["value"]) == 0.0
+
+    @pytest.mark.parametrize("eta", ["1000000", "30000000"])
+    def test_perturbation_beyond_exact_budget_is_float(self, capsys, eta):
+        args = ["bound", "--formula", "perturbation", "--eps", "1/2", "--eta", eta, "--json"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"formula": "perturbation", "value": "inf"}
 
     def test_bound_eta_and_theta(self, capsys):
         assert main(["bound", "--formula", "theta", "--m", "3"]) == 0

@@ -71,3 +71,22 @@ class TestParser:
     def test_block_count_mismatch(self):
         with pytest.raises(ValueError):
             parse_sdpa("1\n2\n3\n0.0\n")
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda lines: lines[:2] + ["q"] + lines[3:], 3),                  # ncons
+            (lambda lines: lines[:5] + ["0.0 x 0.0"] + lines[6:], 6),          # objective
+            (lambda lines: lines[:6] + ["1 1 1 1 x"] + lines[7:], 7),          # entry value
+            (lambda lines: lines[:7] + ["1 q 1 1 1.0"] + lines[8:], 8),        # entry index
+            (lambda lines: lines[:1] + ["* constraint z carries the free objective scalar gamma"]
+             + lines[2:], 2),
+            (lambda lines: lines[:4], 5),                                      # truncated
+        ],
+        ids=["ncons", "objective", "entry-value", "entry-index", "gamma-comment", "truncated"],
+    )
+    def test_errors_name_their_line(self, edit, line):
+        lines = export_sdpa(interval_problem()).splitlines()
+        assert lines[0].startswith("*") and lines[1].startswith("*")
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            parse_sdpa("\n".join(edit(lines)) + "\n")
