@@ -345,7 +345,13 @@ class LineReader:
         return parse_ext_rational(token[1:-1])
 
     def polynomial(self, nvars: int) -> Polynomial:
-        return parse_polynomial(self.line("a polynomial"), nvars)
+        """A polynomial line; every written term names all nvars variables, so
+        a line holds at most len(line) / nvars terms (this keeps the parse,
+        which builds nvars exponents per term, linear in the line)."""
+        line = self.line("a polynomial")
+        if (line.count(" + ") + 1) * max(nvars, 1) > len(line):
+            raise ValueError(f"more terms than fit on a line in {nvars} variables")
+        return parse_polynomial(line, nvars)
 
     def grid(self, dim: int, what: str) -> list:
         """A symmetric dim x dim grid of '(coeff)' tokens written as its lower

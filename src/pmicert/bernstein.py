@@ -290,6 +290,18 @@ def serialize_expansion(e: BernsteinExpansion) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _index_count(nvars: int, degree: int, cap: int) -> int:
+    """C(nvars + degree, nvars), or a number above cap once the count passes
+    cap: the full count of a declared header can have millions of digits."""
+    low, high = sorted((nvars, degree))
+    count = 1
+    for i in range(1, low + 1):
+        count = count * (high + i) // i  # C(high + i, i)
+        if count > cap:
+            break
+    return count
+
+
 def parse_expansion(text: str) -> BernsteinExpansion:
     return LineReader(text).parse(read_expansion, ExpansionParseError)
 
@@ -302,9 +314,9 @@ def read_expansion(r: LineReader) -> BernsteinExpansion:
     degree = r.field("degree ", r.lines_left())
     ell = r.field("size ", r.lines_left())
     records = r.field("records ", r.lines_left() // (ell + 1))
-    full = math.comb(nvars + degree, nvars)
-    if records != full:
-        raise ValueError(f"records {records}, expected C(nvars + degree, nvars) = {full}")
+    if records != _index_count(nvars, degree, records):
+        raise ValueError(f"records {records}, expected C(nvars + degree, nvars) "
+                         f"= C({nvars + degree}, {nvars})")
     coeffs = {}
     for _ in range(records):
         alpha = r.exponents(r.rest("alpha "), nvars)

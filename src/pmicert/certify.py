@@ -431,7 +431,8 @@ def serialize(cert: QMCertificate) -> str:
     lines.append(f"sos-blocks {len(cert.sos_blocks)}")
     for bi, block in enumerate(cert.sos_blocks):
         lines.append(f"block {bi} basis {len(block.basis)}")
-        lines.extend(" ".join(map(str, beta)) for beta in block.basis)
+        for beta in block.basis:
+            lines.append(" ".join(str(e) for e in beta))
         lines.append("gram")
         lines.extend(lower_triangle_rows(block.gram))
     lines.append(f"multipliers {len(cert.multipliers)}")
@@ -440,11 +441,17 @@ def serialize(cert: QMCertificate) -> str:
             f"multiplier {mi} scale ({term.scale}) "
             f"rows {term.matrix.rows} cols {term.matrix.cols}"
         )
-        lines.extend(p.to_text() for row in term.matrix.entries for p in row)
-    H = cert.sphere_multiplier
-    lines.append(f"sphere-multiplier {'none' if H is None else H.size}")
-    if H is not None:
-        lines.extend(H[r, c].to_text() for r in range(H.size) for c in range(r, H.size))
+        for r in range(term.matrix.rows):
+            for c in range(term.matrix.cols):
+                lines.append(term.matrix[r, c].to_text())
+    if cert.sphere_multiplier is not None:
+        lines.append(f"sphere-multiplier {cert.sphere_multiplier.size}")
+        H = cert.sphere_multiplier
+        for r in range(H.size):
+            for c in range(r, H.size):
+                lines.append(H[r, c].to_text())
+    else:
+        lines.append("sphere-multiplier none")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -475,7 +482,8 @@ def _read_certificate(r: LineReader) -> QMCertificate:
         if len(toks) != 5 or toks[1::2] != ["rows", "cols"]:
             raise ValueError("expected '(scale) rows R cols C'")
         scale = r.coeff(toks[0])
-        rows, cols = r.natural(toks[2], "rows"), r.natural(toks[4], "cols")
+        rows = r.natural(toks[2], "multiplier rows", r.lines_left())
+        cols = r.natural(toks[4], "multiplier cols", r.lines_left())
         if rows * cols > r.lines_left():
             raise ValueError(f"{rows}x{cols} multiplier is too large for the rest of the file")
         entries = [[r.polynomial(nvars) for _ in range(cols)] for _ in range(rows)]

@@ -91,8 +91,12 @@ def parse_problem(text: str) -> ProblemData:
     if not isinstance(doc, dict):
         raise ProblemFormatError("top level must be a JSON object")
     n, ell, m = (_natural(doc.get(key), key) for key in ("n", "ell", "m"))
-    if not 1 <= min(n, ell, m) <= max(n, ell, m) <= len(text):
-        raise ProblemFormatError("n, ell, m must be positive and at most the file length")
+    # F and G are built as dense ell x ell and m x m grids: at most 16 cells
+    # per character of the file
+    if not 1 <= min(n, ell, m) or n > len(text) or max(ell, m) ** 2 > 16 * len(text):
+        raise ProblemFormatError(
+            "n, ell, m must be positive, n at most the file length "
+            "and ell^2, m^2 at most 16 times it")
     F = _matrix_from_entries(doc.get("F", []), ell, n, "F")
     G = _matrix_from_entries(doc.get("G", []), m, n, "G")
     return ProblemData(n, ell, m, F, G)

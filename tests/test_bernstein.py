@@ -294,6 +294,15 @@ class TestExpansionSerialization:
         with pytest.raises(ExpansionParseError, match="^line 3: degree 1000"):
             parse_expansion(text)
 
+    def test_index_count_not_built_past_records(self):
+        from pmicert.bernstein import ExpansionParseError, parse_expansion
+
+        # C(400000, 200000) has 120,000 digits; only the declared count is needed
+        text = ("bexp-v1\nnvars 200000\ndegree 200000\nsize 0\nrecords 1\n"
+                + "x\n" * 200000)
+        with pytest.raises(ExpansionParseError, match=r"^line 5: .* = C\(400000, 200000\)"):
+            parse_expansion(text)
+
     def test_oversized_matrix_rejected_before_allocation(self):
         import tracemalloc
 

@@ -375,10 +375,22 @@ class TestSerialization:
         with pytest.raises(CertificateParseError, match="^line 3: nvars 10000000"):
             deserialize(text)
 
+    def test_polynomial_terms_bounded_by_nvars(self):
+        # nvars fits the text, but 20,000 terms of 120,000 exponents each do not
+        line = " + ".join(["(1)"] * 20000)
+        text = ("qmcert-v1\nmode exact\nnvars 120000\nsize 1\nconstraint-size 1\n"
+                "degree 2\nsos-blocks 0\nmultipliers 1\n"
+                f"multiplier 0 scale (1/1) rows 1 cols 1\n{line}\n"
+                "sphere-multiplier none\nend\n")
+        with pytest.raises(CertificateParseError, match="^line 10: more terms"):
+            deserialize(text)
+
     def test_oversized_multiplier_and_sphere_rejected(self):
         text = serialize(trivial_ball_witness(1))
-        with pytest.raises(CertificateParseError, match="multiplier"):
-            deserialize(text.replace("rows 1 cols 1", "rows 100000 cols 100000"))
+        for shape in ("rows 100000 cols 100000", "rows 1000000000000 cols 0",
+                      "rows 0 cols 1000000000000"):
+            with pytest.raises(CertificateParseError, match="multiplier"):
+                deserialize(text.replace("rows 1 cols 1", shape))
         with pytest.raises(CertificateParseError, match="sphere-multiplier 100000"):
             deserialize(text.replace("sphere-multiplier none", "sphere-multiplier 100000"))
 

@@ -122,11 +122,13 @@ class TestMalformedProblems:
             (_problem_doc(n=None), "n must be"),
             (_problem_doc(ell=1e400), "ell must be"),
             (_problem_doc(m=10**6), "at most"),
+            # an ell no larger than the file, but an ell x ell grid of 900 million cells
+            (_problem_doc(ell=30000, F=[]) + " " * 30000, "at most"),
             ('{"n": ' + "9" * 5000 + "}", "not valid JSON"),
         ],
         ids=["top-level-number", "F-not-list", "terms-not-list", "exponents-not-list",
              "negative-exponent", "entry-not-object", "row-not-int", "n-null",
-             "ell-overflows", "m-beyond-text", "digit-limit"],
+             "ell-overflows", "m-beyond-text", "ell-grid-beyond-text", "digit-limit"],
     )
     def test_format_error_names_field_and_exits_two(self, tmp_path, capsys, text, where):
         from pmicert.problemio import ProblemFormatError
