@@ -255,7 +255,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         close = chunk.rindex(")")  # the coefficient itself may contain 'sqrt(n)'
         coeff = parse_ext_rational(chunk[1:close])
         rest = chunk[close + 1 :].lstrip(" *")
-        exps = [0] * nvars
+        exps = [None] * nvars
         if rest and rest != "1":
             for factor in rest.split("*"):
                 if "^" not in factor:
@@ -264,8 +264,10 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 idx = int(var[1:]) - 1
                 if not 0 <= idx < nvars:
                     raise ValueError(f"variable {var} out of range")
+                if exps[idx] is not None:
+                    raise ValueError(f"variable {var} repeated in one monomial")
                 exps[idx] = int(exp)
-        key = tuple(exps)
+        key = tuple(e or 0 for e in exps)
         prev = terms.get(key, ZERO)
         terms[key] = prev + coeff
     return Polynomial(nvars, terms)

@@ -8,6 +8,13 @@ The scale generalizes the plain P^T G P form: positive constants such as
 sqrt(n)/2 that the facet identities need are not sums of squares in
 Q[sqrt(n)], so they ride along as explicit nonnegative weights.
 
+SOS parts and multiplier parts reconstruct through one Gram shape.  The
+multiplier terms fold into one PSD block W over R^m (x) basis (x) R^l, and
+entry (i, j) of sum scale P^T G P is sum_ab G_ab S[(a,i),(b,j)], where S is
+W collapsed onto monomials exactly as an SOS block is: exponents are only
+added, so the multipliers cost m^2 polynomial products per entry however
+many terms there are.
+
 All payloads are stored exactly (floats entering from numeric solvers are
 dyadic rationals, hence exact); the mode flag only selects the verification
 semantics: "exact" demands a zero residual and exactly PSD Grams, "numeric"
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .ring import ExtRational, ZERO, ONE
 from .algebra import (
@@ -27,7 +35,6 @@ from .algebra import (
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
-    congruence,
     ldlt,
     min_eigenvalue_numeric,
     lower_triangle_rows,
@@ -67,17 +74,10 @@ class SOSBlock:
         return RationalSymMatrix(self.gram)
 
     def to_sym_poly(self, nvars: int, ell: int) -> SymPolyMatrix:
-        grid = [[Polynomial.zero(nvars) for _ in range(ell)] for _ in range(ell)]
-        N = len(self.basis)
-        for u in range(N):
-            for v in range(N):
-                mono = tuple(a + b for a, b in zip(self.basis[u], self.basis[v]))
-                for i in range(ell):
-                    for j in range(ell):
-                        c = self.gram[u * ell + i][v * ell + j]
-                        if not c.is_zero():
-                            grid[i][j] = grid[i][j] + Polynomial(nvars, {mono: c})
-        return SymPolyMatrix(grid)
+        upper = _upper_maps(ell)
+        _collapse(self.basis, self.gram, ell, upper)
+        polys = {ij: Polynomial._from_clean(nvars, terms) for ij, terms in upper.items()}
+        return SymPolyMatrix.from_upper(ell, polys, nvars)
 
     def degree(self) -> int:
         return 2 * max((sum(b) for b in self.basis), default=0)
@@ -100,30 +100,69 @@ class QMCertificate:
     multipliers: list = field(default_factory=list)
     sphere_multiplier: SymPolyMatrix | None = None
 
-    def sos_part(self) -> SymPolyMatrix:
-        out = SymPolyMatrix.zero(self.ell, self.nvars)
-        for block in self.sos_blocks:
-            out = SymPolyMatrix(
-                (out + block.to_sym_poly(self.nvars, self.ell)).entries
-            )
-        return out
-
     def reconstruction(self, G: SymPolyMatrix, sphere: bool = False) -> SymPolyMatrix:
-        out = self.sos_part()
+        """sigma_0 + sum scale P^T G P (+ H (||x||^2 - 1) with sphere).  The
+        multipliers fold into W = sum scale vec(P) vec(P)^T, vec(P)[a ell + i]
+        = P[a][i]; with S its collapse, entry (i, j) gains
+        sum_ab G_ab S[(a,i),(b,j)]."""
+        n, ell, m = self.nvars, self.ell, G.size
+        upper = _upper_maps(ell)
+        for block in self.sos_blocks:
+            _collapse(block.basis, block.gram, ell, upper)
+        out = {ij: Polynomial._from_clean(n, terms) for ij, terms in upper.items()}
+        squares = []
         for term in self.multipliers:
-            contrib = congruence(term.matrix, G).scale(term.scale)
-            out = SymPolyMatrix((out + contrib).entries)
+            P = term.matrix
+            if P.rows != m or P.cols != ell:
+                raise ValueError(f"multiplier is {P.rows}x{P.cols}, expected {m}x{ell}")
+            squares.append((term.scale, [p for row in P.entries for p in row]))
+        W = gram_from_squares(squares, n, m * ell)
+        S = _upper_maps(m * ell)
+        _collapse(W.basis, W.gram, m * ell, S)
+        for i, j in out:
+            total = out[i, j]
+            for a in range(m):
+                for b in range(m):
+                    p, q = a * ell + i, b * ell + j
+                    s = S[min(p, q), max(p, q)]
+                    if s and G[a, b].terms:
+                        total = total + G[a, b] * Polynomial._from_clean(n, s)
+            out[i, j] = total
         if sphere and self.sphere_multiplier is not None:
-            r2 = -ball_polynomial(self.nvars)  # ||x||^2 - 1
-            out = SymPolyMatrix(
-                (out + self.sphere_multiplier.scale_poly(r2)).entries
-            )
-        return out
+            r2 = -ball_polynomial(n)  # ||x||^2 - 1
+            for i, j in out:
+                out[i, j] = out[i, j] + self.sphere_multiplier[i, j] * r2
+        return SymPolyMatrix.from_upper(ell, out, n)
+
+
+def _upper_maps(w: int) -> dict:
+    return {(i, j): {} for i in range(w) for j in range(i, w)}
+
+
+def _collapse(basis, gram, w: int, out: dict) -> None:
+    """Add sum_{u,v} gram[u w + i][v w + j] x^(basis[u] + basis[v]) into the
+    coefficient map out[i, j] for each i <= j < w.  Exponents are only
+    added, once per (u, v) with a nonzero entry; no Polynomial is built."""
+    for u, bu in enumerate(basis):
+        rows = gram[u * w:(u + 1) * w]
+        for v, bv in enumerate(basis):
+            mono = None
+            base = v * w
+            for i, row in enumerate(rows):
+                for j in range(i, w):
+                    c = row[base + j]
+                    if c:
+                        if mono is None:
+                            mono = tuple(map(add, bu, bv))
+                        terms = out[i, j]
+                        prev = terms.get(mono)
+                        terms[mono] = c if prev is None else prev + c
 
 
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
     """Assemble sum_r w_r v_r v_r^T (w_r >= 0, v_r polynomial columns of
-    length ell) into a single PSD Gram block."""
+    length ell) into a single PSD Gram block.  Each square fills the upper
+    triangle from w_r c_a once per row; the lower triangle is mirrored."""
     monos = set()
     for _, col in squares:
         for p in col:
@@ -143,9 +182,14 @@ def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
             for mono, c in p.terms.items():
                 vec[index[mono] * ell + i] = c
         items = sorted(vec.items())
-        for a, ca in items:
-            for b, cb in items:
-                gram[a][b] = gram[a][b] + w * ca * cb
+        for k, (a, ca) in enumerate(items):
+            wa = w * ca
+            row = gram[a]
+            for b, cb in items[k:]:
+                row[b] = row[b] + wa * cb
+    for a in range(N * ell):
+        for b in range(a + 1, N * ell):
+            gram[b][a] = gram[a][b]
     return SOSBlock(basis, gram)
 
 

@@ -35,13 +35,10 @@ def _list(value, where: str) -> list:
 
 
 def _natural(value, where: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = -1
-    if out < 0:
+    # a JSON integer only: no float, digit string or bool (an int subclass)
+    if type(value) is not int or value < 0:
         raise ProblemFormatError(f"{where} must be a non-negative integer")
-    return out
+    return value
 
 
 def _poly_from_terms(terms, n: int, where: str) -> Polynomial:

@@ -405,6 +405,12 @@ class TestTextForm:
         p = Polynomial(2, {(1, 0): ExtRational(Fraction(1, 2), Fraction(-1, 3), 5)})
         assert parse_polynomial(p.to_text(), 2) == p
 
+    @pytest.mark.parametrize("text", ["(1/1) * x1^1*x1^2", "(1/1) * x1^0*x1^0",
+                                      "(1/1) * x1^0*x2^1 + (2/1) * x2^1*x1^0*x2^0"])
+    def test_repeated_variable_rejected(self, text):
+        with pytest.raises(ValueError, match="repeated"):
+            parse_polynomial(text, 2)
+
     def test_graded_lex_order(self):
         p = Polynomial(2, {(0, 0): 1, (2, 0): 1, (1, 1): 1})
         text = p.to_text()

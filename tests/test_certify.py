@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from pmicert.ring import ExtRational
-from pmicert.algebra import PolyMatrix, Polynomial, SymPolyMatrix
+from pmicert.algebra import PolyMatrix, Polynomial, SymPolyMatrix, congruence, monomials_upto
 from pmicert.certify import (
     CertificateParseError,
     MultiplierTerm,
     QMCertificate,
+    SOSBlock,
     assemble_simplex_putinar,
     ball_constraint,
     ball_polynomial,
@@ -264,10 +266,126 @@ class TestVerifier:
 
 
 def congruence_is_zero(cert, G):
-    from pmicert.algebra import congruence
-
     term = cert.multipliers[-1]
     return congruence(term.matrix, G).scale(term.scale).is_zero()
+
+
+def _oracle_reconstruction(cert, G, sphere):
+    """Term by term: each Gram entry as its own monomial, plus one congruence
+    P^T G P per multiplier term."""
+    n, ell = cert.nvars, cert.ell
+    out = PolyMatrix.zero(ell, ell, n)
+    for block in cert.sos_blocks:
+        grid = [[Polynomial.zero(n) for _ in range(ell)] for _ in range(ell)]
+        for (u, bu), (v, bv) in product(enumerate(block.basis), repeat=2):
+            mono = tuple(a + b for a, b in zip(bu, bv))
+            for i, j in product(range(ell), repeat=2):
+                grid[i][j] = grid[i][j] + Polynomial(n, {mono: block.gram[u * ell + i][v * ell + j]})
+        out = out + PolyMatrix(grid)
+    for term in cert.multipliers:
+        out = out + congruence(term.matrix, G).scale(term.scale)
+    if sphere and cert.sphere_multiplier is not None:
+        out = out + cert.sphere_multiplier.scale_poly(-ball_polynomial(n))
+    return SymPolyMatrix(out.entries)
+
+
+def _full_gram_from_squares(squares, nvars, ell):
+    """The full double loop: every (a, b) pair of every square, in both orders."""
+    basis = sorted({mono for _, col in squares for p in col for mono in p.terms},
+                   key=lambda a: (sum(a), a)) or [(0,) * nvars]
+    index = {b: u for u, b in enumerate(basis)}
+    dim = len(basis) * ell
+    gram = [[ExtRational(0)] * dim for _ in range(dim)]
+    for w, col in squares:
+        vec = {index[mono] * ell + i: c for i, p in enumerate(col) for mono, c in p.terms.items()}
+        for (a, ca), (b, cb) in product(vec.items(), repeat=2):
+            gram[a][b] = gram[a][b] + ExtRational.coerce(w) * ca * cb
+    return basis, gram
+
+
+class TestOneGramShape:
+    """The reconstruction folds the multiplier terms into one Gram block and
+    collapses it onto monomials; it must equal the term-by-term sum exactly."""
+
+    @staticmethod
+    def _coeff(rng, numeric):
+        if numeric:  # what a float solver leaves: dyadic rationals
+            return ExtRational(Fraction(rng.uniform(-2, 2)))
+        return ExtRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+
+    def _poly(self, rng, n, degree, numeric):
+        if rng.random() < 0.3:
+            return Polynomial.zero(n)
+        monos = monomials_upto(n, degree)
+        picked = rng.sample(monos, rng.randint(1, len(monos)))
+        return Polynomial(n, {alpha: self._coeff(rng, numeric) for alpha in picked})
+
+    def _scale(self, rng, surd):
+        if rng.random() < 0.15:
+            return ExtRational(0)
+        a = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+        if surd:  # a + b sqrt(2) with a, b >= 0, b > 0
+            return ExtRational(a, Fraction(rng.randint(1, 3), rng.randint(1, 3)), 2)
+        return ExtRational(a if a else Fraction(1, 2))
+
+    @pytest.mark.parametrize("case", range(27))
+    def test_matches_term_by_term_sum(self, case):
+        rng = random.Random(9000 + case)
+        n, ell, m = (1 + case // 9, 1 + case // 3 % 3, 1 + case % 3)
+        feature = case % 5
+        numeric, surd = feature == 3, feature == 4
+        sphere = feature == 2 or rng.random() < 0.2
+        G = random_sym_matrix(rng, m, n, rng.randint(0, 2))
+        blocks = []
+        if feature != 0:
+            monos = monomials_upto(n, 1)
+            basis = sorted(rng.sample(monos, rng.randint(1, len(monos))),
+                           key=lambda a: (sum(a), a))
+            dim = len(basis) * ell
+            gram = [[None] * dim for _ in range(dim)]
+            for r in range(dim):
+                for c in range(r + 1):
+                    gram[r][c] = gram[c][r] = self._coeff(rng, numeric)
+            blocks.append(SOSBlock(basis, gram))
+        mults = []
+        if feature != 1:
+            for _ in range(rng.randint(1, 4)):
+                P = PolyMatrix([[self._poly(rng, n, rng.randint(0, 2), numeric)
+                                 for _ in range(ell)] for _ in range(m)])
+                mults.append(MultiplierTerm(self._scale(rng, surd), P))
+        H = None
+        if sphere:
+            H = SymPolyMatrix.from_upper(
+                ell, {(i, j): self._poly(rng, n, 1, numeric)
+                      for i in range(ell) for j in range(i, ell)}, n)
+        cert = QMCertificate(n, ell, m, 8, "numeric" if numeric else "exact",
+                             blocks, mults, H)
+        for with_sphere in {False, sphere}:
+            assert cert.reconstruction(G, sphere=with_sphere) == \
+                _oracle_reconstruction(cert, G, with_sphere)
+
+    def test_multiplier_shape_checked(self, rng):
+        G = random_sym_matrix(rng, 2, 1, 1)
+        cert = QMCertificate(1, 1, 2, 4, "exact", [],
+                             [MultiplierTerm(ExtRational(1), PolyMatrix([[x()]]))])
+        with pytest.raises(ValueError, match="multiplier is 1x1, expected 2x1"):
+            cert.reconstruction(G)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gram_from_squares_symmetric_and_equal_to_full_loop(self, seed):
+        rng = random.Random(seed)
+        n, ell = rng.randint(1, 3), rng.randint(1, 3)
+        squares = []
+        for _ in range(rng.randint(1, 6)):
+            w = self._scale(rng, surd=seed % 2 == 1)
+            squares.append((w, [self._poly(rng, n, 2, numeric=seed % 3 == 0)
+                                for _ in range(ell)]))
+        block = gram_from_squares(squares, n, ell)
+        basis, gram = _full_gram_from_squares(squares, n, ell)
+        assert block.basis == basis and block.gram == gram
+        dim = len(block.gram)
+        assert all(block.gram[a][b] == block.gram[b][a]
+                   for a in range(dim) for b in range(dim))
 
 
 class TestSerialization:
@@ -347,6 +465,14 @@ class TestSerialization:
         prob.write_text(dump_problem(ProblemData(1, 1, 1, G, G)))
         assert main(["verify", str(cert), str(prob)]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {at + 1}: ")
+
+    def test_repeated_variable_names_its_line(self):
+        lines = serialize(trivial_ball_witness(2)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("multiplier 0 ")) + 1
+        assert lines[at] == "(1/1) * x1^0*x2^0"
+        lines[at] = "(1/1) * x1^0*x1^0"
+        with pytest.raises(CertificateParseError, match=f"^line {at + 1}: .*repeated"):
+            deserialize("\n".join(lines) + "\n")
 
     def test_nvars_error_names_line_three(self):
         text = serialize(trivial_ball_witness(1)).replace("nvars 1", "nvars x")

@@ -125,10 +125,17 @@ class TestMalformedProblems:
             # an ell no larger than the file, but an ell x ell grid of 900 million cells
             (_problem_doc(ell=30000, F=[]) + " " * 30000, "at most"),
             ('{"n": ' + "9" * 5000 + "}", "not valid JSON"),
+            # only JSON integers: no truncated floats, digit strings or booleans
+            (_problem_doc(F=[{"row": 0, "col": 0, "terms": [[[1.5], "1"]]}]),
+             r"F\[0,0\]: term 0 exponent"),
+            (_problem_doc(F=[{"row": 0.9, "col": 0, "terms": [[[0], "1"]]}]), "F: row"),
+            (_problem_doc(n="2"), "n must be"),
+            (_problem_doc(G=[{"row": 0, "col": True, "terms": [[[0], "1"]]}]), "G: col"),
         ],
         ids=["top-level-number", "F-not-list", "terms-not-list", "exponents-not-list",
              "negative-exponent", "entry-not-object", "row-not-int", "n-null",
-             "ell-overflows", "m-beyond-text", "ell-grid-beyond-text", "digit-limit"],
+             "ell-overflows", "m-beyond-text", "ell-grid-beyond-text", "digit-limit",
+             "exponent-float", "row-float", "n-string", "col-bool"],
     )
     def test_format_error_names_field_and_exits_two(self, tmp_path, capsys, text, where):
         from pmicert.problemio import ProblemFormatError
