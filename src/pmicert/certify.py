@@ -9,11 +9,13 @@ sqrt(n)/2 that the facet identities need are not sums of squares in
 Q[sqrt(n)], so they ride along as explicit nonnegative weights.
 
 SOS parts and multiplier parts reconstruct through one Gram shape.  The
-multiplier terms fold into one PSD block W over R^m (x) basis (x) R^l, and
-entry (i, j) of sum scale P^T G P is sum_ab G_ab S[(a,i),(b,j)], where S is
-W collapsed onto monomials exactly as an SOS block is: exponents are only
-added, so the multipliers cost m^2 polynomial products per entry however
-many terms there are.
+multiplier terms fold into one PSD form W = sum scale vec(P) vec(P)^T over
+R^m (x) basis (x) R^l, and entry (i, j) of sum scale P^T G P is
+sum_ab G_ab S[(a,i),(b,j)], where S is W collapsed onto monomials as an SOS
+block is: exponents are only added, so the multipliers cost m^2 polynomial
+products per entry however many terms there are.  W is never stored: each
+term's nonzero pairs go straight into S, so memory stays linear in the
+distinct monomials, as with one congruence per term.
 
 All payloads are stored exactly (floats entering from numeric solvers are
 dyadic rationals, hence exact); the mode flag only selects the verification
@@ -103,7 +105,8 @@ class QMCertificate:
     def reconstruction(self, G: SymPolyMatrix, sphere: bool = False) -> SymPolyMatrix:
         """sigma_0 + sum scale P^T G P (+ H (||x||^2 - 1) with sphere).  The
         multipliers fold into W = sum scale vec(P) vec(P)^T, vec(P)[a ell + i]
-        = P[a][i]; with S its collapse, entry (i, j) gains
+        = P[a][i]; with S its collapse onto monomials, built square by square
+        from the nonzero terms only, entry (i, j) gains
         sum_ab G_ab S[(a,i),(b,j)]."""
         n, ell, m = self.nvars, self.ell, G.size
         upper = _upper_maps(ell)
@@ -115,10 +118,11 @@ class QMCertificate:
             P = term.matrix
             if P.rows != m or P.cols != ell:
                 raise ValueError(f"multiplier is {P.rows}x{P.cols}, expected {m}x{ell}")
-            squares.append((term.scale, [p for row in P.entries for p in row]))
-        W = gram_from_squares(squares, n, m * ell)
-        S = _upper_maps(m * ell)
-        _collapse(W.basis, W.gram, m * ell, S)
+            if P.nvars != n:
+                raise ValueError(f"multiplier is in {P.nvars} variables, expected {n}")
+            squares.append((ExtRational.coerce(term.scale),
+                            [p for row in P.entries for p in row]))
+        S = _fold_squares(squares, m * ell)
         for i, j in out:
             total = out[i, j]
             for a in range(m):
@@ -128,10 +132,14 @@ class QMCertificate:
                     if s and G[a, b].terms:
                         total = total + G[a, b] * Polynomial._from_clean(n, s)
             out[i, j] = total
-        if sphere and self.sphere_multiplier is not None:
+        H = self.sphere_multiplier
+        if sphere and H is not None:
+            if H.size != ell or H.nvars != n:
+                raise ValueError(f"sphere multiplier is {H.size}x{H.size} in {H.nvars} "
+                                 f"variables, expected {ell}x{ell} in {n}")
             r2 = -ball_polynomial(n)  # ||x||^2 - 1
             for i, j in out:
-                out[i, j] = out[i, j] + self.sphere_multiplier[i, j] * r2
+                out[i, j] = out[i, j] + H[i, j] * r2
         return SymPolyMatrix.from_upper(ell, out, n)
 
 
@@ -157,6 +165,30 @@ def _collapse(basis, gram, w: int, out: dict) -> None:
                         terms = out[i, j]
                         prev = terms.get(mono)
                         terms[mono] = c if prev is None else prev + c
+
+
+def _fold_squares(squares, w: int) -> dict:
+    """Coefficient maps S[p, q], p <= q < w, of sum scale v v^T over the
+    (scale, v) in squares, v a list of w polynomials, collapsed onto
+    monomials: terms c x^mu of v[p] and d x^nu of v[q] add scale c d at
+    mu + nu.  Only nonzero terms are paired, so time is the sum of the
+    squared term counts, memory the number of distinct sums, and nothing
+    dense is built."""
+    out = _upper_maps(w)
+    for scale, vec in squares:
+        if not scale:
+            continue
+        items = [(p, mu, c) for p, poly in enumerate(vec) for mu, c in poly.terms.items()]
+        for k, (p, mu, ca) in enumerate(items):
+            wa = scale * ca
+            twice = wa + wa  # for nu != mu in v[p], the pair (nu, mu) lands in S[p, p] too
+            for q, nu, cb in items[k:]:
+                c = (twice if q == p and nu is not mu else wa) * cb
+                mono = tuple(map(add, mu, nu))
+                terms = out[p, q]
+                prev = terms.get(mono)
+                terms[mono] = c if prev is None else prev + c
+    return out
 
 
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
@@ -412,14 +444,19 @@ def verify_certificate(
         messages.append(f"target size {F.size} != certificate size {cert.ell}")
     if G.size != cert.m:
         messages.append(f"constraint size {G.size} != certificate m {cert.m}")
-    if F.nvars != cert.nvars:
+    if F.nvars != cert.nvars or G.nvars != cert.nvars:
         messages.append("variable count mismatch")
     for idx, term in enumerate(cert.multipliers):
         if term.matrix.rows != G.size or term.matrix.cols != cert.ell:
             messages.append(f"multiplier {idx} has shape "
                             f"{term.matrix.rows}x{term.matrix.cols}")
+        if term.matrix.nvars != cert.nvars:
+            messages.append(f"multiplier {idx} is in {term.matrix.nvars} variables")
         if ExtRational.coerce(term.scale).sign() < 0:
             messages.append(f"multiplier {idx} has negative scale")
+    H = cert.sphere_multiplier
+    if H is not None and (H.size != cert.ell or H.nvars != cert.nvars):
+        messages.append(f"sphere multiplier has size {H.size} in {H.nvars} variables")
     if messages:
         return VerifyReport(False, math.inf, [], messages)
 

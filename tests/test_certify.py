@@ -371,6 +371,54 @@ class TestOneGramShape:
         with pytest.raises(ValueError, match="multiplier is 1x1, expected 2x1"):
             cert.reconstruction(G)
 
+    def test_sphere_multiplier_size_checked(self):
+        G = ball_constraint(1)
+        mult = MultiplierTerm(ExtRational(1), PolyMatrix([[x(), x()]]))
+        cert = QMCertificate(1, 2, 1, 4, "exact", [], [mult])
+        F = cert.reconstruction(G)
+        for size in (1, 3):
+            H = SymPolyMatrix.from_upper(
+                size, {(i, j): Polynomial.zero(1) for i in range(size) for j in range(i, size)}, 1)
+            cert.sphere_multiplier = H
+            report = verify_certificate(F, G, cert)
+            assert not report.ok
+            assert report.messages == [f"sphere multiplier has size {size} in 1 variables"]
+            with pytest.raises(ValueError, match=f"sphere multiplier is {size}x{size}"):
+                cert.reconstruction(G, sphere=True)
+
+    def test_variable_counts_reported_not_raised(self):
+        report = verify_certificate(scalar(ball_polynomial(1)), ball_constraint(2),
+                                    trivial_ball_witness(1))
+        assert not report.ok and report.messages == ["variable count mismatch"]
+        cert = trivial_ball_witness(1)
+        cert.multipliers[0] = MultiplierTerm(ExtRational(1), PolyMatrix([[x(0, 2)]]))
+        report = verify_certificate(scalar(ball_polynomial(1)), ball_constraint(1), cert)
+        assert report.messages == ["multiplier 0 is in 2 variables"]
+        with pytest.raises(ValueError, match="multiplier is in 2 variables, expected 1"):
+            cert.reconstruction(ball_constraint(1))
+
+    def test_many_distinct_monomial_terms_stay_linear(self):
+        # 5000 1x1 multipliers x1^u: a dense Gram over their 5000 monomials
+        # alone would be 25 million slots, 200 MB of pointers
+        import tracemalloc
+
+        N = 5000
+        body = "".join(f"multiplier {u} scale (1/1) rows 1 cols 1\n(1/1) * x1^{u}\n"
+                       for u in range(N))
+        cert = deserialize("qmcert-v1\nmode exact\nnvars 1\nsize 1\nconstraint-size 1\n"
+                           f"degree {2 * N}\nsos-blocks 0\nmultipliers {N}\n{body}"
+                           "sphere-multiplier none\nend\n")
+        F = scalar(Polynomial(1, {(2 * u,): 1 for u in range(N)}))
+        G = scalar(Polynomial.const(1, 1))
+        tracemalloc.start()
+        try:
+            report = verify_certificate(F, G, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 16_000_000
+
     @pytest.mark.parametrize("seed", range(6))
     def test_gram_from_squares_symmetric_and_equal_to_full_loop(self, seed):
         rng = random.Random(seed)

@@ -11,30 +11,26 @@ ones 4 x1^2 - 8 x1 - 3 x2^2 - 2 x2 and x1^2 + x1 + 2 x2^2 + 4 x2, and
 perfbench's box_separable(Random(s), n) for s in 0..14 and n in {2, 3}, the
 draws of tests/test_relax.py.  Each instance runs once per variant, the
 variants alternating, in a fresh process with PYTHONPATH set to the
-variant's source tree and numpy's BLAS held to one thread; CPU time is the
-child's user plus system time, interpreter start-up and imports included.
+variant's source tree and numpy's BLAS held to one thread (tools/harness.py);
+CPU time is the child's user plus system time, interpreter start-up and
+imports included.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import random
 import re
 import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import families as fam  # noqa: E402
-import workloads  # noqa: E402
-from refmath import write_problem  # noqa: E402
+import harness  # puts perfbench/ on sys.path
+import families as fam
+import workloads
+from refmath import write_problem
 
 DEGENERATE_BOXES = [("box-opt-9", [4, -3], [-8, -2]), ("box-opt-2.25", [1, 2], [1, 4])]
 
@@ -62,12 +58,9 @@ def instances(seed: int, workdir: str):
 
 
 def run(src: str, path: str, k: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, "-c", "import sys; from pmicert.cli import main; sys.exit(main())",
-            "relax", path, "--order", str(k), "--json"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    proc = harness.run_python(src, ["-c", harness.CLI, "relax", path, "--order", str(k),
+                                    "--json"])
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     payload = json.loads(proc.stdout) if proc.stdout.startswith("{") else {}
@@ -81,18 +74,13 @@ def run(src: str, path: str, k: int) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--variant", action="append", required=True,
-                    help="label=path of a source tree holding the pmicert package")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--out", default="BENCH_relax.json")
-    args = ap.parse_args()
-    variants = [v.split("=", 1) for v in args.variant]
+    args = harness.parser(__doc__.split("\n\n")[0], "BENCH_relax.json").parse_args()
+    variants = harness.variants(args)
     records = []
     with tempfile.TemporaryDirectory() as workdir:
-        for job, n, k, path in instances(args.seed, workdir):
+        for i, (job, n, k, path) in enumerate(instances(args.seed, workdir)):
             rec = {"job": job, "n": n, "k": k}
-            for label, src in variants:
+            for label, src in harness.in_turn(variants, i):
                 rec[label] = run(src, path, k)
             records.append(rec)
             print(job, *(f"{label}={rec[label]['iterations']}" for label, _ in variants),
@@ -106,12 +94,7 @@ def main() -> int:
             "iterations_median": statistics.median(its) if its else None,
             "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 3),
         }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"variants": [label for label, _ in variants], "seed": args.seed,
-                   "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                               "platform": platform.platform()},
-                   "summary": summary, "records": records}, fh, indent=1)
-        fh.write("\n")
+    harness.write(args.out, args, variants, summary, records)
     return 0
 
 

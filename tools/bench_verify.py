@@ -11,32 +11,26 @@ ones from certify-simplex, numeric ones from relax), at --seed
 (perfbench/workloads.py).  They are built once, by the first variant's CLI.
 Each certificate is then verified once per variant, the variants
 alternating, in a fresh process with PYTHONPATH set to the variant's source
-tree and numpy's BLAS held to one thread.  The child loads the problem and
-the certificate, shifts F by gamma as `pmicert verify --gamma` does, calls
-`verify_certificate` once untimed and then --repeats times; cpu_s is the
-median of those calls' process CPU times (parsing and imports excluded).
+tree and numpy's BLAS held to one thread (tools/harness.py).  The child
+loads the problem and the certificate, shifts F by gamma as `pmicert verify
+--gamma` does, calls `verify_certificate` once untimed and then --repeats
+times; cpu_s is the median of those calls' process CPU times (parsing and
+imports excluded).
 Each record also gives the multiplier term count, the SOS Gram size and
 whether the certificate verified.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import harness  # puts perfbench/ on sys.path
+import workloads
 
-import workloads  # noqa: E402
-
-CLI = "import sys; from pmicert.cli import main; sys.exit(main())"
 CHILD = """
 import json, statistics, sys, time
 from pmicert.algebra import SymPolyMatrix
@@ -62,11 +56,6 @@ print(json.dumps({"cpu_s": statistics.median(times), "ok": report.ok,
 """
 
 
-def _env(src: str) -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-
 def certificates(seed: int, workdir: str, src: str):
     """(job, workload, problem, certificate, mode, gamma) of every certificate,
     built by the CLI of the source tree src with paths relative to workdir."""
@@ -80,8 +69,7 @@ def certificates(seed: int, workdir: str, src: str):
         build = dict(build, workload="verify", problem=build["argv"][1])
         builds.append(build)
     for build in builds:
-        proc = subprocess.run([sys.executable, "-c", CLI, *build["argv"]], env=_env(src),
-                              cwd=workdir, capture_output=True, text=True)
+        proc = harness.run_python(src, ["-c", harness.CLI, *build["argv"]], cwd=workdir)
         if proc.returncode != 0:
             raise SystemExit(f"build {build['id']} exited {proc.returncode}: {proc.stderr}")
         gamma = "0"
@@ -95,8 +83,8 @@ def certificates(seed: int, workdir: str, src: str):
 
 def run(src: str, workdir: str, problem: str, cert: str, mode: str, gamma: str,
         tol: str, repeats: int) -> dict:
-    argv = [sys.executable, "-c", CHILD, problem, cert, mode, tol, gamma, str(repeats)]
-    proc = subprocess.run(argv, env=_env(src), cwd=workdir, capture_output=True, text=True)
+    proc = harness.run_python(src, ["-c", CHILD, problem, cert, mode, tol, gamma, str(repeats)],
+                              cwd=workdir)
     if proc.returncode != 0:
         raise SystemExit(f"verify of {cert} exited {proc.returncode}: {proc.stderr}")
     rec = json.loads(proc.stdout)
@@ -105,21 +93,16 @@ def run(src: str, workdir: str, problem: str, cert: str, mode: str, gamma: str,
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--variant", action="append", required=True,
-                    help="label=path of a source tree holding the pmicert package")
-    ap.add_argument("--seed", type=int, default=7)
+    ap = harness.parser(__doc__.split("\n\n")[0], "BENCH_verify.json")
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_verify.json")
     args = ap.parse_args()
-    variants = [v.split("=", 1) for v in args.variant]
+    variants = harness.variants(args)
     records = []
     with tempfile.TemporaryDirectory() as workdir:
         certs = certificates(args.seed, workdir, variants[0][1])
         for i, (job, workload, problem, cert, mode, gamma) in enumerate(certs):
             rec = {"job": job, "workload": workload, "mode": mode}
-            order = variants if i % 2 == 0 else variants[::-1]
-            for label, src in order:
+            for label, src in harness.in_turn(variants, i):
                 rec[label] = run(src, workdir, problem, cert, mode, gamma,
                                  workloads.VERIFY_TOL, args.repeats)
             records.append(rec)
@@ -135,13 +118,7 @@ def main() -> int:
                 "cpu_s_total": round(sum(times), 4),
                 "cpu_s_median": round(statistics.median(times), 6),
             }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"variants": [label for label, _ in variants], "seed": args.seed,
-                   "repeats": args.repeats,
-                   "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                               "platform": platform.platform()},
-                   "summary": summary, "records": records}, fh, indent=1)
-        fh.write("\n")
+    harness.write(args.out, args, variants, summary, records, repeats=args.repeats)
     return 0
 
 
