@@ -35,6 +35,21 @@ CASES = {
     "matrix_target.qmc": ["certify-simplex", TARGET, "--out", "{out}"],
 }
 
+# exact `bound` evaluations with non-unit rational inputs (no libm values:
+# the rate and the past-budget floats are not stored)
+BOUND_ARGS = ["--n", "2", "--m", "3", "--d", "2", "--d-G", "3", "--ratio", "5/3",
+              "--kappa", "7/4", "--eta", "2", "--C", "3/2"]
+for formula in ("putinar-matrix", "putinar-scalar", "licq", "pv"):
+    CASES[f"bound_{formula}.txt"] = ["bound", "--formula", formula, *BOUND_ARGS]
+    CASES[f"bound_{formula}.json"] = ["bound", "--formula", formula, *BOUND_ARGS, "--json"]
+CASES["bound_theta.txt"] = ["bound", "--formula", "theta", "--m", "4"]
+for setting in ("scalar", "matrix", "homogenized"):
+    CASES[f"bound_eta_{setting}.txt"] = ["bound", "--formula", "eta", "--setting", setting,
+                                         "--n", "2", "--m", "3", "--d-G", "3"]
+CASES["bound_eta_matrix.json"] = CASES["bound_eta_matrix.txt"] + ["--json"]
+CASES["bound_perturbation.json"] = ["bound", "--formula", "perturbation", "--eps", "2/7",
+                                    "--eta", "3", "--C", "5/2", "--json"]
+
 
 def run_case(name: str, workdir: Path) -> str:
     """Run one case through cli.main and return the bytes it is judged on."""
