@@ -1,10 +1,12 @@
 """Closed-form degree bounds, exponent estimates and convergence rates.
 
-All formulas are evaluated exactly over big integers / rationals whenever the
-inputs are rational with an integral Lojasiewicz exponent and the factors fit
-the exact budget (_EXACT_BIT_LIMIT); otherwise a floating-point value is
-produced (through logarithms, so astronomically large results degrade to inf,
-with their log10 in the extras, rather than raising).  Every report carries a
+Every closed form is a list of factor rows (name, base, exponent) evaluated by
+_product: exactly over big integers / rationals whenever the inputs are
+rational with an integral Lojasiewicz exponent and the factors fit the exact
+budget (_EXACT_BIT_LIMIT); otherwise a floating-point value is produced
+(through logarithms, so astronomically large results degrade to inf, with
+their log10 in the extras, rather than raising).  The convergence rate reads
+the rows of the matrix degree bound.  Every report carries a
 factor-by-factor breakdown whose product reproduces the value (except where a
 factor overflows to inf in floating point and the product does not), plus
 caveats:
@@ -16,12 +18,12 @@ rather than certified thresholds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial
+from .algebra import Polynomial, SymPolyMatrix
 from .bernstein import bernstein_norm
-from .algebra import SymPolyMatrix
 
 C_CAVEAT = (
     "the universal constant C is unspecified; the value shown treats C as exact input"
@@ -37,15 +39,13 @@ _EXACT_BIT_LIMIT = 14_000
 
 
 def theta(m: int) -> int:
-    """sum_{i=1..m} prod_{k=m+1-i..m} k(k+1)/2, exact."""
+    """sum_{i=1..m} prod_{k=m+1-i..m} k(k+1)/2, exact, by the recurrence
+    theta(k) = k(k+1)/2 * (1 + theta(k-1)) from theta(0) = 0."""
     if m < 1:
         raise ValueError("m must be at least 1")
     total = 0
-    for i in range(1, m + 1):
-        prod = 1
-        for k in range(m + 1 - i, m + 1):
-            prod *= k * (k + 1) // 2
-        total += prod
+    for k in range(1, m + 1):
+        total = k * (k + 1) // 2 * (1 + total)
     return total
 
 
@@ -56,20 +56,21 @@ def lojasiewicz_r(n: int, d: int) -> int:
     return d * (3 * d - 3) ** (n - 1)
 
 
-def eta_estimate(n: int, m: int, d_G: int, setting: str = "matrix") -> int:
-    """Upper estimate of the Lojasiewicz exponent for the given setting."""
+def eta_estimate(n: int, m: int, d_G: int, setting: str = "matrix") -> int | float:
+    """Upper estimate lead * base^exp of the Lojasiewicz exponent for the
+    given setting: exact within the exact budget, else in floating point."""
     if n < 1 or m < 1 or d_G < 1:
         raise ValueError("n, m, d_G must be positive")
     if setting == "scalar":
-        return (d_G + 1) * (3 * d_G) ** (n + m - 2)
-    if setting == "matrix":
-        th = theta(m)
-        return (3 ** (m - 1) * d_G + 1) * (3**m * d_G) ** (n + th - 2)
-    if setting == "homogenized":
-        th = theta(m)
+        lead, base, exp = d_G + 1, 3 * d_G, n + m - 2
+    elif setting == "matrix":
+        lead, base, exp = 3 ** (m - 1) * d_G + 1, 3**m * d_G, n + theta(m) - 2
+    elif setting == "homogenized":
         half = -(-d_G // 2)  # ceil
-        return (2 * 3 ** (m - 1) * half + 1) * (2 * 3**m * half) ** (n + th - 1)
-    raise ValueError(f"unknown setting {setting!r}")
+        lead, base, exp = 2 * 3 ** (m - 1) * half + 1, 2 * 3**m * half, n + theta(m) - 1
+    else:
+        raise ValueError(f"unknown setting {setting!r}")
+    return _product(lead, [("base^exp", base, exp)], True)[0]
 
 
 @dataclass
@@ -88,29 +89,17 @@ class BoundInputs:
             raise ValueError("n, m, d, d_G must be positive integers")
         for name in ("ratio", "kappa", "eta", "C"):
             v = getattr(self, name)
-            if isinstance(v, float):
-                if v <= 0:
-                    raise ValueError(f"{name} must be positive")
-            else:
+            if not isinstance(v, float):
                 v = Fraction(v)
-                if v <= 0:
-                    raise ValueError(f"{name} must be positive")
-                setattr(self, name, v)
-
-    def eta_int(self):
-        """eta as int when integral, else None (forces float evaluation)."""
-        if isinstance(self.eta, int):
-            return self.eta
-        if isinstance(self.eta, Fraction) and self.eta.denominator == 1:
-            return int(self.eta)
-        return None
+                if name == "eta" and v.denominator == 1:
+                    v = int(v)  # an integral eta keeps every exponent exact
+            if v <= 0:
+                raise ValueError(f"{name} must be positive")
+            setattr(self, name, v)
 
     def is_exact(self) -> bool:
-        return (
-            self.eta_int() is not None
-            and not isinstance(self.ratio, float)
-            and not isinstance(self.kappa, float)
-            and not isinstance(self.C, float)
+        return isinstance(self.eta, int) and not any(
+            isinstance(v, float) for v in (self.ratio, self.kappa, self.C)
         )
 
 
@@ -146,12 +135,24 @@ def _bits(v) -> int:
     return abs(f.numerator).bit_length() + f.denominator.bit_length()
 
 
+def _log2_power(base, exp) -> float:
+    """exp * log2(base): a base of 1 gives 0, and an exponent past the float
+    range gives +-inf without being converted to a float."""
+    lb = _log2(base)
+    if lb == 0:
+        return 0.0
+    return exp * lb if exp <= sys.float_info.max else math.copysign(math.inf, lb)
+
+
 def _product(C, factors, exact: bool):
     """C * prod base^exp over factors (name, base, exp), exactly when exact
     is asked for and C and every factor fit _EXACT_BIT_LIMIT, else in
     floating point.  Returns (value, [(name, factor)], log2 of the value,
     whether it is exact)."""
-    log2_total = _log2(C) + sum(e * _log2(b) for _, b, e in factors if b != 1 or e)
+    logs = [_log2_power(b, e) for _, b, e in factors]
+    log2_total = _log2(C) + sum(logs)
+    if math.isnan(log2_total):
+        raise ValueError("factors overflow the float range both ways; the value is undetermined")
     # bounds every exact factor, even one that a ratio < 1 cancels in the product
     exact = exact and (
         _bits(C) + sum(e * _bits(b) for _, b, e in factors) <= _EXACT_BIT_LIMIT
@@ -167,21 +168,25 @@ def _product(C, factors, exact: bool):
             value = int(value)
     else:
         floats = [math.inf if _log2(C) > 1023 else float(C)]
-        for name, base, exp in factors:
-            lf = exp * _log2(base)
-            floats.append(math.inf if lf > 1023 else float(base) ** float(exp))
+        for (name, base, exp), lf in zip(factors, logs):
+            if lf > 1023:
+                floats.append(math.inf)
+            elif exp > sys.float_info.max:
+                floats.append(2.0**lf)  # a unit base, or a base below 1: 1.0 or 0.0
+            else:
+                floats.append(float(base) ** float(exp))
             out_factors.append((name, floats[-1]))
         if log2_total > 1023:
             value = math.inf
         elif math.inf in floats:
             # a factor overflows but the product does not: take it from its log
-            value = 2.0 ** log2_total
+            value = 2.0**log2_total
         else:
             value = math.prod(floats)
     return value, out_factors, log2_total, exact
 
 
-def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> BoundReport:
+def _evaluate(formula_id: str, inputs: BoundInputs, factors) -> BoundReport:
     """factors: list of (name, base, exponent); value = C * prod base^exp."""
     caveats = [C_CAVEAT, LOJ_CAVEAT]
     if inputs.m < 2:
@@ -191,65 +196,60 @@ def _evaluate(formula_id: str, inputs: BoundInputs, factors, extras=None) -> Bou
         caveats.append(
             "magnitude exceeds the exact-arithmetic budget; value reported in floating point"
         )
-    report = BoundReport(formula_id, value, out_factors, caveats, extras or {})
+    report = BoundReport(formula_id, value, out_factors, caveats)
     if value == math.inf:
         report.extras["log10"] = log2_total * math.log10(2)
     return report
 
 
+def _size_rows(inputs: BoundInputs) -> list:
+    return [("n^2", inputs.n, 2), ("d_G^6", inputs.d_G, 6)]
+
+
+def _lojasiewicz_rows(inputs: BoundInputs, eta, d_exp: str, ratio_exp: str) -> list:
+    """kappa^7, d^(14 eta) and ratio^(7 eta + 3), which every degree bound
+    ends with; d_exp and ratio_exp name the two exponents."""
+    return [
+        ("kappa^7", inputs.kappa, 7),
+        (f"d^{d_exp}", inputs.d, 14 * eta),
+        (f"ratio^{ratio_exp}", inputs.ratio, 7 * eta + 3),
+    ]
+
+
+def _putinar_rows(inputs: BoundInputs, *shape_rows) -> list:
+    """8^(7 eta), the formula's rows in m, n and d_G, then the Lojasiewicz rows."""
+    return [
+        ("8^(7*eta)", 8, 7 * inputs.eta),
+        *shape_rows,
+        *_lojasiewicz_rows(inputs, inputs.eta, "(14*eta)", "(7*eta+3)"),
+    ]
+
+
+def _matrix_rows(inputs: BoundInputs) -> list:
+    return _putinar_rows(
+        inputs,
+        ("3^(6*(m-1))", 3, 6 * (inputs.m - 1)),
+        ("theta(m)^3", theta(inputs.m), 3),
+        *_size_rows(inputs),
+    )
+
+
 def putinar_matrix_bound(inputs: BoundInputs) -> BoundReport:
     """Certificate degree bound for a matrix constraint G (Archimedean case)."""
-    eta = inputs.eta_int() if inputs.eta_int() is not None else inputs.eta
-    th = theta(inputs.m)
-    return _evaluate(
-        "putinar-matrix",
-        inputs,
-        [
-            ("8^(7*eta)", 8, 7 * eta),
-            ("3^(6*(m-1))", 3, 6 * (inputs.m - 1)),
-            ("theta(m)^3", th, 3),
-            ("n^2", inputs.n, 2),
-            ("d_G^6", inputs.d_G, 6),
-            ("kappa^7", inputs.kappa, 7),
-            ("d^(14*eta)", inputs.d, 14 * eta),
-            ("ratio^(7*eta+3)", inputs.ratio, 7 * eta + 3),
-        ],
-    )
+    return _evaluate("putinar-matrix", inputs, _matrix_rows(inputs))
 
 
 def putinar_scalar_bound(inputs: BoundInputs) -> BoundReport:
     """Certificate degree bound for finitely many scalar constraints."""
-    eta = inputs.eta_int() if inputs.eta_int() is not None else inputs.eta
-    return _evaluate(
-        "putinar-scalar",
-        inputs,
-        [
-            ("8^(7*eta)", 8, 7 * eta),
-            ("m^3", inputs.m, 3),
-            ("n^2", inputs.n, 2),
-            ("d_G^6", inputs.d_G, 6),
-            ("kappa^7", inputs.kappa, 7),
-            ("d^(14*eta)", inputs.d, 14 * eta),
-            ("ratio^(7*eta+3)", inputs.ratio, 7 * eta + 3),
-        ],
-    )
+    rows = _putinar_rows(inputs, ("m^3", inputs.m, 3), *_size_rows(inputs))
+    return _evaluate("putinar-scalar", inputs, rows)
 
 
 def licq_bound(inputs: BoundInputs) -> BoundReport:
     """Scalar-constraint bound when every feasible point satisfies the LICQ,
     which pins the Lojasiewicz exponent to 1 (so eta is ignored)."""
-    report = _evaluate(
-        "licq",
-        inputs,
-        [
-            ("m^3", inputs.m, 3),
-            ("n^2", inputs.n, 2),
-            ("d_G^6", inputs.d_G, 6),
-            ("kappa^7", inputs.kappa, 7),
-            ("d^14", inputs.d, 14),
-            ("ratio^10", inputs.ratio, 10),
-        ],
-    )
+    rows = [("m^3", inputs.m, 3), *_size_rows(inputs), *_lojasiewicz_rows(inputs, 1, "14", "10")]
+    report = _evaluate("licq", inputs, rows)
     report.caveats.append("caller asserts the LICQ on the feasible set (eta = 1)")
     return report
 
@@ -257,23 +257,14 @@ def licq_bound(inputs: BoundInputs) -> BoundReport:
 def pv_bound(inputs: BoundInputs) -> BoundReport:
     """Homogenized (unbounded-set) bound; also reports the certificate degree
     2k + d of the final representation."""
-    eta = inputs.eta_int() if inputs.eta_int() is not None else inputs.eta
-    th = theta(inputs.m)
-    half = -(-inputs.d_G // 2)
-    report = _evaluate(
-        "putinar-vasilescu",
+    rows = _putinar_rows(
         inputs,
-        [
-            ("8^(7*eta)", 8, 7 * eta),
-            ("3^(6*(m-1))", 3, 6 * (inputs.m - 1)),
-            ("(theta(m)+2)^3", th + 2, 3),
-            ("(n+1)^2", inputs.n + 1, 2),
-            ("ceil(d_G/2)^6", half, 6),
-            ("kappa^7", inputs.kappa, 7),
-            ("d^(14*eta)", inputs.d, 14 * eta),
-            ("ratio^(7*eta+3)", inputs.ratio, 7 * eta + 3),
-        ],
+        ("3^(6*(m-1))", 3, 6 * (inputs.m - 1)),
+        ("(theta(m)+2)^3", theta(inputs.m) + 2, 3),
+        ("(n+1)^2", inputs.n + 1, 2),
+        ("ceil(d_G/2)^6", -(-inputs.d_G // 2), 6),
     )
+    report = _evaluate("putinar-vasilescu", inputs, rows)
     k = report.value
     report.extras["certificate_degree"] = (
         2 * k + inputs.d if not isinstance(k, float) else 2.0 * k + inputs.d
@@ -283,22 +274,14 @@ def pv_bound(inputs: BoundInputs) -> BoundReport:
 
 def convergence_rate(inputs: BoundInputs, k, f_norm_b: float = 1.0) -> float:
     """Error bound 3 * base^(1/p) * ||f||_B * k^(-1/p) of the order-k
-    relaxation, with p = 7 eta + 3 and base the matrix bound prefactor
-    (everything except the ratio term)."""
+    relaxation: base is C times every row of the matrix bound but the last,
+    ratio^p, whose exponent is p = 7 eta + 3."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    eta = float(inputs.eta)
-    p = 7.0 * eta + 3.0
-    log_base = (
-        math.log(float(inputs.C))
-        + 7 * eta * math.log(8)
-        + 6 * (inputs.m - 1) * math.log(3)
-        + 3 * math.log(theta(inputs.m))
-        + 2 * math.log(inputs.n)
-        + 6 * math.log(inputs.d_G)
-        + 7 * math.log(float(inputs.kappa))
-        + 14 * eta * math.log(inputs.d)
-    )
+    *rows, (_, _, p) = _matrix_rows(inputs)
+    log_base = math.log(inputs.C)
+    for _, base, exp in rows:
+        log_base += exp * math.log(base)
     return 3.0 * math.exp(log_base / p) * f_norm_b * float(k) ** (-1.0 / p)
 
 

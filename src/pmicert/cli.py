@@ -215,14 +215,11 @@ def _bound_context(prob) -> str:
     comparison against the achieved certificate degree."""
     d = max(prob.F.degree, 1)
     d_G = max(prob.G.degree, 1)
-    try:
-        eta = bounds_mod.eta_estimate(prob.n, max(prob.m, 2), d_G, "matrix")
-        report = bounds_mod.putinar_matrix_bound(
-            BoundInputs(n=prob.n, m=max(prob.m, 2), d=d, d_G=d_G, eta=min(eta, 6))
-        )
-        return f"{report.value} (eta estimate {eta} capped at 6 for display; C = kappa = ratio = 1)"
-    except (ValueError, ArithmeticError):
-        return "unavailable"
+    eta = bounds_mod.eta_estimate(prob.n, max(prob.m, 2), d_G, "matrix")
+    report = bounds_mod.putinar_matrix_bound(
+        BoundInputs(n=prob.n, m=max(prob.m, 2), d=d, d_G=d_G, eta=min(eta, 6))
+    )
+    return f"{report.value} (eta estimate {eta} capped at 6 for display; C = kappa = ratio = 1)"
 
 
 def _cmd_homogenize(args) -> int:
@@ -430,7 +427,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # the parsers' errors are ValueErrors
+    # the parsers' errors are ValueErrors; an input past the float range
+    # (a rate's --C or --eta, say) raises OverflowError
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

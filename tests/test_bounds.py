@@ -132,6 +132,11 @@ class TestEtaEstimate:
         expected = (2 * 3 * half + 1) * (2 * 9 * half) ** (1 + theta(2) - 1)
         assert eta_estimate(1, 2, 1, "homogenized") == expected
 
+    def test_past_budget_is_float(self):
+        # (243 + 1) * 729^6464 has 61,000 bits: past the exact budget
+        assert eta_estimate(1, 5, 1) == math.inf
+        assert isinstance(eta_estimate(1, 4, 1), int)
+
     def test_r_helper(self):
         assert lojasiewicz_r(2, 3) == 18
         assert lojasiewicz_r(1, 5) == 5

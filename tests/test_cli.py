@@ -188,6 +188,26 @@ class TestExitCodes:
             "verify", str(tmp_path / "c.qmc"), str(problems["fx"]),
         ]) == 1
 
+    def test_bound_context_of_a_large_constraint(self, tmp_path, capsys):
+        # G = diag(1 - x^2, 1, 1, 1, 1): its eta estimate is past the exact
+        # budget, and the context reports it rather than 'unavailable'
+        from pmicert.certify import MultiplierTerm, QMCertificate, serialize
+        from pmicert.algebra import PolyMatrix
+        from pmicert.ring import ExtRational
+
+        zero, one = Polynomial.zero(1), Polynomial.const(1, 1)
+        G = SymPolyMatrix([[one - x() * x() if i == j == 0 else one if i == j else zero
+                            for j in range(5)] for i in range(5)])
+        prob = tmp_path / "g5.pmi"
+        prob.write_text(dump_problem(ProblemData(1, 1, 5, SymPolyMatrix.scalar(x() + 2), G)))
+        e1 = PolyMatrix.column([one] + [zero] * 4)
+        witness = QMCertificate(1, 1, 5, 2, "exact", [], [MultiplierTerm(ExtRational(1), e1)])
+        (tmp_path / "w.qmc").write_text(serialize(witness))
+        args = ["certify-simplex", str(prob), "--ball-witness", str(tmp_path / "w.qmc"), "--json"]
+        assert main(args) == 0
+        context = json.loads(capsys.readouterr().out)["bound_formula_context"]
+        assert context != "unavailable" and "eta estimate inf" in context
+
     def test_trivial_ball_guard(self, problems, capsys):
         assert main(["certify-simplex", str(problems["unb"])]) == 2
 
@@ -346,6 +366,21 @@ class TestPipelines:
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out) == {"formula": "perturbation", "value": "inf"}
+
+    @pytest.mark.parametrize(
+        "formula, extra",
+        [("putinar-matrix", []), ("putinar-matrix", ["--ratio", "1/8"]),
+         ("perturbation", []), ("perturbation", ["--eps", "2"]), ("rate", [])],
+    )
+    def test_bound_eta_past_float_range(self, capsys, formula, extra):
+        args = ["bound", "--formula", formula, "--eta", str(10**400), *extra]
+        assert main(args) in (0, 2)
+        err = capsys.readouterr().err
+        assert err.count("error:") <= 1 and "Traceback" not in err
+
+    def test_bound_eta_past_budget_is_inf(self, capsys):
+        assert main(["bound", "--formula", "eta", "--m", "8", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "inf"
 
     def test_bound_eta_and_theta(self, capsys):
         assert main(["bound", "--formula", "theta", "--m", "3"]) == 0
