@@ -243,6 +243,11 @@ _set_nvars = Polynomial.nvars.__set__
 _set_terms = Polynomial.terms.__set__
 
 
+def _is_natural(token: str) -> bool:
+    """A non-negative integer written in ASCII decimal digits only."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Inverse of Polynomial.to_text."""
     terms = {}
@@ -258,9 +263,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         exps = [None] * nvars
         if rest and rest != "1":
             for factor in rest.split("*"):
-                if "^" not in factor:
+                var, _, exp = factor.partition("^")
+                if not (var[:1] == "x" and _is_natural(var[1:]) and _is_natural(exp)):
                     raise ValueError(f"malformed monomial factor {factor!r}")
-                var, exp = factor.split("^")
                 idx = int(var[1:]) - 1
                 if not 0 <= idx < nvars:
                     raise ValueError(f"variable {var} out of range")
@@ -323,7 +328,7 @@ class LineReader:
 
     def natural(self, token: str, what: str, limit: int | None = None) -> int:
         """A non-negative decimal integer, at most limit."""
-        if not (token.isascii() and token.isdigit()):
+        if not _is_natural(token):
             raise ValueError(f"{what}: expected a non-negative integer, got {token!r}")
         value = int(token)
         if limit is not None and value > limit:

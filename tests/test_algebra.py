@@ -411,6 +411,15 @@ class TestTextForm:
         with pytest.raises(ValueError, match="repeated"):
             parse_polynomial(text, 2)
 
+    @pytest.mark.parametrize("text", ["(1) * y1^2", "(1) * x+1^2", "(1) * x1^1_0",
+                                      "(1) * x1^ 2", "(1) * x1^+2", "(1) * x\u0663^1",
+                                      "(1) * x1^2^3", "(1) * x1^2 *x2^1", "(1) * x^2"])
+    def test_malformed_factor_rejected(self, text):
+        # each used to parse as some other polynomial (x1^10 for 'x1^1_0',
+        # x3 for the Arabic-Indic digit)
+        with pytest.raises(ValueError, match="malformed monomial factor"):
+            parse_polynomial(text, 3)
+
     def test_graded_lex_order(self):
         p = Polynomial(2, {(0, 0): 1, (2, 0): 1, (1, 1): 1})
         text = p.to_text()

@@ -522,6 +522,14 @@ class TestSerialization:
         with pytest.raises(CertificateParseError, match=f"^line {at + 1}: .*repeated"):
             deserialize("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("factor", ["y1^0", "x1^0_0", "x1^+0", "x\u0661^0"])
+    def test_malformed_factor_names_its_line(self, factor):
+        lines = serialize(trivial_ball_witness(1)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("multiplier 0 ")) + 1
+        lines[at] = f"(1/1) * {factor}"
+        with pytest.raises(CertificateParseError, match=f"^line {at + 1}: malformed"):
+            deserialize("\n".join(lines) + "\n")
+
     def test_nvars_error_names_line_three(self):
         text = serialize(trivial_ball_witness(1)).replace("nvars 1", "nvars x")
         with pytest.raises(CertificateParseError, match="^line 3: nvars"):
