@@ -467,27 +467,23 @@ def verify_certificate(
         )
         return VerifyReport(False, math.inf, [], messages)
     residual = SymPolyMatrix((F - recon).entries)
+    rnorm = 0.0 if residual.is_zero() else bernstein_norm(residual)
     margins = []
     for idx, block in enumerate(cert.sos_blocks):
         margins.append(min_eigenvalue_numeric(block.matrix()))
 
     if mode == "exact":
-        ok = True
-        if not residual.is_zero():
-            ok = False
+        ok = residual.is_zero()
+        if not ok:
             messages.append("nonzero residual")
         for idx, block in enumerate(cert.sos_blocks):
             if not psd_exact(block.matrix()):
                 ok = False
                 messages.append(f"gram block {idx} is not PSD")
-        rnorm = 0.0
-        if not residual.is_zero():
-            rnorm = bernstein_norm(residual)
         return VerifyReport(ok, rnorm, margins, messages)
 
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    rnorm = 0.0 if residual.is_zero() else bernstein_norm(residual)
     ok = rnorm <= tol
     if not ok:
         messages.append(f"residual Bernstein norm {rnorm:.3g} exceeds tol {tol:.3g}")

@@ -130,9 +130,7 @@ def _markov_refined_lower(F: SymPolyMatrix, grid_min: float, resolution: int) ->
     return grid_min - rate * covering
 
 
-def polya_certificate(
-    F: SymPolyMatrix, max_degree: int, grid_points: int | None = None
-) -> PolyaCertificate:
+def polya_certificate(F: SymPolyMatrix, max_degree: int) -> PolyaCertificate:
     """Minimal-degree expansion of F with all coefficient matrices PD.
 
     Searches degrees deg F, deg F + 1, ... up to max_degree by exact degree
@@ -152,14 +150,14 @@ def polya_certificate(
                 break
         else:
             cert = PolyaCertificate(t, expansion, margins)
-            _attach_advisory(cert, F, d, grid_points, first)
+            _attach_advisory(cert, F, d, first)
             return cert
         if t < max_degree:
             expansion = elevate(expansion, t + 1)
 
     # failed within the cap: look for an exact refutation point
     n = F.nvars
-    res = lattice_resolution_for(n, grid_points or 10**n * (d + 1))
+    res = lattice_resolution_for(n, 10**n * (d + 1))
     exact_pts = simplex_lattice(n, res)
     eigs = min_eigenvalue_numeric(F.evaluate_float(np.array(exact_pts, dtype=float)))
     witness = None
@@ -179,10 +177,10 @@ def polya_certificate(
     raise NotPositiveDefiniteOnSimplex(msg, witness, witness_eig)
 
 
-def _attach_advisory(cert, F, d, grid_points, first):
+def _attach_advisory(cert, F, d, first):
     """Advisory numbers; first is the degree-d expansion of F."""
     try:
-        grid_min, _, res = grid_min_eigenvalue(F, grid_points or 10**F.nvars * (d + 1))
+        grid_min, _, res = grid_min_eigenvalue(F, 10**F.nvars * (d + 1))
         cert.fmin_estimate = grid_min
         cert.norm_estimate = norm_of_expansion(first)
         refined = _markov_refined_lower(F, grid_min, res)
