@@ -133,7 +133,7 @@ class TestEtaEstimate:
         assert eta_estimate(1, 2, 1, "homogenized") == expected
 
     def test_past_budget_is_float(self):
-        # (243 + 1) * 729^6464 has 61,000 bits: past the exact budget
+        # 82 * 243^6464 has 51,000 bits: past the exact budget
         assert eta_estimate(1, 5, 1) == math.inf
         assert isinstance(eta_estimate(1, 4, 1), int)
 

@@ -368,19 +368,17 @@ class TestPipelines:
         assert json.loads(out) == {"formula": "perturbation", "value": "inf"}
 
     @pytest.mark.parametrize(
-        "formula, extra",
-        [("putinar-matrix", []), ("putinar-matrix", ["--ratio", "1/8"]),
-         ("perturbation", []), ("perturbation", ["--eps", "2"]), ("rate", [])],
+        "formula, extra, code",
+        [("putinar-matrix", [], 0), ("perturbation", [], 0), ("perturbation", ["--eps", "2"], 0),
+         # 8^(7 eta) and (1/8)^(7 eta + 3) overflow both ways; the rate takes
+         # eta as a float
+         ("putinar-matrix", ["--ratio", "1/8"], 2), ("rate", [], 2)],
     )
-    def test_bound_eta_past_float_range(self, capsys, formula, extra):
+    def test_bound_eta_past_float_range(self, capsys, formula, extra, code):
         args = ["bound", "--formula", formula, "--eta", str(10**400), *extra]
-        assert main(args) in (0, 2)
+        assert main(args) == code
         err = capsys.readouterr().err
-        assert err.count("error:") <= 1 and "Traceback" not in err
-
-    def test_bound_eta_past_budget_is_inf(self, capsys):
-        assert main(["bound", "--formula", "eta", "--m", "8", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["value"] == "inf"
+        assert err.count("error:") == (code == 2) and err.count("\n") == (code == 2)
 
     def test_bound_eta_and_theta(self, capsys):
         assert main(["bound", "--formula", "theta", "--m", "3"]) == 0
@@ -388,6 +386,9 @@ class TestPipelines:
         assert main(["bound", "--formula", "eta", "--setting", "scalar",
                      "--n", "1", "--m", "2", "--d-G", "1"]) == 0
         assert "6" in capsys.readouterr().out
+        # 1.8 Gbit if built exactly: past the exact budget it is inf
+        assert main(["bound", "--formula", "eta", "--m", "8", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "inf"
 
 
 class TestCommittedSamples:
