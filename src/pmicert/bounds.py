@@ -172,7 +172,7 @@ def _product(C, factors, exact: bool):
             if lf > 1023:
                 floats.append(math.inf)
             elif exp > sys.float_info.max:
-                floats.append(2.0**lf)  # a unit base, or a base below 1: 1.0 or 0.0
+                floats.append(2.0 ** lf)  # a unit base, or a base below 1: 1.0 or 0.0
             else:
                 floats.append(float(base) ** float(exp))
             out_factors.append((name, floats[-1]))
@@ -180,7 +180,7 @@ def _product(C, factors, exact: bool):
             value = math.inf
         elif math.inf in floats:
             # a factor overflows but the product does not: take it from its log
-            value = 2.0**log2_total
+            value = 2.0 ** log2_total
         else:
             value = math.prod(floats)
     return value, out_factors, log2_total, exact
