@@ -275,14 +275,17 @@ def pv_bound(inputs: BoundInputs) -> BoundReport:
 def convergence_rate(inputs: BoundInputs, k, f_norm_b: float = 1.0) -> float:
     """Error bound 3 * base^(1/p) * ||f||_B * k^(-1/p) of the order-k
     relaxation: base is C times every row of the matrix bound but the last,
-    ratio^p, whose exponent is p = 7 eta + 3."""
+    ratio^p, whose exponent is p = 7 eta + 3.  Each exponent is divided by
+    p before it meets a logarithm, so a C or an eta past the float range
+    still gives a finite rate."""
     if k < 1:
         raise ValueError("k must be at least 1")
     *rows, (_, _, p) = _matrix_rows(inputs)
-    log_base = math.log(inputs.C)
+    # int / int is exact past the float range, where float / int overflows
+    log2_root = _log2(inputs.C) * (1 / p)
     for _, base, exp in rows:
-        log_base += exp * math.log(base)
-    return 3.0 * math.exp(log_base / p) * f_norm_b * float(k) ** (-1.0 / p)
+        log2_root += _log2(base) * (exp / p)
+    return 3.0 * 2.0**log2_root * f_norm_b * float(k) ** -(1 / p)
 
 
 def markov_gradient_bound(p: Polynomial) -> float:

@@ -417,6 +417,22 @@ def assemble_simplex_putinar(
 # verification
 
 
+# Bernstein coefficients, C(n + t, n) ell (ell + 1) / 2 at degree t, that a
+# residual norm may always use; past it, as many as cert, F and G hold.  At the
+# floor a dense residual takes 0.47 s (n = 1, t = 255) or 0.11 s (n = 2, t = 21);
+# the certificates of the tests and the benchmark need at most 35.
+NORM_BUDGET_FLOOR = 256
+
+
+def _coefficient_count(F: SymPolyMatrix, G: SymPolyMatrix, cert: QMCertificate) -> int:
+    """Gram entries (lower triangles) plus polynomial terms held by cert, F and G."""
+    grids = [F.entries, G.entries] + [term.matrix.entries for term in cert.multipliers]
+    if cert.sphere_multiplier is not None:
+        grids.append(cert.sphere_multiplier.entries)
+    terms = sum(len(p.terms) for grid in grids for row in grid for p in row)
+    return terms + sum(b.size() * (b.size() + 1) // 2 for b in cert.sos_blocks)
+
+
 @dataclass
 class VerifyReport:
     ok: bool
@@ -438,6 +454,8 @@ def verify_certificate(
     exact mode: zero residual and exactly PSD Grams (LDL^T decision, no size
     cap).  numeric mode: residual Bernstein norm <= tol and numeric Gram
     margins >= -tol.  Failed checks are reported, never raised.
+    A residual past the norm budget (NORM_BUDGET_FLOOR) gets the norm inf
+    uncomputed: numeric mode then fails naming its degree.
     """
     messages = []
     if F.size != cert.ell:
@@ -467,10 +485,18 @@ def verify_certificate(
         )
         return VerifyReport(False, math.inf, [], messages)
     residual = SymPolyMatrix((F - recon).entries)
-    rnorm = 0.0 if residual.is_zero() else bernstein_norm(residual)
-    margins = []
-    for idx, block in enumerate(cert.sos_blocks):
-        margins.append(min_eigenvalue_numeric(block.matrix()))
+    rnorm, unnormed = 0.0, None
+    if not residual.is_zero():
+        t = residual.degree
+        size = math.comb(cert.nvars + t, cert.nvars) * cert.ell * (cert.ell + 1) // 2
+        budget = max(NORM_BUDGET_FLOOR, _coefficient_count(F, G, cert))
+        if size <= budget:
+            rnorm = bernstein_norm(residual)
+        else:
+            rnorm = math.inf
+            unnormed = (f"residual of degree {t} has {size} Bernstein coefficients, past "
+                        f"the budget of {budget}; its norm is not computed")
+    margins = [min_eigenvalue_numeric(block.matrix()) for block in cert.sos_blocks]
 
     if mode == "exact":
         ok = residual.is_zero()
@@ -485,7 +511,9 @@ def verify_certificate(
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
     ok = rnorm <= tol
-    if not ok:
+    if unnormed:
+        messages.append(unnormed)
+    elif not ok:
         messages.append(f"residual Bernstein norm {rnorm:.3g} exceeds tol {tol:.3g}")
     for idx, margin in enumerate(margins):
         if margin < -tol:

@@ -115,9 +115,12 @@ def estimate_homogenized_min(
     """Numeric minimum of lambda_min(F~) over the feasible part of the sphere.
 
     Dense deterministic sphere sampling filtered by lambda_min(G^) >= -1e-9,
-    followed by projected coordinate descent from the best sample.  The value
-    is advisory (it feeds the bound calculators); a nonpositive result flags
-    that the positivity hypotheses fail.
+    then `refine_iters` sweeps of projected coordinate descent from the best
+    sample: a sweep scores the 2(n+1) moves point +- step e_a, normalised onto
+    the sphere, as one batch, moves to the best feasible one if it improves
+    the estimate and halves the step otherwise.  The value is advisory (it
+    feeds the bound calculators); a nonpositive one flags that the positivity
+    hypotheses fail.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
@@ -125,37 +128,28 @@ def estimate_homogenized_min(
     count = min(grid * grid, 20000) if dim <= 3 else min(grid**2, 8192)
     pts = _sphere_samples(dim, count)
 
-    def feasible(p):
-        return min_eigenvalue_numeric(prob.G_hat.evaluate_float(p)) >= -FEASIBILITY_TOL
+    def best_feasible(p):
+        """(least objective, its row) over the feasible rows of p, and their count."""
+        p = p[min_eigenvalue_numeric(prob.G_hat.evaluate_float(p)) >= -FEASIBILITY_TOL]
+        if not len(p):
+            return math.inf, None, 0
+        values = min_eigenvalue_numeric(prob.F_tilde.evaluate_float(p))
+        k = int(np.argmin(values))
+        return float(values[k]), p[k], len(p)
 
-    def objective(p):
-        return min_eigenvalue_numeric(prob.F_tilde.evaluate_float(p))
-
-    feasible_pts = pts[feasible(pts)]
-    n_feas = len(feasible_pts)
+    best, point, n_feas = best_feasible(pts)
     if not n_feas:
         raise EmptyFeasibleSample(
             f"none of {len(pts)} sphere samples satisfied the lifted constraint"
         )
-    values = objective(feasible_pts)
-    first = int(np.argmin(values))
-    best = float(values[first])
     step = 4.0 / math.sqrt(len(pts))
-    point = np.array(feasible_pts[first], dtype=float)
+    moves = np.vstack([np.eye(dim), -np.eye(dim)])
     for _ in range(refine_iters):
-        improved = False
-        for axis in range(dim):
-            for sign in (1.0, -1.0):
-                cand = point.copy()
-                cand[axis] += sign * step
-                cand /= np.linalg.norm(cand)
-                if not feasible(cand):
-                    continue
-                v = objective(cand)
-                if v < best - 1e-15:
-                    best, point = v, cand
-                    improved = True
-        if not improved:
+        cands = point + step * moves
+        value, cand, _ = best_feasible(cands / np.linalg.norm(cands, axis=1, keepdims=True))
+        if value < best - 1e-15:
+            best, point = value, cand
+        else:
             step *= 0.5
     return SphereMinEstimate(best, [float(c) for c in point], len(pts), n_feas)
 
@@ -312,21 +306,14 @@ def perturb_for_nonneg(F: SymPolyMatrix, eps, d: int | None = None) -> SymPolyMa
     """F + eps * (1 + ||x||^2)^ceil((d+1)/2) * I, the standard perturbation
     that turns a merely-PSD matrix into one with positive-definite leading
     form (even degree 2*ceil((d+1)/2))."""
-    eps = ExtRational.coerce(eps) if not isinstance(eps, float) else eps
     if isinstance(eps, float):
         raise TypeError("eps must be rational for an exact perturbation")
+    eps = ExtRational.coerce(eps)
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
     if d is None:
         d = max(F.degree, 0)
-    n = F.nvars
-    e = -(-(d + 1) // 2)
-    bump = _one_plus_norm2(n) ** e
-    grid = [
-        [
-            F.entries[i][j] + bump * eps if i == j else F.entries[i][j]
-            for j in range(F.size)
-        ]
-        for i in range(F.size)
-    ]
-    return SymPolyMatrix(grid)
+    e = -(-(d + 1) // 2)  # ceil((d + 1) / 2)
+    shift = _one_plus_norm2(F.nvars) ** e * eps
+    return SymPolyMatrix([[p + shift if i == j else p for j, p in enumerate(row)]
+                          for i, row in enumerate(F.entries)])

@@ -187,6 +187,17 @@ class TestConvergenceRate:
         with pytest.raises(ValueError):
             convergence_rate(all_ones(), 0)
 
+    def test_C_past_float_range(self):
+        # C^(1/p) with p = 10 is 2^110, well inside the float range
+        rate = convergence_rate(all_ones(C=Fraction(2**1100)), 1)
+        assert abs(rate / 2.0**110 - convergence_rate(all_ones(), 1)) < 1e-9
+
+    def test_eta_past_float_range(self):
+        # every exponent but the last grows like 7 eta or 14 eta: with d = 2
+        # the rate tends to 3 * 8^(7/7) * 2^(14/7) = 96 as eta grows
+        rate = convergence_rate(all_ones(d=2, eta=10**400), 5)
+        assert abs(rate - 96.0) < 1e-9
+
 
 class TestMarkov:
     def test_constant(self):

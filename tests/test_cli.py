@@ -1,4 +1,6 @@
 import json
+import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,39 @@ class TestExitCodes:
         assert main(["verify", *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_verify_high_degree_residual_is_bounded(self, tmp_path, capsys, mode):
+        # 180 bytes whose residual -x1^4000 has C(4002, 2) = 8,006,001
+        # Bernstein coefficients: the norm is not computed, and the verdict
+        # comes in well under the 2 s alarm
+        cert = tmp_path / "big.qmc"
+        cert.write_text(
+            "qmcert-v1\nmode exact\nnvars 2\nsize 1\nconstraint-size 1\ndegree 4000\n"
+            "sos-blocks 0\nmultipliers 1\nmultiplier 0 scale (1/1) rows 1 cols 1\n"
+            "(1/1) * x1^2000*x2^0\nsphere-multiplier none\nend\n"
+        )
+        assert len(cert.read_bytes()) == 180
+        prob = tmp_path / "zero.pmi"
+        prob.write_text(dump_problem(ProblemData(
+            2, 1, 1, SymPolyMatrix.scalar(Polynomial.zero(2)),
+            SymPolyMatrix.scalar(Polynomial.const(2, 1)))))
+
+        def expire(signum, frame):
+            raise TimeoutError("verify ran past 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code = main(["verify", str(cert), str(prob), "--mode", mode, "--json"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["residual_norm"] == "inf"
+        expected = "nonzero residual" if mode == "exact" else "residual of degree 4000"
+        assert any(expected in msg for msg in payload["messages"])
 
     def test_verify_failure_is_exit_one(self, problems, tmp_path, capsys):
         assert main([
@@ -370,15 +405,26 @@ class TestPipelines:
     @pytest.mark.parametrize(
         "formula, extra, code",
         [("putinar-matrix", [], 0), ("perturbation", [], 0), ("perturbation", ["--eps", "2"], 0),
-         # 8^(7 eta) and (1/8)^(7 eta + 3) overflow both ways; the rate takes
-         # eta as a float
-         ("putinar-matrix", ["--ratio", "1/8"], 2), ("rate", [], 2)],
+         # 8^(7 eta) and (1/8)^(7 eta + 3) overflow both ways
+         ("putinar-matrix", ["--ratio", "1/8"], 2), ("rate", [], 0)],
     )
     def test_bound_eta_past_float_range(self, capsys, formula, extra, code):
         args = ["bound", "--formula", formula, "--eta", str(10**400), *extra]
         assert main(args) == code
         err = capsys.readouterr().err
         assert err.count("error:") == (code == 2) and err.count("\n") == (code == 2)
+
+    @pytest.mark.parametrize("flag, value", [("--C", str(2**1100)), ("--eta", str(10**400))],
+                             ids=["C_2_1100", "eta_10_400"])
+    def test_rate_past_float_range_is_finite(self, capsys, flag, value):
+        # C = 2^1100 contributes 1100 / 10 bits; with eta = 10^400 the rate
+        # tends to 3 * 8 * d^2 = 24 at d = 1
+        assert main(["bound", "--formula", "rate", flag, value, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rate = float(json.loads(out)["value"])
+        expected = 3 * 330225942528**0.1 * 2.0**110 if flag == "--C" else 24.0
+        assert math.isfinite(rate) and abs(rate - expected) <= 1e-12 * expected
 
     def test_bound_eta_and_theta(self, capsys):
         assert main(["bound", "--formula", "theta", "--m", "3"]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import random
 from fractions import Fraction
 
@@ -15,6 +17,9 @@ from pmicert.scalarize import (
     verify_witness,
 )
 from conftest import random_poly, random_sym_matrix
+
+# the package re-exports the function `scalarize` under the module's name
+scalarize_module = importlib.import_module("pmicert.scalarize")
 
 
 def x(i=0, n=1):
@@ -117,6 +122,13 @@ class TestReductionStep:
                     Gij = st.transform @ G @ st.transform.transpose()
                     rhs = st.X_plus @ Gij @ st.X_plus.transpose()
                     assert lhs.entries == rhs.entries
+                    # transform G transform^T = diag(s^3, B)
+                    zero = Polynomial.zero(G.nvars)
+                    assert Gij[0, 0] == st.s**3
+                    assert all(Gij[0, c] == zero for c in range(1, size))
+                    for r in range(1, size):
+                        for c in range(1, size):
+                            assert Gij[r, c] == st.B[r - 1, c - 1]
 
     def test_degree_caps(self, rng):
         G = random_sym_matrix(rng, 3, 1, 2)
@@ -163,6 +175,75 @@ class TestScalarize:
         G = random_sym_matrix(rng, 2, 1, 1)
         d, v = scalarize(G).entries[0]
         assert not verify_witness(d + 1, v, G)
+
+    def test_one_witness_check_per_entry(self, rng, monkeypatch):
+        calls = []
+        original = scalarize_module.verify_witness
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(scalarize_module, "verify_witness", counted)
+        scalarize(random_sym_matrix(rng, 3, 1, 1))
+        assert len(calls) == theta(3) == 42
+
+
+def _bump(P, r, c, amount=1):
+    """Copy of P with `amount` added to entry (r, c)."""
+    grid = [list(row) for row in P.entries]
+    grid[r][c] = grid[r][c] + amount
+    return grid
+
+
+def _corrupt_B(step):
+    grid = _bump(step.B, 0, 1)
+    grid[1][0] = grid[0][1]
+    return dataclasses.replace(step, B=SymPolyMatrix(grid))
+
+
+def _corrupt_transform(step):
+    # row 0 of transform meets the zero padding of every lifted witness, so
+    # a corruption there is invisible by design; row 1 is not
+    return dataclasses.replace(step, transform=PolyMatrix(_bump(step.transform, 1, 0)))
+
+
+def _corrupt_base_d(system):
+    entries = list(system.entries)
+    d, v = entries[2]
+    entries[2] = (d + 1, v)
+    return dataclasses.replace(system, entries=entries)
+
+
+class TestSingleCheckMutations:
+    """The final per-entry check alone catches a corrupted reduction step or
+    base case: the reduction and base-case checks it replaced are redundant."""
+
+    @pytest.mark.parametrize(
+        "target, corrupt",
+        [
+            ("reduction_step", _corrupt_B),
+            ("reduction_step", _corrupt_transform),
+            ("scalarize_base2", _corrupt_base_d),
+        ],
+        ids=["B_offdiagonal", "transform_entry", "base_case_d"],
+    )
+    def test_corruption_raises(self, rng, monkeypatch, target, corrupt):
+        original = getattr(scalarize_module, target)
+        done = []
+
+        def corrupted(*args):
+            result = original(*args)
+            if not done:
+                done.append(True)
+                return corrupt(result)
+            return result
+
+        monkeypatch.setattr(scalarize_module, target, corrupted)
+        G = random_sym_matrix(rng, 3, 1, 1)
+        with pytest.raises(AssertionError, match="witness failed"):
+            scalarize(G)
+        assert done
 
 
 class TestEquivalence:

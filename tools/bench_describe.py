@@ -1,0 +1,163 @@
+"""CPU time and witness checks of the describe commands per input, and the
+sphere estimate on constrained instances, for one or more source trees of
+the program.
+
+    git archive <commit> | tar -x -C /tmp/parent
+    python3 tools/bench_describe.py --variant parent=/tmp/parent/src \\
+        --variant new=src --seed 7 --out BENCH_describe.json
+
+Jobs: the `scalarize`, `scalarize --charpoly` and `homogenize` jobs of the
+benchmark's `describe` workload at --seed (perfbench/workloads.py).  Each
+job runs once per variant, the variants alternating, in a fresh process
+with PYTHONPATH set to the variant's source tree and numpy's BLAS held to
+one thread (tools/harness.py).  The child calls `pmicert.cli.main` once
+untimed, counting `scalarize.verify_witness` calls, and then --repeats
+times; cpu_s is the median of those calls' process CPU times (imports
+excluded).  Each record also gives a digest of the standard output, so that
+byte-identical output across variants can be read off.
+
+Constrained suite: the 60 instances of tests/constrained_suite.py, each
+estimated by `estimate_homogenized_min` at its defaults in one child per
+variant; gap is the estimate minus the SLSQP reference, which this process
+computes without pmicert.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import sys
+import tempfile
+
+import harness  # puts perfbench/ on sys.path
+import workloads
+
+sys.path.insert(0, os.path.join(harness.ROOT, "tests"))
+import constrained_suite  # noqa: E402  (numpy and scipy only at import)
+
+JOB_CHILD = """
+import contextlib, hashlib, io, json, statistics, sys, time
+from pmicert.cli import main
+scalarize = sys.modules["pmicert.scalarize"]  # the package attribute is the function
+argv, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+checks = [0]
+original = scalarize.verify_witness
+def counted(*args):
+    checks[0] += 1
+    return original(*args)
+scalarize.verify_witness = counted
+def once():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+code, stdout = once()
+witness_checks = checks[0]
+times = []
+for _ in range(repeats):
+    start = time.process_time()
+    once()
+    times.append(time.process_time() - start)
+print(json.dumps({"cpu_s": statistics.median(times), "exit": code,
+                  "witness_checks": witness_checks,
+                  "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}))
+"""
+
+SUITE_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import constrained_suite
+from pmicert.homogenize import estimate_homogenized_min, lift_problem
+out = []
+for inst in constrained_suite.instances():
+    F, G = constrained_suite.problem(inst)
+    start = time.process_time()
+    est = estimate_homogenized_min(lift_problem(F, G))
+    out.append({"estimate": est.value, "cpu_s": time.process_time() - start})
+print(json.dumps(out))
+"""
+
+
+def jobs(seed: int, workdir: str) -> list:
+    """(job id, command) of the describe workload's CLI jobs but dehomogenize."""
+    manifest = workloads.generate("describe", seed, workdir)
+    return [(job["id"], job["argv"]) for job in manifest["jobs"]
+            if job["kind"] == "cli" and job["argv"][0] in ("scalarize", "homogenize")]
+
+
+def child(src: str, argv: list, cwd: str | None = None):
+    proc = harness.run_python(src, argv, cwd=cwd)
+    if proc.returncode != 0:
+        raise SystemExit(f"child on {src} exited {proc.returncode}: {proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    ap = harness.parser(__doc__.split("\n\n")[0], "BENCH_describe.json")
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+    variants = harness.variants(args)
+    records = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for i, (job, argv) in enumerate(jobs(args.seed, workdir)):
+            rec = {"job": job, "argv": argv[:1] + argv[2:]}
+            for label, src in harness.in_turn(variants, i):
+                rec[label] = child(src, ["-c", JOB_CHILD, json.dumps(argv), str(args.repeats)],
+                                   cwd=workdir)
+                rec[label]["cpu_s"] = round(rec[label]["cpu_s"], 6)
+            records.append(rec)
+            print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
+                  file=sys.stderr)
+
+    references = [constrained_suite.reference_min(inst)
+                  for inst in constrained_suite.instances()]
+    suite = {label: child(src, ["-c", SUITE_CHILD, os.path.join(harness.ROOT, "tests")])
+             for label, src in variants}
+    constrained = []
+    for k, ref in enumerate(references):
+        rec = {"instance": k, "reference": ref}
+        for label, _ in variants:
+            est = suite[label][k]["estimate"]
+            rec[label] = {"estimate": est, "gap": est - ref,
+                          "cpu_s": round(suite[label][k]["cpu_s"], 6)}
+        constrained.append(rec)
+
+    first = variants[0][0]
+    summary = {}
+    for label, _ in variants:
+        kinds = {}
+        for kind in ("scalarize", "charpoly", "homogenize"):
+            sel = [r for r in records if _kind(r["argv"]) == kind]
+            kinds[kind] = {
+                "jobs": len(sel),
+                "cpu_s_total": round(sum(r[label]["cpu_s"] for r in sel), 4),
+                "witness_checks_per_job": statistics.mean(r[label]["witness_checks"]
+                                                          for r in sel),
+                "stdout_as_" + first: sum(r[label]["stdout_sha256"] == r[first]["stdout_sha256"]
+                                          for r in sel),
+            }
+        gaps = [r[label]["gap"] for r in constrained]
+        delta = [r[label]["gap"] - r[first]["gap"] for r in constrained]
+        kinds["constrained"] = {
+            "instances": len(gaps),
+            "gap_mean": statistics.mean(gaps),
+            "gap_max": max(gaps),
+            "gap_min": min(gaps),
+            "above_1e-3": sum(g > 1e-3 for g in gaps),
+            "worse_than_" + first: sum(d > 1e-6 for d in delta),
+            "better_than_" + first: sum(d < -1e-6 for d in delta),
+            "cpu_s_total": round(sum(r[label]["cpu_s"] for r in constrained), 4),
+        }
+        summary[label] = kinds
+    harness.write(args.out, args, variants, summary, records, repeats=args.repeats,
+                  constrained=constrained)
+    return 0
+
+
+def _kind(argv: list) -> str:
+    return "charpoly" if "--charpoly" in argv else argv[0]
+
+
+if __name__ == "__main__":
+    sys.exit(main())
