@@ -11,6 +11,7 @@ exact positive-semidefiniteness test.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import add
 
@@ -248,6 +249,10 @@ def _is_natural(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+# a monomial factor x<digits>^<digits>, ASCII digits only
+_FACTOR = re.compile(r"x([0-9]+)\^([0-9]+)").fullmatch
+
+
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Inverse of Polynomial.to_text."""
     terms = {}
@@ -263,19 +268,21 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         exps = [None] * nvars
         if rest and rest != "1":
             for factor in rest.split("*"):
-                var, _, exp = factor.partition("^")
-                if not (var[:1] == "x" and _is_natural(var[1:]) and _is_natural(exp)):
+                m = _FACTOR(factor)
+                if m is None:
                     raise ValueError(f"malformed monomial factor {factor!r}")
-                idx = int(var[1:]) - 1
+                var, exp = m.groups()
+                idx = int(var) - 1
                 if not 0 <= idx < nvars:
-                    raise ValueError(f"variable {var} out of range")
+                    raise ValueError(f"variable x{var} out of range")
                 if exps[idx] is not None:
-                    raise ValueError(f"variable {var} repeated in one monomial")
+                    raise ValueError(f"variable x{var} repeated in one monomial")
                 exps[idx] = int(exp)
         key = tuple(e or 0 for e in exps)
-        prev = terms.get(key, ZERO)
-        terms[key] = prev + coeff
-    return Polynomial(nvars, terms)
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
+    # every exponent is a checked natural, nvars of them, each key once
+    return Polynomial._from_clean(nvars, terms)
 
 
 def lower_triangle_rows(grid) -> list:
@@ -721,30 +728,37 @@ def ldlt(M: RationalSymMatrix):
     zero is skipped, so len(pivots) == M.size exactly when M is PD.  Raises
     ValueError if a negative pivot or a zero pivot with a nonzero row is met
     (i.e. the matrix is not PSD).
+
+    Only the upper triangle is updated: the trailing block stays symmetric,
+    so step k reads its column from row k (a[k][i], i > k) and row i is
+    updated from column i on.  The pivots and columns are those of the
+    full-row elimination, at about half its ring operations.
     """
     n = M.size
     a = [row[:] for row in M.entries]
     cols = []
     pivots = []
     for k in range(n):
-        piv = a[k][k]
+        rowk = a[k]
+        piv = rowk[k]
         s = piv.sign()
         if s < 0:
             raise ValueError("matrix is not positive semidefinite (negative pivot)")
         if s == 0:
-            if any(not a[k][j].is_zero() for j in range(k, n)):
+            if any(rowk[j] for j in range(k + 1, n)):
                 raise ValueError("matrix is not positive semidefinite (zero pivot row)")
             continue
         inv = piv.inverse()
-        col = [ZERO] * k + [ONE] + [a[i][k] * inv for i in range(k + 1, n)]
+        col = [ZERO] * k + [ONE] + [rowk[i] * inv for i in range(k + 1, n)]
         cols.append(col)
         pivots.append(piv)
         for i in range(k + 1, n):
             factor = col[i]
-            if factor.is_zero():
+            if not factor:
                 continue
-            for j in range(k, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
+            row = a[i]
+            for j in range(i, n):
+                row[j] = row[j] - factor * rowk[j]
     return cols, pivots
 
 

@@ -49,6 +49,38 @@ def theta(m: int) -> int:
     return total
 
 
+class _Log2:
+    """A positive number known only by its log2.  theta(m) past the exact
+    budget is one: every row it enters is then evaluated in floating point
+    through logarithms, so nothing more is read."""
+
+    __slots__ = ("log2",)
+
+    def __init__(self, log2: float):
+        self.log2 = log2
+
+
+def _theta_log2(m: int) -> float:
+    """log2 theta(m) in floating point.  theta(m) = P(m) sum_{j<m} 1/P(j) with
+    P(j) = j!(j+1)!/2^j; log2 P(m) comes from log-gamma, and the tail sum,
+    below 2.4, is added term by term until a term no longer changes it."""
+    head = (math.lgamma(m + 1) + math.lgamma(m + 2)) / math.log(2) - m
+    tail, term = 0.0, 1.0
+    for j in range(m):
+        tail += term
+        term /= (j + 1) * (j + 2) / 2
+        if term < tail * 2.0**-60:
+            break
+    return head + math.log2(tail)
+
+
+def _theta_row(m: int, plus: int = 0):
+    """theta(m) + plus for the rows of a formula: exact while log2 theta(m)
+    fits the exact budget, else a _Log2, since no exact row can hold it."""
+    log2 = _theta_log2(m)
+    return theta(m) + plus if log2 <= _EXACT_BIT_LIMIT else _Log2(log2)
+
+
 def lojasiewicz_r(n: int, d: int) -> int:
     """The exponent helper R(n, d) = d * (3d - 3)^(n-1)."""
     if n < 1 or d < 1:
@@ -64,12 +96,14 @@ def eta_estimate(n: int, m: int, d_G: int, setting: str = "matrix") -> int | flo
     if setting == "scalar":
         lead, base, exp = d_G + 1, 3 * d_G, n + m - 2
     elif setting == "matrix":
-        lead, base, exp = 3 ** (m - 1) * d_G + 1, 3**m * d_G, n + theta(m) - 2
+        lead, base, exp = 3 ** (m - 1) * d_G + 1, 3**m * d_G, _theta_row(m, n - 2)
     elif setting == "homogenized":
         half = -(-d_G // 2)  # ceil
-        lead, base, exp = 2 * 3 ** (m - 1) * half + 1, 2 * 3**m * half, n + theta(m) - 1
+        lead, base, exp = 2 * 3 ** (m - 1) * half + 1, 2 * 3**m * half, _theta_row(m, n - 1)
     else:
         raise ValueError(f"unknown setting {setting!r}")
+    if isinstance(exp, _Log2):
+        exp = math.inf  # past 2^14000, far past the float range
     return _product(lead, [("base^exp", base, exp)], True)[0]
 
 
@@ -125,12 +159,16 @@ class BoundReport:
 
 
 def _log2(v) -> float:
+    if isinstance(v, _Log2):
+        return v.log2
     if isinstance(v, Fraction):
         return math.log2(v.numerator) - math.log2(v.denominator)
     return math.log2(v)
 
 
-def _bits(v) -> int:
+def _bits(v) -> int | float:
+    if isinstance(v, _Log2):
+        return math.inf
     f = Fraction(v)
     return abs(f.numerator).bit_length() + f.denominator.bit_length()
 
@@ -229,7 +267,7 @@ def _matrix_rows(inputs: BoundInputs) -> list:
     return _putinar_rows(
         inputs,
         ("3^(6*(m-1))", 3, 6 * (inputs.m - 1)),
-        ("theta(m)^3", theta(inputs.m), 3),
+        ("theta(m)^3", _theta_row(inputs.m), 3),
         *_size_rows(inputs),
     )
 
@@ -260,7 +298,7 @@ def pv_bound(inputs: BoundInputs) -> BoundReport:
     rows = _putinar_rows(
         inputs,
         ("3^(6*(m-1))", 3, 6 * (inputs.m - 1)),
-        ("(theta(m)+2)^3", theta(inputs.m) + 2, 3),
+        ("(theta(m)+2)^3", _theta_row(inputs.m, 2), 3),
         ("(n+1)^2", inputs.n + 1, 2),
         ("ceil(d_G/2)^6", -(-inputs.d_G // 2), 6),
     )

@@ -17,6 +17,18 @@ products per entry however many terms there are.  W is never stored: each
 term's nonzero pairs go straight into S, so memory stays linear in the
 distinct monomials, as with one congruence per term.
 
+The fold (_fold_squares) and the Gram assembly (gram_from_squares) share one
+integer accumulator, _square_sums.  Each square's coefficients go over one
+common denominator, so every pair product is a numerator pair (p, q) of
+Z[sqrt(r)] formed by int products alone (one product when the square is
+rational).  Each output coefficient keeps its numerators over its own
+denominator, the lcm of those of the squares that reached it, so no
+denominator grows with squares that never touch it; one normalised
+ExtRational is built per output coefficient at the end.  The fold packs a
+monomial mu as the int sum mu_i B^i, B > 2 max(exponent) a power of 256,
+with the slot (p, q) above it, so a pair's key mu + nu is one int add and is
+unpacked once, by a byte conversion.
+
 All payloads are stored exactly (floats entering from numeric solvers are
 dyadic rationals, hence exact); the mode flag only selects the verification
 semantics: "exact" demands a zero residual and exactly PSD Grams, "numeric"
@@ -30,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .ring import ExtRational, ZERO, ONE
+from .ring import ExtRational, ZERO, ONE, common_radicand, from_parts
 from .algebra import (
     LineReader,
     PolyMatrix,
@@ -167,34 +179,151 @@ def _collapse(basis, gram, w: int, out: dict) -> None:
                         terms[mono] = c if prev is None else prev + c
 
 
+def _square_sums(squares) -> dict:
+    """{row_a + col_b: sum of scale c_a c_b} over the (scale, items) in
+    squares and every pair a <= b of their items (row, col, end, c).
+
+    An item's end is one past the last item of its group: a pair of two
+    different items of one group counts twice, since its mirror (b, a) lands
+    on the same key.  Per square the coefficients go over one common
+    denominator L, so every product is a numerator pair (p, q) of Z[sqrt(r)]
+    over the scale's denominator times L^2, formed by int products only (one
+    per pair when the square is rational).  Per key the numerators add over
+    D, the lcm of the denominators of the squares that reached that key
+    (never one lcm for the whole fold, which would grow with every square),
+    and one ExtRational is built per key at the end.  Two different
+    irrational radicands raise RadicandMismatch."""
+    acc = {}
+    get = acc.get
+    r = 0
+    for scale, items in squares:
+        if not scale or not items:
+            continue
+        sp, sq, sd, sr = scale.parts()
+        rows, cols, ends, coeffs = zip(*items)
+        ps, qs, ds, rs = zip(*[c.parts() for c in coeffs])
+        L = math.lcm(*ds)
+        if any(d != L for d in ds):
+            ps = [p * (L // d) for p, d in zip(ps, ds)]
+            qs = [q * (L // d) for q, d in zip(qs, ds)]
+        for cr in {sr, *rs}:
+            r = common_radicand(r, cr)
+        den = sd * L * L
+        count = len(items)
+        if not (sq or any(qs)):
+            for k in range(count):
+                wa = sp * ps[k]
+                twice = wa + wa
+                row, e = rows[k], ends[k]
+                for l in range(k, count):
+                    key = row + cols[l]
+                    x = (twice if k < l < e else wa) * ps[l]
+                    cur = get(key)
+                    if cur is None:
+                        acc[key] = [x, 0, den]
+                    elif cur[2] == den:
+                        cur[0] += x
+                    else:
+                        f, rem = divmod(cur[2], den)
+                        if rem:
+                            _merge(cur, x, 0, den)
+                        else:
+                            cur[0] += x * f
+            continue
+        qrs = [q * r for q in qs]
+        for k in range(count):
+            pa, qa = ps[k], qs[k]
+            wp, wq = sp * pa + sq * qrs[k], sp * qa + sq * pa
+            row, e = rows[k], ends[k]
+            for l in range(k, count):
+                key = row + cols[l]
+                pb = ps[l]
+                x, y = wp * pb + wq * qrs[l], wp * qs[l] + wq * pb
+                if k < l < e:
+                    x, y = x + x, y + y
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [x, y, den]
+                elif cur[2] == den:
+                    cur[0] += x
+                    cur[1] += y
+                else:
+                    f, rem = divmod(cur[2], den)
+                    if rem:
+                        _merge(cur, x, y, den)
+                    else:
+                        cur[0] += x * f
+                        cur[1] += y * f
+    return {key: from_parts(p, q, d, r) for key, (p, q, d) in acc.items()}
+
+
+def _merge(cur: list, x: int, y: int, den: int) -> None:
+    """Add (x + y sqrt(r))/den into the numerators [P, Q] over D of cur,
+    where den does not divide D: D becomes lcm(D, den)."""
+    D = cur[2]
+    g = math.gcd(D, den)
+    fo, fn = den // g, D // g
+    cur[0] = cur[0] * fo + x * fn
+    cur[1] = cur[1] * fo + y * fn
+    cur[2] = D * fo
+
+
 def _fold_squares(squares, w: int) -> dict:
     """Coefficient maps S[p, q], p <= q < w, of sum scale v v^T over the
     (scale, v) in squares, v a list of w polynomials, collapsed onto
     monomials: terms c x^mu of v[p] and d x^nu of v[q] add scale c d at
     mu + nu.  Only nonzero terms are paired, so time is the sum of the
     squared term counts, memory the number of distinct sums, and nothing
-    dense is built."""
+    dense is built.
+
+    A monomial mu is packed as the int sum mu_i B^i, B > 2 max(e) a power
+    of 256, so mu + nu is one int add with no carry between exponents, the
+    slot (p, q) rides above it at (p w + q) B^n, and packing and unpacking
+    are byte conversions, linear in n; each key is unpacked once, at the
+    end."""
     out = _upper_maps(w)
-    for scale, vec in squares:
-        if not scale:
+    squares = [(ExtRational.coerce(s), [(p, poly.terms) for p, poly in enumerate(vec) if poly.terms])
+               for s, vec in squares]
+    monos = {mu for s, vec in squares if s for _, terms in vec for mu in terms}
+    if not monos:
+        return out
+    nvars = len(next(iter(monos)))
+    top = 2 * max(max(mu, default=0) for mu in monos)  # the largest exponent of a sum
+    size = max(1, -(-top.bit_length() // 8))  # bytes per exponent
+    width = size * nvars
+    packed = {mu: int.from_bytes(b"".join(e.to_bytes(size, "little") for e in mu), "little")
+              for mu in monos}
+    shift = 1 << 8 * width
+
+    def items(vec):
+        flat = []
+        for p, terms in vec:
+            end = len(flat) + len(terms)
+            flat += [(p * w * shift + packed[mu], p * shift + packed[mu], end, c)
+                     for mu, c in terms.items()]
+        return flat
+
+    sums = _square_sums((s, items(vec)) for s, vec in squares if s)
+    unpacked = {}
+    for key, value in sums.items():
+        if not value:
             continue
-        items = [(p, mu, c) for p, poly in enumerate(vec) for mu, c in poly.terms.items()]
-        for k, (p, mu, ca) in enumerate(items):
-            wa = scale * ca
-            twice = wa + wa  # for nu != mu in v[p], the pair (nu, mu) lands in S[p, p] too
-            for q, nu, cb in items[k:]:
-                c = (twice if q == p and nu is not mu else wa) * cb
-                mono = tuple(map(add, mu, nu))
-                terms = out[p, q]
-                prev = terms.get(mono)
-                terms[mono] = c if prev is None else prev + c
+        slot, rest = divmod(key, shift)
+        mono = unpacked.get(rest)
+        if mono is None:
+            digits = rest.to_bytes(width, "little")
+            mono = unpacked[rest] = tuple(int.from_bytes(digits[i:i + size], "little")
+                                          for i in range(0, width, size))
+        out[divmod(slot, w)][mono] = value
     return out
 
 
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
     """Assemble sum_r w_r v_r v_r^T (w_r >= 0, v_r polynomial columns of
     length ell) into a single PSD Gram block.  Each square fills the upper
-    triangle from w_r c_a once per row; the lower triangle is mirrored."""
+    triangle, entry (a, b) at key a dim + b of _square_sums; the lower
+    triangle is mirrored."""
+    squares = [(ExtRational.coerce(w), col) for w, col in squares]
     monos = set()
     for _, col in squares:
         for p in col:
@@ -203,25 +332,18 @@ def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
     if not basis:
         basis = [(0,) * nvars]
     index = {b: u for u, b in enumerate(basis)}
-    N = len(basis)
-    gram = [[ZERO] * (N * ell) for _ in range(N * ell)]
-    for w, col in squares:
-        w = ExtRational.coerce(w)
-        if w.sign() < 0:
-            raise ValueError("square weights must be nonnegative")
-        vec = {}
-        for i, p in enumerate(col):
-            for mono, c in p.terms.items():
-                vec[index[mono] * ell + i] = c
-        items = sorted(vec.items())
-        for k, (a, ca) in enumerate(items):
-            wa = w * ca
-            row = gram[a]
-            for b, cb in items[k:]:
-                row[b] = row[b] + wa * cb
-    for a in range(N * ell):
-        for b in range(a + 1, N * ell):
-            gram[b][a] = gram[a][b]
+    dim = len(basis) * ell
+    if any(w.sign() < 0 for w, _ in squares):
+        raise ValueError("square weights must be nonnegative")
+    sums = _square_sums(
+        (w, [(a * dim, a, k + 1, c) for k, (a, c) in enumerate(sorted(
+            (index[mono] * ell + i, c) for i, p in enumerate(col) for mono, c in p.terms.items()))])
+        for w, col in squares
+    )
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for key, value in sums.items():
+        a, b = divmod(key, dim)
+        gram[a][b] = gram[b][a] = value
     return SOSBlock(basis, gram)
 
 
@@ -417,11 +539,13 @@ def assemble_simplex_putinar(
 # verification
 
 
-# Bernstein coefficients, C(n + t, n) ell (ell + 1) / 2 at degree t, that a
-# residual norm may always use; past it, as many as cert, F and G hold.  At the
-# floor a dense residual takes 0.47 s (n = 1, t = 255) or 0.11 s (n = 2, t = 21);
-# the certificates of the tests and the benchmark need at most 35.
-NORM_BUDGET_FLOOR = 256
+# Conversion steps that a residual norm may always take; past it, as many as
+# cert, F and G hold coefficients.  At degree t the conversion visits each pair
+# beta <= alpha of exponents with |alpha| <= t once per upper-triangle entry:
+# C(2n + t, 2n) ell (ell + 1) / 2 steps.  At the floor a dense residual takes at
+# most 0.46 s (n = 1, t = 243; 0.24 s at n = 2, t = 26) on a 2-core x86-64 with
+# Python 3.11; the certificates of the tests and the benchmark need at most 210.
+NORM_BUDGET_FLOOR = 30_000
 
 
 def _coefficient_count(F: SymPolyMatrix, G: SymPolyMatrix, cert: QMCertificate) -> int:
@@ -454,8 +578,8 @@ def verify_certificate(
     exact mode: zero residual and exactly PSD Grams (LDL^T decision, no size
     cap).  numeric mode: residual Bernstein norm <= tol and numeric Gram
     margins >= -tol.  Failed checks are reported, never raised.
-    A residual past the norm budget (NORM_BUDGET_FLOOR) gets the norm inf
-    uncomputed: numeric mode then fails naming its degree.
+    A residual whose conversion is past the norm budget (NORM_BUDGET_FLOOR)
+    gets the norm inf uncomputed: numeric mode then fails naming its degree.
     """
     messages = []
     if F.size != cert.ell:
@@ -488,14 +612,14 @@ def verify_certificate(
     rnorm, unnormed = 0.0, None
     if not residual.is_zero():
         t = residual.degree
-        size = math.comb(cert.nvars + t, cert.nvars) * cert.ell * (cert.ell + 1) // 2
+        steps = math.comb(2 * cert.nvars + t, 2 * cert.nvars) * cert.ell * (cert.ell + 1) // 2
         budget = max(NORM_BUDGET_FLOOR, _coefficient_count(F, G, cert))
-        if size <= budget:
+        if steps <= budget:
             rnorm = bernstein_norm(residual)
         else:
             rnorm = math.inf
-            unnormed = (f"residual of degree {t} has {size} Bernstein coefficients, past "
-                        f"the budget of {budget}; its norm is not computed")
+            unnormed = (f"residual of degree {t} needs {steps} Bernstein conversion steps, "
+                        f"past the budget of {budget}; its norm is not computed")
     margins = [min_eigenvalue_numeric(block.matrix()) for block in cert.sos_blocks]
 
     if mode == "exact":

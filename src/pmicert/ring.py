@@ -48,9 +48,9 @@ def _make(p: int, q: int, d: int, r: int) -> "ExtRational":
     return x
 
 
-def _canonical(p: int, q: int, d: int, r: int) -> "ExtRational":
-    """(p + q*sqrt(r))/d for any d != 0 and r >= 0: a perfect-square radicand
-    folds into the rational part."""
+def from_parts(p: int, q: int, d: int, r: int) -> "ExtRational":
+    """(p + q*sqrt(r))/d in canonical form, for any d != 0 and r >= 0: a
+    perfect-square radicand folds into the rational part."""
     if q:
         root = math.isqrt(r)
         if root * root == r:
@@ -59,7 +59,8 @@ def _canonical(p: int, q: int, d: int, r: int) -> "ExtRational":
     return _make(p, q, d, r)
 
 
-def _radicand(r1: int, r2: int) -> int:
+def common_radicand(r1: int, r2: int) -> int:
+    """The one irrational radicand among r1 and r2 (0 if neither is)."""
     if r1 and r2 and r1 != r2:
         raise RadicandMismatch(f"cannot mix sqrt({r1}) with sqrt({r2})")
     return r1 or r2
@@ -76,7 +77,7 @@ class ExtRational:
         if r < 0:
             raise ValueError("radicand must be nonnegative")
         d = math.lcm(a.denominator, b.denominator)
-        return _canonical(
+        return from_parts(
             a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d, r
         )
 
@@ -93,6 +94,10 @@ class ExtRational:
     @property
     def radicand(self) -> int:
         return self._r
+
+    def parts(self) -> tuple:
+        """The integers (p, q, d, r) of the canonical form (p + q*sqrt(r))/d."""
+        return self._p, self._q, self._d, self._r
 
     @classmethod
     def sqrt(cls, r: int) -> "ExtRational":
@@ -150,7 +155,7 @@ class ExtRational:
             p, q, d = self._p * d2 + other._p * d1, q1 * d2 + q2 * d1, d1 * d2
         if not q1 or not q2:
             return _make(p, q, d, self._r or other._r)
-        return _make(p, q, d, _radicand(self._r, other._r))
+        return _make(p, q, d, common_radicand(self._r, other._r))
 
     __radd__ = __add__
 
@@ -176,7 +181,7 @@ class ExtRational:
             p, q, d = self._p * d2 - other._p * d1, q1 * d2 - q2 * d1, d1 * d2
         if not q1 or not q2:
             return _make(p, q, d, self._r or other._r)
-        return _make(p, q, d, _radicand(self._r, other._r))
+        return _make(p, q, d, common_radicand(self._r, other._r))
 
     def __rsub__(self, other):
         return ExtRational.coerce(other) + -self
@@ -192,7 +197,7 @@ class ExtRational:
             return _make(p1 * p2, q1 * p2, self._d * other._d, self._r)
         if not q1:
             return _make(p1 * p2, p1 * q2, self._d * other._d, other._r)
-        r = _radicand(self._r, other._r)
+        r = common_radicand(self._r, other._r)
         return _make(p1 * p2 + q1 * q2 * r, p1 * q2 + q1 * p2, self._d * other._d, r)
 
     __rmul__ = __mul__
@@ -337,7 +342,7 @@ def parse_ext_rational(text: str) -> ExtRational:
     else:
         pa, da = 0, 1
         pb, db = _parse_rational(head, text)
-    return _canonical(pa * db, pb * da, da * db, int(root[2]))
+    return from_parts(pa * db, pb * da, da * db, int(root[2]))
 
 
 ZERO = ExtRational(0)

@@ -291,6 +291,65 @@ def _oracle_cases(rng):
                 yield "zero-pivot-nonzero-row", M
 
 
+def _full_row_ldlt(M: RationalSymMatrix):
+    """The elimination ldlt replaced: every row updated from the pivot
+    column on, the column read below the pivot."""
+    n = M.size
+    a = [row[:] for row in M.entries]
+    cols, pivots = [], []
+    for k in range(n):
+        piv = a[k][k]
+        if piv.sign() < 0:
+            raise ValueError("matrix is not positive semidefinite (negative pivot)")
+        if piv.sign() == 0:
+            if any(not a[k][j].is_zero() for j in range(k, n)):
+                raise ValueError("matrix is not positive semidefinite (zero pivot row)")
+            continue
+        inv = piv.inverse()
+        col = [ExtRational(0)] * k + [ExtRational(1)] + [a[i][k] * inv for i in range(k + 1, n)]
+        cols.append(col)
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            for j in range(k, n):
+                a[i][j] = a[i][j] - col[i] * a[k][j]
+    return cols, pivots
+
+
+def _outcome(fn, M):
+    try:
+        return fn(M)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestUpperTriangleLdlt:
+    """ldlt updates the upper triangle only; its pivots, columns and verdicts
+    must be those of the full-row elimination."""
+
+    def test_matches_full_row_elimination(self, rng):
+        seen = Counter()
+        for kind, entries in _oracle_cases(rng):
+            M = RationalSymMatrix(entries)
+            got = _outcome(ldlt, M)
+            assert got == _outcome(_full_row_ldlt, M)
+            seen[kind, isinstance(got, str)] += 1
+        assert seen["gram", False] >= 10 and seen["zero-row", False] >= 10
+        assert seen["zero-pivot-nonzero-row", True] >= 3 and seen["symmetric", True] >= 10
+
+    @pytest.mark.parametrize("surd", [3, 5])
+    def test_matches_over_other_radicands(self, surd):
+        rng = random.Random(surd)
+        root = ExtRational.sqrt(surd)
+        for size in range(1, 7):
+            B = [[ExtRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) + root * rng.randint(-1, 1)
+                  for _ in range(size)] for _ in range(size)]
+            d = [ExtRational(rng.randint(0, 2)) for _ in range(size)]
+            for entries in (_congruent(B, d), [[B[min(i, j)][max(i, j)] for j in range(size)]
+                                               for i in range(size)]):
+                M = RationalSymMatrix(entries)
+                assert _outcome(ldlt, M) == _outcome(_full_row_ldlt, M)
+
+
 class TestNumericEigen:
     def test_examples(self):
         assert abs(min_eigenvalue_numeric(RationalSymMatrix.identity(3)) - 1) < 1e-12

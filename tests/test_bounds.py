@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,45 @@ class TestTheta:
     def test_domain(self):
         with pytest.raises(ValueError):
             theta(0)
+
+
+class TestThetaPastBudget:
+    """Past the exact budget the formulas read only log2 theta(m), from
+    log-gamma; theta itself stays exact for --formula theta."""
+
+    # printed by the formulas when they still formed theta(m) exactly
+    LOG10 = {("putinar-matrix", 2000): 38346.89945534889, ("pv", 2000): 38347.50151534022,
+             ("putinar-matrix", 20000): 503233.8100015236, ("pv", 20000): 503234.4120615149}
+    RATE = {200: 57.244387373061556, 2000: 7156544.825516349, 20000: 1.7324827424669786e+73}
+
+    def test_log2_matches_the_exact_value(self):
+        from pmicert.bounds import _theta_log2
+
+        for m in list(range(1, 80)) + [200, 1000, 2000]:
+            assert _theta_log2(m) == pytest.approx(math.log2(theta(m)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [200, 2000, 20000])
+    def test_values_match_the_exact_route(self, m):
+        rate = convergence_rate(all_ones(m=m, eta=1000), 1)
+        assert rate == pytest.approx(self.RATE[m], rel=1e-12)
+        assert eta_estimate(1, m, 1, "matrix") == math.inf
+        for name, fn in (("putinar-matrix", putinar_matrix_bound), ("pv", pv_bound)):
+            report = fn(all_ones(m=m))
+            if m == 200:  # theta(200) has 2,300 bits: still formed exactly
+                assert isinstance(report.value, int)
+                continue
+            assert report.value == math.inf
+            assert report.extras["log10"] == pytest.approx(self.LOG10[name, m], rel=1e-12)
+
+    def test_m_50000_is_fast(self, capsys):
+        import time
+
+        from pmicert.cli import main
+
+        start = time.process_time()
+        assert main(["bound", "--formula", "putinar-matrix", "--m", "50000", "--json"]) == 0
+        assert time.process_time() - start < 0.5
+        assert json.loads(capsys.readouterr().out)["value"] == "inf"
 
 
 def all_ones(**kw) -> BoundInputs:

@@ -4,10 +4,11 @@ from itertools import product
 
 import pytest
 
-from pmicert.ring import ExtRational
+from pmicert.ring import ExtRational, RadicandMismatch
 from pmicert.algebra import PolyMatrix, Polynomial, SymPolyMatrix, congruence, monomials_upto
 from pmicert.certify import (
     CertificateParseError,
+    _fold_squares,
     MultiplierTerm,
     QMCertificate,
     SOSBlock,
@@ -434,6 +435,129 @@ class TestOneGramShape:
         dim = len(block.gram)
         assert all(block.gram[a][b] == block.gram[b][a]
                    for a in range(dim) for b in range(dim))
+
+
+def _oracle_fold_squares(squares, w):
+    """The ExtRational fold that _fold_squares replaced: every product and
+    sum a normalised coefficient."""
+    out = {(i, j): {} for i in range(w) for j in range(i, w)}
+    for scale, vec in squares:
+        if not scale:
+            continue
+        items = [(p, mu, c) for p, poly in enumerate(vec) for mu, c in poly.terms.items()]
+        for k, (p, mu, ca) in enumerate(items):
+            wa = scale * ca
+            twice = wa + wa
+            for q, nu, cb in items[k:]:
+                c = (twice if q == p and nu is not mu else wa) * cb
+                mono = tuple(a + b for a, b in zip(mu, nu))
+                prev = out[p, q].get(mono)
+                out[p, q][mono] = c if prev is None else prev + c
+    return {pq: {mono: c for mono, c in terms.items() if c} for pq, terms in out.items()}
+
+
+class TestIntegerKernels:
+    """_fold_squares and gram_from_squares accumulate in integers; they must
+    equal ExtRational loops entry for entry: the fold the loop it replaced,
+    the Gram the full double loop."""
+
+    @staticmethod
+    def _value(rng, surd):
+        a = Fraction(rng.randint(-5, 5), rng.randint(1, 12))
+        if surd and rng.random() < 0.6:
+            return ExtRational(a, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 9)), surd)
+        return ExtRational(a or 1)
+
+    def _squares(self, rng, n, w, surd, count):
+        # a shared pool, so monomials repeat across entries and squares; a
+        # few exponents go up to 2000
+        pool = [tuple(rng.choice([0, 0, 1, 2, 3, rng.randint(0, 2000)]) for _ in range(n))
+                for _ in range(6)]
+        squares = []
+        for _ in range(count):
+            if rng.random() < 0.15:
+                scale = ExtRational(0)
+            else:
+                scale = abs(self._value(rng, surd)) + Fraction(rng.randint(0, 2), rng.randint(1, 5))
+            vec = []
+            for _ in range(w):
+                if rng.random() < 0.25:  # an empty column entry
+                    vec.append(Polynomial.zero(n))
+                    continue
+                monos = rng.sample(pool, rng.randint(1, len(pool)))
+                vec.append(Polynomial(n, {mu: self._value(rng, surd) for mu in monos}))
+            squares.append((scale, vec))
+        return squares
+
+    CASES = [(seed, surd) for seed in range(12) for surd in (0, 2, 3)]
+
+    @pytest.mark.parametrize("seed, surd", CASES)
+    def test_fold_equals_oracle(self, seed, surd):
+        rng = random.Random(seed)
+        n, w = rng.randint(1, 4), rng.randint(1, 4)
+        squares = self._squares(rng, n, w, surd, rng.randint(0, 8))
+        assert _fold_squares(squares, w) == _oracle_fold_squares(squares, w)
+
+    @pytest.mark.parametrize("seed, surd", CASES)
+    def test_gram_equals_oracle(self, seed, surd):
+        rng = random.Random(100 + seed)
+        n, ell = rng.randint(1, 4), rng.randint(1, 3)
+        squares = self._squares(rng, n, ell, surd, rng.randint(0, 8))
+        block = gram_from_squares(squares, n, ell)
+        assert (block.basis, block.gram) == _full_gram_from_squares(squares, n, ell)
+
+    @pytest.mark.parametrize("top", [0, 127, 128, 32767, 32768])
+    def test_fold_packing_boundaries(self, top):
+        # exponent sums up to 2 top, on both sides of a byte boundary
+        one = ExtRational(1)
+        vec = [Polynomial(2, {(top, 0): one, (0, top): Fraction(1, 3), (top, top): 2}),
+               Polynomial(2, {(top, 1 if top else 0): Fraction(-1, 2)})]
+        squares = [(ExtRational(Fraction(3, 7)), vec), (one, vec[::-1])]
+        assert _fold_squares(squares, 2) == _oracle_fold_squares(squares, 2)
+        # no variables at all
+        const = [(one, [Polynomial(0, {(): Fraction(2, 3)})])]
+        assert _fold_squares(const, 1) == _oracle_fold_squares(const, 1) == \
+            {(0, 0): {(): ExtRational(Fraction(4, 9))}}
+
+    def test_mixed_radicands_raise(self):
+        one = Polynomial.const(1, 1)
+        root2 = [(ExtRational(1), [one * ExtRational.sqrt(2)])]
+        root3 = [(ExtRational.sqrt(3), [x()])]
+        with pytest.raises(RadicandMismatch):
+            _fold_squares(root2 + root3, 1)
+        with pytest.raises(RadicandMismatch):
+            gram_from_squares(root2 + root3, 1, 1)
+        # a rational square mixes with either
+        assert _fold_squares(root2 + [(ExtRational(2), [x()])], 1) == \
+            _oracle_fold_squares(root2 + [(ExtRational(2), [x()])], 1)
+
+    def test_distinct_prime_denominators_no_slower_than_oracle(self):
+        # 600 squares, each over its own 30-bit prime: the per-key
+        # denominators grow with every square that reaches the key
+        import time
+
+        import sympy
+
+        rng = random.Random(5)
+        primes, p = [], 2**29
+        while len(primes) < 600:
+            p = sympy.nextprime(p)
+            primes.append(p)
+        pool = [(e, 2 - e % 3) for e in range(4)]
+        squares = []
+        for q in primes:
+            poly = Polynomial(2, {mu: Fraction(rng.randint(1, 9), q) for mu in rng.sample(pool, 2)})
+            squares.append((ExtRational(Fraction(rng.randint(1, 9), q)), [poly]))
+
+        def timed(fn):
+            start = time.process_time()
+            out = fn(squares, 1)
+            return time.process_time() - start, out
+
+        old, oracle = timed(_oracle_fold_squares)
+        runs = [timed(_fold_squares) for _ in range(3)]
+        assert all(folded == oracle for _, folded in runs)
+        assert min(t for t, _ in runs) <= old
 
 
 class TestSerialization:

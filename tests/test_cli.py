@@ -213,6 +213,39 @@ class TestExitCodes:
         expected = "nonzero residual" if mode == "exact" else "residual of degree 4000"
         assert any(expected in msg for msg in payload["messages"])
 
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_verify_dense_residual_is_bounded_by_its_conversion(self, tmp_path, capsys, mode):
+        # a 16 KB problem with a dense F of degree 1023 in one variable holds
+        # 1,024 coefficients, but its residual's conversion visits C(1025, 2)
+        # = 524,800 pairs beta <= alpha: past the budget, so the norm is not
+        # computed (it took 29 s when the budget counted coefficients)
+        cert = tmp_path / "empty.qmc"
+        cert.write_text("qmcert-v1\nmode exact\nnvars 1\nsize 1\nconstraint-size 1\n"
+                        "degree 1023\nsos-blocks 0\nmultipliers 0\nsphere-multiplier none\nend\n")
+        assert len(cert.read_bytes()) == 120
+        dense = Polynomial(1, {(e,): Fraction(e % 7 + 1, e % 5 + 1) for e in range(1024)})
+        prob = tmp_path / "dense.pmi"
+        prob.write_text(json.dumps(json.loads(dump_problem(ProblemData(
+            1, 1, 1, SymPolyMatrix.scalar(dense),
+            SymPolyMatrix.scalar(Polynomial.const(1, 1)))))))
+        assert 15_000 < len(prob.read_bytes()) < 17_000
+
+        def expire(signum, frame):
+            raise TimeoutError("verify ran past 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code = main(["verify", str(cert), str(prob), "--mode", mode, "--json"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["residual_norm"] == "inf"
+        expected = "nonzero residual" if mode == "exact" else "residual of degree 1023"
+        assert any(expected in msg for msg in payload["messages"])
+
     def test_verify_failure_is_exit_one(self, problems, tmp_path, capsys):
         assert main([
             "certify-simplex", str(problems["mat"]),
@@ -453,3 +486,66 @@ class TestCommittedSamples:
         capsys.readouterr()
         assert main(["polya", str(root / "matrix_target.pmi")]) == 0
         capsys.readouterr()
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; a later call must behave as
+    it would in a fresh process."""
+
+    # three calls, each output and exit code kept apart; SystemExit is how
+    # argparse leaves on a usage error
+    CHILD = """
+import contextlib, io, json, sys
+from pmicert.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+    @staticmethod
+    def _run(args, cwd):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+        proc = subprocess.run([sys.executable, "-c", TestOneParserPerProcess.CHILD,
+                               json.dumps(args)], cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_reused_parser_matches_fresh_processes(self, problems, tmp_path):
+        assert main(["certify-simplex", str(problems["mat"]), "--out", str(tmp_path / "c.qmc")]) == 0
+        calls = [
+            ["verify", str(tmp_path / "c.qmc"), str(problems["mat"])],
+            ["no-such-command", "x"],
+            ["certify-simplex", str(problems["mat"]), "--out", str(tmp_path / "d.qmc"), "--json"],
+        ]
+        together = self._run(calls, tmp_path)
+        fresh = [self._run([argv], tmp_path)[0] for argv in calls]
+        assert together == fresh
+        assert [code for _, _, code in together] == [0, 2, 0]
+        assert "invalid choice: 'no-such-command'" in together[1][1]
+
+    @pytest.mark.parametrize("argv, golden", [(["--help"], "help.txt"),
+                                              (["verify", "--help"], "help_verify.txt")])
+    def test_help_text_is_pinned(self, argv, golden, monkeypatch, capsys):
+        import pathlib
+
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = (pathlib.Path(__file__).resolve().parent / "golden" / golden).read_text()
+        for _ in range(2):  # the second call reuses the parser
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == expected

@@ -15,7 +15,8 @@ tree and numpy's BLAS held to one thread (tools/harness.py).  The child
 loads the problem and the certificate, shifts F by gamma as `pmicert verify
 --gamma` does, calls `verify_certificate` once untimed and then --repeats
 times; cpu_s is the median of those calls' process CPU times (parsing and
-imports excluded).
+imports excluded).  deserialize_s is the median CPU time of --repeats
+`deserialize` calls on the certificate's text (the file read once, before).
 Each record also gives the multiplier term count, the SOS Gram size and
 whether the certificate verified.
 """
@@ -40,7 +41,13 @@ from pmicert.ring import parse_ext_rational
 problem, path, mode, tol, gamma, repeats = sys.argv[1:]
 prob = load_problem(problem)
 with open(path, encoding="utf-8") as fh:
-    cert = deserialize(fh.read())
+    text = fh.read()
+cert = deserialize(text)
+parse_times = []
+for _ in range(int(repeats)):
+    start = time.process_time()
+    deserialize(text)
+    parse_times.append(time.process_time() - start)
 g = parse_ext_rational(gamma)
 F = SymPolyMatrix([[prob.F[i, j] - g if i == j else prob.F[i, j] for j in range(prob.ell)]
                    for i in range(prob.ell)])
@@ -50,7 +57,8 @@ for _ in range(int(repeats)):
     start = time.process_time()
     verify_certificate(F, prob.G, cert, mode=mode, tol=float(tol))
     times.append(time.process_time() - start)
-print(json.dumps({"cpu_s": statistics.median(times), "ok": report.ok,
+print(json.dumps({"cpu_s": statistics.median(times),
+                  "deserialize_s": statistics.median(parse_times), "ok": report.ok,
                   "multiplier_terms": len(cert.multipliers),
                   "gram_dim": sum(b.size() for b in cert.sos_blocks)}))
 """
@@ -89,6 +97,7 @@ def run(src: str, workdir: str, problem: str, cert: str, mode: str, gamma: str,
         raise SystemExit(f"verify of {cert} exited {proc.returncode}: {proc.stderr}")
     rec = json.loads(proc.stdout)
     rec["cpu_s"] = round(rec["cpu_s"], 6)
+    rec["deserialize_s"] = round(rec["deserialize_s"], 6)
     return rec
 
 
@@ -112,11 +121,14 @@ def main() -> int:
     for label, _ in variants:
         for workload in ("certify", "verify"):
             times = [r[label]["cpu_s"] for r in records if r["workload"] == workload]
+            parse = [r[label]["deserialize_s"] for r in records if r["workload"] == workload]
             summary.setdefault(label, {})[workload] = {
                 "certificates": len(times),
                 "ok": sum(r[label]["ok"] for r in records if r["workload"] == workload),
                 "cpu_s_total": round(sum(times), 4),
                 "cpu_s_median": round(statistics.median(times), 6),
+                "deserialize_s_total": round(sum(parse), 4),
+                "deserialize_s_median": round(statistics.median(parse), 6),
             }
     harness.write(args.out, args, variants, summary, records, repeats=args.repeats)
     return 0
