@@ -6,6 +6,20 @@ three flavours: general rectangular polynomial matrices (PolyMatrix),
 exactly-symmetric square ones (SymPolyMatrix) and constant symmetric
 matrices over the coefficient ring (RationalSymMatrix), which carry the
 exact positive-semidefiniteness test.
+
+Products go through one integer kernel, _sum_of_products, which returns
+the terms of sum f g over a list of pairs (f, g): a product of two
+polynomials of two or more terms is one pair, an entry of A @ B the
+A.cols pairs of its row and column, and congruence is two such matmuls.
+Each operand's coefficients go over the lcm L of their denominators, as
+numerator pairs (p, q) of Z[sqrt(r)] (_integer_form), so a term pair makes
+int products only: one when both are rational, four with sqrt(r).  Each
+output monomial keeps its numerators over D, the lcm of the L_f L_g that
+reached it, and one normalised ExtRational is built per monomial at the end.
+The values are those of ExtRational arithmetic, and a product's keys come in
+the order of the ExtRational double loop.  A one-term operand is a scalar
+times a monomial shift and skips the kernel.  certify's fold and Gram
+assembly share the kernel's helpers _common_denominator and _merge.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ from operator import add
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, ONE, parse_ext_rational
+from .ring import ExtRational, ZERO, ONE, common_radicand, from_parts, parse_ext_rational
 
 Exponent = tuple
 
@@ -132,14 +146,18 @@ class Polynomial:
                 self.nvars, {a: c * scalar for a, c in self.terms.items()}
             )
         self._check(other)
-        out: dict = {}
-        get = out.get
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                key = tuple(map(add, a1, a2))
-                prev = get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial._from_clean(self.nvars, out)
+        f, g = self.terms, other.terms
+        if len(f) > 1 and len(g) > 1:
+            pair = (_integer_form(f), _integer_form(g))
+            return Polynomial._from_clean(self.nvars, _sum_of_products([pair]))
+        if not f or not g:
+            return Polynomial._from_clean(self.nvars, {})
+        # a one-term operand is a scalar times a monomial shift
+        short, long = (f, g) if len(f) == 1 else (g, f)
+        ((mono, c),) = short.items()
+        return Polynomial._from_clean(
+            self.nvars, {tuple(map(add, a, mono)): d * c for a, d in long.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -242,6 +260,111 @@ class Polynomial:
 # the slots' own setters, past the __setattr__ guard
 _set_nvars = Polynomial.nvars.__set__
 _set_terms = Polynomial.terms.__set__
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel
+
+
+def _common_denominator(coeffs) -> tuple:
+    """(ps, qs, rs, L) of a nonempty sequence of ExtRationals: coefficient k
+    is (ps[k] + qs[k] sqrt(rs[k]))/L, L the lcm of their denominators."""
+    ps, qs, ds, rs = zip(*[c.parts() for c in coeffs])
+    L = math.lcm(*ds)
+    if any(d != L for d in ds):
+        ps = [p * (L // d) for p, d in zip(ps, ds)]
+        qs = [q * (L // d) for q, d in zip(qs, ds)]
+    return ps, qs, rs, L
+
+
+def _merge(cur: list, x: int, y: int, den: int) -> None:
+    """Add (x + y sqrt(r))/den into the numerators [P, Q] over D of cur,
+    where den does not divide D: D becomes lcm(D, den)."""
+    D = cur[2]
+    g = math.gcd(D, den)
+    fo, fn = den // g, D // g
+    cur[0] = cur[0] * fo + x * fn
+    cur[1] = cur[1] * fo + y * fn
+    cur[2] = D * fo
+
+
+def _integer_form(terms: dict) -> tuple:
+    """(monomials, ps, qs, rs, L) of a nonzero term map over its common
+    denominator L; qs and rs are None when every coefficient is rational."""
+    ps, qs, rs, L = _common_denominator(terms.values())
+    if not any(qs):
+        qs = rs = None
+    return tuple(terms), ps, qs, rs, L
+
+
+def _sum_of_products(pairs) -> dict:
+    """The terms of sum f g over the (f, g) in pairs, each an _integer_form;
+    a coefficient that cancels is kept as zero.
+
+    A term pair makes int products only: one when both coefficients are
+    rational, four with sqrt(r).  Per output monomial the numerators [P, Q]
+    add over D, the lcm of the denominators L_f L_g of the pairs that reached
+    it (a denominator that divides D scales by one quotient, any other takes
+    one gcd in _merge), with R the radicand of the irrational part so far;
+    one ExtRational is built per monomial at the end.  Radicands are tracked
+    only on the irrational path, and RadicandMismatch is raised where
+    ExtRational arithmetic raises it: two coefficients with different
+    irrational radicands multiplied, or added into one monomial while its
+    irrational part is nonzero.  Keys come in the order the loops first
+    reach them."""
+    acc = {}
+    get = acc.get
+    for (fm, fp, fq, fr, fL), (gm, gp, gq, gr, gL) in pairs:
+        den = fL * gL
+        if fq is None and gq is None:
+            for a, pa in zip(fm, fp):
+                for b, pb in zip(gm, gp):
+                    key = tuple(map(add, a, b))
+                    x = pa * pb
+                    cur = get(key)
+                    if cur is None:
+                        acc[key] = [x, 0, den, 0]
+                    elif cur[2] == den:
+                        cur[0] += x
+                    else:
+                        f, rem = divmod(cur[2], den)
+                        if rem:
+                            _merge(cur, x, 0, den)
+                        else:
+                            cur[0] += x * f
+            continue
+        if fq is None:
+            fq = fr = (0,) * len(fm)
+        if gq is None:
+            gq = gr = (0,) * len(gm)
+        for a, pa, qa, ra in zip(fm, fp, fq, fr):
+            for b, pb, qb, rb in zip(gm, gp, gq, gr):
+                if qa and qb:
+                    r = common_radicand(ra, rb)
+                    x, y = pa * pb + qa * qb * r, pa * qb + qa * pb
+                else:
+                    r = ra or rb
+                    x, y = pa * pb, pa * qb + qa * pb
+                key = tuple(map(add, a, b))
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [x, y, den, r if y else 0]
+                    continue
+                if y:
+                    if cur[1]:
+                        common_radicand(cur[3], r)
+                    cur[3] = r
+                if cur[2] == den:
+                    cur[0] += x
+                    cur[1] += y
+                else:
+                    f, rem = divmod(cur[2], den)
+                    if rem:
+                        _merge(cur, x, y, den)
+                    else:
+                        cur[0] += x * f
+                        cur[1] += y * f
+    return {key: from_parts(p, q, d, r) for key, (p, q, d, r) in acc.items()}
 
 
 def _is_natural(token: str) -> bool:
@@ -483,16 +606,20 @@ class PolyMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Polynomial.zero(self.nvars)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        if self.cols == 1:
+            return PolyMatrix([[row[0] * p for p in other.entries[0]] for row in self.entries])
+        # each entry goes to integers once, however many products it enters
+        left = [[p.terms and _integer_form(p.terms) for p in row] for row in self.entries]
+        right = [[p.terms and _integer_form(p.terms) for p in row] for row in other.entries]
+        inner = range(self.cols)
+        return PolyMatrix([
+            [Polynomial._from_clean(self.nvars, _sum_of_products(
+                [(row[k], right[k][j]) for k in inner if row[k] and right[k][j]]))
+             for j in range(other.cols)]
+            for row in left
+        ])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -74,6 +74,27 @@ def _theta_log2(m: int) -> float:
     return head + math.log2(tail)
 
 
+def theta_decimal(m: int) -> str:
+    """theta(m) in decimal.  Past the interpreter's limit on the digits of an
+    int-to-str conversion it raises ValueError naming m and the digit count,
+    read from _theta_log2 before any work; theta(m) is formed to count its
+    digits exactly only where the estimate lies within one digit of the
+    limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if m < 1 or not limit:
+        return str(theta(m))
+    digits = int(_theta_log2(m) * math.log10(2)) + 1
+    if digits <= limit + 1:
+        value = theta(m)
+        # 2^(b-1) <= value < 2^b: the count is d or d + 1 for d below
+        digits = int((value.bit_length() - 1) * math.log10(2)) + 1
+        digits += value >= 10**digits
+        if digits <= limit:
+            return str(value)
+    raise ValueError(f"theta({m}) has {digits} decimal digits, past the limit of {limit} "
+                     "for integer string conversion")
+
+
 def _theta_row(m: int, plus: int = 0):
     """theta(m) + plus for the rows of a formula: exact while log2 theta(m)
     fits the exact budget, else a _Log2, since no exact row can hold it."""

@@ -49,6 +49,8 @@ from .algebra import (
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
+    _common_denominator,
+    _merge,
     ldlt,
     min_eigenvalue_numeric,
     lower_triangle_rows,
@@ -201,11 +203,7 @@ def _square_sums(squares) -> dict:
             continue
         sp, sq, sd, sr = scale.parts()
         rows, cols, ends, coeffs = zip(*items)
-        ps, qs, ds, rs = zip(*[c.parts() for c in coeffs])
-        L = math.lcm(*ds)
-        if any(d != L for d in ds):
-            ps = [p * (L // d) for p, d in zip(ps, ds)]
-            qs = [q * (L // d) for q, d in zip(qs, ds)]
+        ps, qs, rs, L = _common_denominator(coeffs)
         for cr in {sr, *rs}:
             r = common_radicand(r, cr)
         den = sd * L * L
@@ -255,17 +253,6 @@ def _square_sums(squares) -> dict:
                         cur[0] += x * f
                         cur[1] += y * f
     return {key: from_parts(p, q, d, r) for key, (p, q, d) in acc.items()}
-
-
-def _merge(cur: list, x: int, y: int, den: int) -> None:
-    """Add (x + y sqrt(r))/den into the numerators [P, Q] over D of cur,
-    where den does not divide D: D becomes lcm(D, den)."""
-    D = cur[2]
-    g = math.gcd(D, den)
-    fo, fn = den // g, D // g
-    cur[0] = cur[0] * fo + x * fn
-    cur[1] = cur[1] * fo + y * fn
-    cur[2] = D * fo
 
 
 def _fold_squares(squares, w: int) -> dict:

@@ -58,8 +58,8 @@ def _parse_rational_arg(flag: str, text: str) -> Fraction:
 def _cmd_bound(args) -> int:
     formula = args.formula
     if formula == "theta":
-        value = bounds_mod.theta(args.m)
-        _emit(args, {"formula": "theta", "m": args.m, "value": str(value)},
+        value = bounds_mod.theta_decimal(args.m)
+        _emit(args, {"formula": "theta", "m": args.m, "value": value},
               f"theta({args.m}) = {value}")
         return 0
     if formula == "eta":

@@ -116,28 +116,39 @@ def reduction_step(G: SymPolyMatrix, i: int, j: int) -> ReductionStep:
     one = Polynomial.const(nv, 1)
     zero = Polynomial.zero(nv)
 
+    # row r of T is the 0/1 indicator of rows[r]: rows 1 and i swapped, and
+    # row j added to row i when i < j
     order = list(range(m))
     order[0], order[i - 1] = order[i - 1], order[0]
-    T = PolyMatrix([[one if c == order[r] else zero for c in range(m)] for r in range(m)])
+    rows = [[k] for k in order]
     if i < j:
-        q = [[one if r == c else zero for c in range(m)] for r in range(m)]
-        q[i - 1][j - 1] = one
-        T = T @ PolyMatrix(q)
+        rows[0].append(j - 1)
+    T = PolyMatrix([[one if c in rows[r] else zero for c in range(m)] for r in range(m)])
 
-    conj = SymPolyMatrix((T @ G @ T.transpose()).entries)
-    s = conj[0, 0]
-    beta = [conj[r, 0] for r in range(1, m)]
-    H = [[conj[r, c] for c in range(1, m)] for r in range(1, m)]
+    def total(polys):
+        return sum(polys[1:], polys[0]) if polys else zero
+
+    # T G T^T and X_minus T as index sums: T is constant, so no products
+    conj = [[total([G[a, b] for b in rows[c] for a in rows[r]]) for c in range(m)]
+            for r in range(m)]
+    s = conj[0][0]
+    beta = [conj[r][0] for r in range(1, m)]
+    H = [[conj[r][c] for c in range(1, m)] for r in range(1, m)]
 
     top = [s] + [zero] * (m - 1)
     diag = [[s if c == r else zero for c in range(m - 1)] for r in range(m - 1)]
     X_minus = PolyMatrix([top] + [[-b] + row for b, row in zip(beta, diag)])
     X_plus = PolyMatrix([top] + [[b] + row for b, row in zip(beta, diag)])
+    # row r of X_minus is nonzero only in columns 0 and r
+    transform = PolyMatrix(
+        [[total([X_minus[r, k] for k in sorted({0, r}) if c in rows[k]])
+          for c in range(m)] for r in range(m)]
+    )
 
     B = SymPolyMatrix(
         [[s * (s * H[r][c] - beta[r] * beta[c]) for c in range(m - 1)] for r in range(m - 1)]
     )
-    return ReductionStep(i, j, s, B, X_minus @ T, T, X_minus, X_plus)
+    return ReductionStep(i, j, s, B, transform, T, X_minus, X_plus)
 
 
 def _scalarize_entries(G: SymPolyMatrix) -> list:

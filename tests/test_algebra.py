@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from pmicert.ring import ExtRational
+from pmicert.ring import ExtRational, RadicandMismatch
 from pmicert.algebra import (
     PolyMatrix,
     Polynomial,
@@ -174,6 +174,150 @@ class TestCongruence:
         bad = PolyMatrix.column([Polynomial.const(1, 1)] * 3)
         with pytest.raises(ValueError):
             congruence(bad, G)
+
+
+def _oracle_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The ExtRational double loop that Polynomial.__mul__ replaced: every
+    product and sum a normalised coefficient."""
+    if f.nvars != g.nvars:
+        raise ValueError("variable count mismatch")
+    out = {}
+    for a1, c1 in f.terms.items():
+        for a2, c2 in g.terms.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
+            prev = out.get(key)
+            out[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return Polynomial(f.nvars, out)
+
+
+def _oracle_matmul(A: PolyMatrix, B: PolyMatrix) -> list:
+    """Entries of A @ B as the ExtRational loop built them: each from the zero
+    polynomial by a chain of + over the oracle products."""
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = Polynomial.zero(A.nvars)
+            for k in range(A.cols):
+                acc = acc + _oracle_mul(A[i, k], B[k, j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+class TestProductKernel:
+    """*, @ and congruence multiply in integers over per-operand common
+    denominators; they must equal the ExtRational loops they replaced."""
+
+    @staticmethod
+    def _poly(rng, n, surd, pool):
+        if rng.random() < 0.15:
+            return Polynomial.zero(n)
+        terms = {}
+        for mu in rng.sample(pool, rng.randint(1, len(pool))):
+            # denominators over several primes, so one entry's pairs differ
+            a = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7, 12, 35]))
+            if surd and rng.random() < 0.6:
+                b = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5, 9]))
+                terms[mu] = ExtRational(a, b, surd)
+            else:
+                terms[mu] = ExtRational(a or 1)
+        return Polynomial(n, terms)
+
+    def _matrix(self, rng, rows, cols, n, surd, pool):
+        return PolyMatrix([[self._poly(rng, n, surd, pool) for _ in range(cols)]
+                           for _ in range(rows)])
+
+    @staticmethod
+    def _pool(rng, n):
+        # few monomials, so products and entries meet on the same keys
+        return [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(5)]
+
+    @staticmethod
+    def _clean(p: Polynomial):
+        assert all(type(c) is ExtRational and c for c in p.terms.values())
+
+    CASES = [(seed, surd) for seed in range(10) for surd in (0, 2, 3)]
+
+    @pytest.mark.parametrize("seed, surd", CASES)
+    def test_mul_equals_oracle(self, seed, surd):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        pool = self._pool(rng, n)
+        for _ in range(20):
+            f, g = self._poly(rng, n, surd, pool), self._poly(rng, n, surd, pool)
+            prod, expected = f * g, _oracle_mul(f, g)
+            self._clean(prod)
+            assert prod == expected
+            # the same key order as well: float evaluation sums in it
+            assert list(prod.terms) == list(expected.terms)
+
+    @pytest.mark.parametrize("seed, surd", CASES)
+    def test_matmul_and_congruence_equal_oracle(self, seed, surd):
+        rng = random.Random(50 + seed)
+        n = rng.randint(1, 3)
+        pool = self._pool(rng, n)
+        rows, inner, cols = (rng.randint(1, 3) for _ in range(3))
+        A = self._matrix(rng, rows, inner, n, surd, pool)
+        B = self._matrix(rng, inner, cols, n, surd, pool)
+        prod = A @ B
+        assert prod.entries == _oracle_matmul(A, B)
+        for p in (q for row in prod.entries for q in row):
+            self._clean(p)
+        G = random_sym_matrix(rng, rows, n, 2)
+        expected = _oracle_matmul(A.transpose(), PolyMatrix(_oracle_matmul(G, A)))
+        assert congruence(A, G).entries == expected
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        p = x(2) * Fraction(1, 3) + x(2, 1) * Fraction(2, 7)
+        q = x(2) * x(2, 1) * Fraction(5, 2) - 1
+        # p q - q p across the pairs of one entry, over different denominators
+        entry = (PolyMatrix([[p, q]]) @ PolyMatrix.column([q, -p]))[0, 0]
+        assert entry.terms == {}
+        s2 = Polynomial.const(2, ROOT2)
+        entry = (PolyMatrix([[s2 + x(2), s2 - x(2)]])
+                 @ PolyMatrix.column([s2 - x(2), -(s2 + x(2))]))[0, 0]
+        assert entry.terms == {}
+        # within one product: the sqrt(2)*x terms cancel, and x^2 - 2 is left
+        prod = (x(2) + s2) * (x(2) - s2)
+        self._clean(prod)
+        assert prod == x(2) * x(2) - 2
+
+    def test_nvars_mismatch_raises(self):
+        with pytest.raises(ValueError, match="variable count"):
+            (x(1) + 1) * (x(2) + 1)
+        with pytest.raises(ValueError, match="variable count"):
+            PolyMatrix([[x(1), x(1)]]) @ PolyMatrix.column([x(2), x(2)])
+        # an inner dimension of 1 goes through *
+        with pytest.raises(ValueError, match="variable count"):
+            PolyMatrix.column([x(1)]) @ PolyMatrix([[x(2) + 1]])
+
+    def test_mixed_radicands(self):
+        root3 = ExtRational.sqrt(3)
+        f = Polynomial(1, {(0,): ROOT2, (1,): root3})
+        g = Polynomial(1, {(0,): 1, (2,): 5})
+        # sqrt(2) and sqrt(3) never meet in one coefficient
+        assert f * g == _oracle_mul(f, g) == Polynomial(
+            1, {(0,): ROOT2, (1,): root3, (2,): ROOT2 * 5, (3,): root3 * 5})
+        assert (PolyMatrix([[f, f]]) @ PolyMatrix.column([g, g]))[0, 0] == (f * g) * 2
+        # they meet at x: sqrt(2) x + sqrt(3) x
+        for a, b in [(f, x() + 1), (x() + 1, f)]:
+            with pytest.raises(RadicandMismatch):
+                _oracle_mul(a, b)
+            with pytest.raises(RadicandMismatch):
+                a * b
+        row = PolyMatrix([[Polynomial.const(1, ROOT2), Polynomial.const(1, root3)]])
+        with pytest.raises(RadicandMismatch):
+            row @ PolyMatrix.column([x(), x()])
+        # sqrt(2) times sqrt(3) in one product
+        with pytest.raises(RadicandMismatch):
+            f * f
+        # a sqrt(2) part cancelled to zero meets sqrt(3) as a rational value,
+        # as in the chain of + it replaced
+        row = PolyMatrix([[Polynomial.const(1, c) for c in (ROOT2, -ROOT2, root3)]])
+        col = PolyMatrix.column([x() + 1, x() + 1, x()])
+        assert (row @ col).entries == _oracle_matmul(row, col)
+        assert (row @ col)[0, 0] == x() * root3
 
 
 class TestPsdExact:

@@ -469,6 +469,35 @@ class TestPipelines:
         assert main(["bound", "--formula", "eta", "--m", "8", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "inf"
 
+    def test_theta_at_the_digit_limit_prints_exactly(self, capsys):
+        # theta(904) has 4,295 digits, within Python's default limit of 4,300
+        from pmicert.bounds import theta
+
+        assert main(["bound", "--formula", "theta", "--m", "904", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == str(theta(904))
+
+    @pytest.mark.parametrize("m, digits", [(905, 4301), (2000, 10873), (50000, 411427)])
+    def test_theta_past_the_digit_limit_exits_before_any_work(self, capsys, monkeypatch,
+                                                              m, digits):
+        import sys
+        import time
+
+        from pmicert import bounds
+
+        if sys.get_int_max_str_digits() != 4300:
+            pytest.skip("needs Python's default int-to-str digit limit")
+        formed = []
+        real_theta = bounds.theta
+        monkeypatch.setattr(bounds, "theta", lambda k: formed.append(k) or real_theta(k))
+        start = time.process_time()
+        assert main(["bound", "--formula", "theta", "--m", str(m)]) == 2
+        assert time.process_time() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"theta({m}) has {digits} decimal digits" in err
+        # only next to the limit is theta(m) formed, to count its digits exactly
+        assert formed == ([m] if m == 905 else [])
+
 
 class TestCommittedSamples:
     def test_samples_parse_and_run(self, capsys):

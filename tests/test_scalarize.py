@@ -130,6 +130,34 @@ class TestReductionStep:
                         for c in range(1, size):
                             assert Gij[r, c] == st.B[r - 1, c - 1]
 
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_index_built_row_operations_equal_products(self, rng, size):
+        # reduction_step sums entries of G by index; the matrix products
+        # they stand for are formed here only
+        G = random_sym_matrix(rng, size, 2, 1)
+        one, zero = const(1, 2), Polynomial.zero(2)
+        for i in range(1, size + 1):
+            for j in range(i, size + 1):
+                st = reduction_step(G, i, j)
+                order = list(range(size))
+                order[0], order[i - 1] = order[i - 1], order[0]
+                T = PolyMatrix([[one if c == order[r] else zero for c in range(size)]
+                                for r in range(size)])
+                if i < j:
+                    add = [[one if r == c else zero for c in range(size)] for r in range(size)]
+                    add[i - 1][j - 1] = one
+                    T = T @ PolyMatrix(add)
+                assert st.T == T
+                assert st.transform == st.X_minus @ T
+                conj = T @ G @ T.transpose()
+                s, beta = conj[0, 0], [conj[r, 0] for r in range(1, size)]
+                assert st.s == s
+                assert [st.X_minus[r, 0] for r in range(1, size)] == [-b for b in beta]
+                assert [st.X_plus[r, 0] for r in range(1, size)] == beta
+                assert st.B.entries == [
+                    [s * (s * conj[r + 1, c + 1] - beta[r] * beta[c]) for c in range(size - 1)]
+                    for r in range(size - 1)]
+
     def test_degree_caps(self, rng):
         G = random_sym_matrix(rng, 3, 1, 2)
         d_G = G.degree
