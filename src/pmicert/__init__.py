@@ -34,6 +34,7 @@ from .bernstein import (
 from .polya import (
     NotPositiveDefiniteOnSimplex,
     PolyaCertificate,
+    advisory,
     parse_polya,
     polya_bound,
     polya_certificate,

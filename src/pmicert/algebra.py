@@ -891,9 +891,32 @@ def ldlt(M: RationalSymMatrix):
 
 def min_eigenvalue_numeric(M, tol: float = 1e-12):
     """Numeric smallest eigenvalue of a symmetric matrix (a float), or of
-    each matrix of a (P, ell, ell) stack (an array of P floats)."""
-    arr = M.to_numpy() if isinstance(M, RationalSymMatrix) else np.asarray(M, float)
+    each matrix of a (P, ell, ell) stack (an array of P floats).  An exact
+    matrix with an entry past the float range is scaled by a power of two
+    first; an eigenvalue past the range is then -inf or inf."""
+    if isinstance(M, RationalSymMatrix):
+        try:
+            arr = M.to_numpy()
+        except OverflowError:
+            return _scaled_min_eigenvalue(M)
+    else:
+        arr = np.asarray(M, float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
     low = np.linalg.eigvalsh(arr)[..., 0]
     return float(low) if arr.ndim == 2 else low
+
+
+def _scaled_min_eigenvalue(M: RationalSymMatrix) -> float:
+    """min_eigenvalue_numeric of M / 2^s, times 2^s, with 2^s putting the
+    largest entry bound near 2^1000: (p + q sqrt(r))/d is below
+    2^(bits p - bits d + 1) + 2^(bits q + bits r / 2 - bits d + 1)."""
+    parts = [v.parts() for row in M.entries for v in row]
+    s = max(max(abs(p).bit_length(), abs(q).bit_length() + (r.bit_length() + 1) // 2)
+            - d.bit_length() for p, q, d, r in parts) - 1000
+    arr = np.array([p / (d << s) + q / (d << s) * math.sqrt(r) for p, q, d, r in parts])
+    low = min_eigenvalue_numeric(arr.reshape(M.size, M.size))
+    try:
+        return math.ldexp(low, s)
+    except OverflowError:
+        return math.copysign(math.inf, low)

@@ -17,8 +17,9 @@ products per entry however many terms there are.  W is never stored: each
 term's nonzero pairs go straight into S, so memory stays linear in the
 distinct monomials, as with one congruence per term.
 
-The fold (_fold_squares) and the Gram assembly (gram_from_squares) share one
-integer accumulator, _square_sums.  Each square's coefficients go over one
+The fold (_fold_squares) and the Gram assemblies (gram_from_squares, and
+the Kronecker blocks of assemble_simplex_putinar) share one integer
+accumulator, _square_sums.  Each square's coefficients go over one
 common denominator, so every pair product is a numerator pair (p, q) of
 Z[sqrt(r)] formed by int products alone (one product when the square is
 rational).  Each output coefficient keeps its numerators over its own
@@ -305,30 +306,40 @@ def _fold_squares(squares, w: int) -> dict:
     return out
 
 
+def _grlex_basis(polys, nvars: int) -> list:
+    """The monomials of polys in graded-lex order; the constant alone if
+    there are none."""
+    monos = set()
+    for p in polys:
+        monos.update(p.terms)
+    return sorted(monos, key=lambda a: (sum(a), a)) or [(0,) * nvars]
+
+
+def _gram_sums(squares, index: dict, ell: int) -> dict:
+    """{a dim + b: entry (a, b)}, a <= b, of the Gram matrix of
+    sum_r w_r v_r v_r^T on basis (x) R^ell, dim = len(index) ell: position
+    (u, i) of a term c x^mu of v_r[i] is index[mu] ell + i."""
+    dim = len(index) * ell
+    return _square_sums(
+        (w, [(a * dim, a, k + 1, c) for k, (a, c) in enumerate(sorted(
+            (index[mono] * ell + i, c) for i, p in enumerate(col) for mono, c in p.terms.items()))])
+        for w, col in squares
+    )
+
+
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
     """Assemble sum_r w_r v_r v_r^T (w_r >= 0, v_r polynomial columns of
     length ell) into a single PSD Gram block.  Each square fills the upper
     triangle, entry (a, b) at key a dim + b of _square_sums; the lower
     triangle is mirrored."""
     squares = [(ExtRational.coerce(w), col) for w, col in squares]
-    monos = set()
-    for _, col in squares:
-        for p in col:
-            monos.update(p.terms.keys())
-    basis = sorted(monos, key=lambda a: (sum(a), a))
-    if not basis:
-        basis = [(0,) * nvars]
-    index = {b: u for u, b in enumerate(basis)}
-    dim = len(basis) * ell
     if any(w.sign() < 0 for w, _ in squares):
         raise ValueError("square weights must be nonnegative")
-    sums = _square_sums(
-        (w, [(a * dim, a, k + 1, c) for k, (a, c) in enumerate(sorted(
-            (index[mono] * ell + i, c) for i, p in enumerate(col) for mono, c in p.terms.items()))])
-        for w, col in squares
-    )
+    basis = _grlex_basis((p for _, col in squares for p in col), nvars)
+    index = {b: u for u, b in enumerate(basis)}
+    dim = len(basis) * ell
     gram = [[ZERO] * dim for _ in range(dim)]
-    for key, value in sums.items():
+    for key, value in _gram_sums(squares, index, ell).items():
         a, b = divmod(key, dim)
         gram[a][b] = gram[b][a] = value
     return SOSBlock(basis, gram)
@@ -357,7 +368,9 @@ def facet_certificate(kind: str, n: int, index: int = 0):
     upper facet: sqrt(n) - sum x_i = (sqrt(n)/2) sum (x_i - 1/sqrt(n))^2
                            + (sqrt(n)/2) (1 - ||x||^2)
 
-    Returns (facet polynomial, certificate); the residual is asserted zero.
+    Returns (facet polynomial, certificate).  The identities are closed
+    forms, checked by the tests; a certificate assembled from them is checked
+    whole by assemble_simplex_putinar's final verification.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -380,13 +393,7 @@ def facet_certificate(kind: str, n: int, index: int = 0):
         ball_scale = root_half
     block = gram_from_squares(squares, n, 1)
     mults = [MultiplierTerm(ball_scale, PolyMatrix([[Polynomial.const(n, 1)]]))]
-    cert = QMCertificate(n, 1, 1, 2, "exact", [block], mults)
-    report = verify_certificate(
-        SymPolyMatrix.scalar(target), ball_constraint(n), cert, mode="exact"
-    )
-    if not report.ok:
-        raise AssertionError(f"facet identity failed: {report.messages}")
-    return target, cert
+    return target, QMCertificate(n, 1, 1, 2, "exact", [block], mults)
 
 
 def trivial_ball_witness(n: int) -> QMCertificate:
@@ -429,9 +436,7 @@ def _blocks_to_squares(cert: QMCertificate):
 
 def _facet_membership(kind: str, n: int, index: int = 0):
     _, cert = facet_certificate(kind, n, index)
-    squares = [(w, q) for w, q in _blocks_to_squares(cert)]
-    ball_scale = cert.multipliers[0].scale
-    return squares, ball_scale
+    return _blocks_to_squares(cert), cert.multipliers[0].scale
 
 
 def _product_membership(alpha, t: int, n: int, facet_cache):
@@ -463,11 +468,17 @@ def assemble_simplex_putinar(
     """Constructive certificate F in QM[G] for F positive definite on the
     scaled simplex, given a witness that 1 - ||x||^2 lies in QM[G].
 
-    The positive-definite Bernstein expansion of F (Polya engine) is expanded
-    facet by facet: products of facet SOS parts stay SOS, occurrences of the
-    ball polynomial route through the supplied witness, and the coefficient
-    matrices enter through their exact LDL^T factorizations.  The result
-    verifies exactly.
+    The positive-definite Bernstein expansion F = sum_alpha c_alpha b_alpha
+    M_alpha (Polya engine) is expanded facet by facet: b_alpha, a product of
+    facets, is a sum of scalar squares w q^2 plus sigma (1 - ||x||^2), and
+    sigma's squares route through the supplied witness.  The SOS part is
+    therefore sum_alpha A_alpha (x) M_alpha, A_alpha the Gram matrix of the
+    scalar squares of c_alpha b_alpha on the graded-lex union of the
+    monomials of every q: one _square_sums call and one Kronecker expansion
+    per alpha.  The multiplier terms are rank one in qmcert-v1, so there
+    M_alpha enters through its exact LDL^T factorization: one term
+    scale P_t (q col) per square of sigma, column col and witness term P_t.
+    The result verifies exactly, and that final check is the check of record.
     """
     n = F.nvars
     ell = F.size
@@ -486,31 +497,45 @@ def assemble_simplex_putinar(
         facet_cache[("lower", i)] = _facet_membership("lower", n, i)
 
     scale_base = ExtRational(n, 1, n) ** (-t) if t else ONE
-    matrix_squares = []
+    expanded = []   # (M_alpha, scalar squares of c_alpha b_alpha)
     out_mults = []
     for alpha, mat in pc.expansion.items():
         c_alpha = scale_base * multinomial(t, alpha + (t - sum(alpha),))
         S, sigma = _product_membership(alpha, t, n, facet_cache)
-        cols, pivots = ldlt(mat)
-        columns = [
-            ([Polynomial.const(n, c) for c in col], piv)
-            for col, piv in zip(cols, pivots)
-        ]
-        for w, q in S:
-            for col, piv in columns:
-                matrix_squares.append((c_alpha * w * piv, [q * p for p in col]))
+        squares = [(c_alpha * w, q) for w, q in S]
         for w, q in sigma:
-            for col, piv in columns:
+            squares += [(c_alpha * w * ws, bs * q) for ws, bs in bw_squares]
+        expanded.append((mat.entries, squares))
+        if not (sigma and bw_mults):
+            continue
+        cols, pivots = ldlt(mat)
+        for w, q in sigma:
+            shifted = [[row[0] * q for row in term.matrix.entries] for term in bw_mults]
+            for col, piv in zip(cols, pivots):
                 scale = c_alpha * w * piv
-                row = PolyMatrix([[q * p for p in col]])  # 1 x ell
-                for ws, bs in bw_squares:
-                    matrix_squares.append((scale * ws, [bs * q * p for p in col]))
-                for term in bw_mults:
-                    out_mults.append(
-                        MultiplierTerm(scale * term.scale, term.matrix @ row)
-                    )
+                for term, pq in zip(bw_mults, shifted):
+                    out_mults.append(MultiplierTerm(
+                        scale * term.scale, PolyMatrix([[p * c for c in col] for p in pq])))
 
-    block = gram_from_squares(matrix_squares, n, ell)
+    basis = _grlex_basis((q for _, squares in expanded for _, q in squares), n)
+    index = {b: u for u, b in enumerate(basis)}
+    N, dim = len(basis), len(basis) * ell
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for M, squares in expanded:
+        for key, value in _gram_sums(((w, [q]) for w, q in squares), index, 1).items():
+            if not value:
+                continue
+            u, v = divmod(key, N)
+            for i in range(ell):
+                row, Mi = gram[u * ell + i], M[i]
+                for j in range(i if u == v else 0, ell):
+                    if Mi[j]:
+                        row[v * ell + j] += value * Mi[j]
+    for a in range(dim):
+        for b in range(a):
+            gram[a][b] = gram[b][a]
+    block = SOSBlock(basis, gram)
+
     d_G = max(G.degree, 0)
     k = block.degree()
     for term in out_mults:

@@ -26,7 +26,7 @@ from .certify import (
     assemble_simplex_putinar,
 )
 from .homogenize import EmptyFeasibleSample, estimate_homogenized_min, lift_problem
-from .polya import NotPositiveDefiniteOnSimplex, polya_certificate
+from .polya import NotPositiveDefiniteOnSimplex, advisory, polya_certificate
 from .problemio import load_problem
 from .relax import (
     Infeasible,
@@ -125,18 +125,22 @@ def _cmd_polya(args) -> int:
 
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(serialize_polya(cert))
+    adv = advisory(prob.F)
     margins = {",".join(map(str, a)): repr(v) for a, v in cert.pd_margins.items()}
     payload = {
         "degree": cert.degree,
         "mode": "exact",
         "pd_margins": margins,
-        "fmin_estimate": repr(cert.fmin_estimate) if cert.fmin_estimate is not None else None,
-        "advisory_degree": cert.advisory_degree,
+        "fmin_estimate": repr(adv.fmin_estimate) if adv.fmin_estimate is not None else None,
+        "advisory_degree": adv.degree,
         "out": args.out,
     }
     human = [f"positive-definite expansion at degree t = {cert.degree} (exact test)"]
-    if cert.advisory_degree is not None:
-        human.append(f"advisory degree bound: {cert.advisory_degree}")
+    if adv.degree is not None:
+        human.append(f"advisory degree bound: {adv.degree}")
+    else:
+        payload["advisory_note"] = adv.note
+        human.append(f"advisory degree bound: not computed ({adv.note})")
     for alpha in sorted(cert.pd_margins):
         human.append(f"  alpha={alpha}: margin {cert.pd_margins[alpha]!r}")
     _emit(args, payload, "\n".join(human))

@@ -3,8 +3,9 @@
 A certificate for a symmetric polynomial matrix F that is positive definite
 on the scaled simplex is a Bernstein expansion of F in which every
 coefficient matrix is positive definite.  The engine searches by unit degree
-elevation starting from deg F, so the returned degree is minimal; the
-classical bound degree is computed alongside as advisory information only.
+elevation starting from deg F, so the returned degree is minimal.  The
+classical bound degree is advisory information only: `advisory` computes it
+from grid estimates where it is reported (`pmicert polya`), never the search.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ class NotPositiveDefiniteOnSimplex(Exception):
 def polya_bound(d: int, normB, fmin) -> int:
     """Smallest k > d(d-1) * normB / (2 fmin) - d, floored at 0."""
     if fmin <= 0:
-        raise ValueError("fmin must be positive")
+        raise ValueError(f"smallest-eigenvalue estimate {float(fmin):.3g} is not positive")
     if normB < fmin:
-        raise ValueError("normB must be at least fmin")
+        raise ValueError(f"expansion norm {float(normB):.3g} is below the "
+                         f"smallest-eigenvalue estimate {float(fmin):.3g}")
     if isinstance(normB, float) or isinstance(fmin, float):
         value = d * (d - 1) * normB / (2.0 * fmin) - d
         return max(0, math.floor(value) + 1)
@@ -73,9 +75,15 @@ class PolyaCertificate:
     degree: int
     expansion: BernsteinExpansion
     pd_margins: dict
+
+
+@dataclass
+class Advisory:
+    """Grid estimates and the classical degree bound they give; note says
+    why degree is None."""
     fmin_estimate: float | None = None
-    norm_estimate: float | None = None
-    advisory_degree: int | None = None
+    degree: int | None = None
+    note: str | None = None
 
 
 def _pd_margin(mat: RationalSymMatrix) -> float | None:
@@ -84,7 +92,8 @@ def _pd_margin(mat: RationalSymMatrix) -> float | None:
 
     The k-th leading principal minor of a PD matrix is the product
     d_1 ... d_k of its first k LDL^T pivots, so the margin is
-    min_k float(d_1 ... d_k), computed exactly before rounding.
+    min_k float(d_1 ... d_k), computed exactly before rounding.  A minor
+    past the float range is positive, so its float is inf.
     """
     try:
         _, pivots = ldlt(mat)
@@ -95,7 +104,10 @@ def _pd_margin(mat: RationalSymMatrix) -> float | None:
     minor, margin = ONE, math.inf
     for d in pivots:
         minor = minor * d
-        margin = min(margin, float(minor))
+        try:
+            margin = min(margin, float(minor))
+        except OverflowError:
+            pass
     return margin
 
 
@@ -136,12 +148,12 @@ def polya_certificate(F: SymPolyMatrix, max_degree: int) -> PolyaCertificate:
     Searches degrees deg F, deg F + 1, ... up to max_degree by exact degree
     elevation.  On failure the simplex lattice is scanned for a refutation
     point (smallest eigenvalue <= 0, confirmed exactly) which is reported in
-    the raised error.
+    the raised error.  Success makes no grid estimate: see advisory.
     """
     d = max(F.degree, 0)
     if max_degree < d:
         raise ValueError(f"max_degree {max_degree} below deg F = {d}")
-    first = expansion = to_bernstein(F, d)
+    expansion = to_bernstein(F, d)
     for t in range(d, max_degree + 1):
         margins = {}
         for alpha, mat in expansion.items():
@@ -149,9 +161,7 @@ def polya_certificate(F: SymPolyMatrix, max_degree: int) -> PolyaCertificate:
             if margins[alpha] is None:
                 break
         else:
-            cert = PolyaCertificate(t, expansion, margins)
-            _attach_advisory(cert, F, d, first)
-            return cert
+            return PolyaCertificate(t, expansion, margins)
         if t < max_degree:
             expansion = elevate(expansion, t + 1)
 
@@ -177,18 +187,24 @@ def polya_certificate(F: SymPolyMatrix, max_degree: int) -> PolyaCertificate:
     raise NotPositiveDefiniteOnSimplex(msg, witness, witness_eig)
 
 
-def _attach_advisory(cert, F, d, first):
-    """Advisory numbers; first is the degree-d expansion of F."""
+def advisory(F: SymPolyMatrix) -> Advisory:
+    """The classical bound deg F + polya_bound(deg F, ||B||, fmin), with
+    ||B|| the norm of the degree-deg F expansion and fmin the Markov-refined
+    lower estimate from a simplex lattice (the lattice minimum itself if the
+    refinement is not positive).  The estimates are numeric: a step that
+    fails, a nonpositive fmin or ||B|| < fmin leaves the degree None with the
+    reason in note."""
+    d = max(F.degree, 0)
+    out = Advisory()
     try:
         grid_min, _, res = grid_min_eigenvalue(F, 10**F.nvars * (d + 1))
-        cert.fmin_estimate = grid_min
-        cert.norm_estimate = norm_of_expansion(first)
+        out.fmin_estimate = grid_min
+        norm = norm_of_expansion(to_bernstein(F, d))
         refined = _markov_refined_lower(F, grid_min, res)
-        fmin = refined if refined > 0 else grid_min
-        if fmin > 0 and cert.norm_estimate >= fmin:
-            cert.advisory_degree = d + polya_bound(d, cert.norm_estimate, fmin)
-    except (ValueError, ArithmeticError):
-        pass  # advisory numbers must never break the certificate itself
+        out.degree = d + polya_bound(d, norm, refined if refined > 0 else grid_min)
+    except (ValueError, ArithmeticError) as exc:
+        out.note = str(exc)
+    return out
 
 
 def scherer_hol_step(Fh: SymPolyMatrix, k: int) -> dict:

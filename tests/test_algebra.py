@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -503,6 +504,17 @@ class TestNumericEigen:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             min_eigenvalue_numeric([[float("nan"), 0.0], [0.0, 1.0]])
+
+    def test_entries_past_the_float_range(self):
+        # scaled by a power of two, so a small eigenvalue stays exact and one
+        # past the range is infinite with its sign
+        big = 10**400
+        assert min_eigenvalue_numeric(RationalSymMatrix([[big, 0], [0, 1]])) == 1.0
+        assert min_eigenvalue_numeric(RationalSymMatrix([[big, 0], [0, -big]])) == -math.inf
+        assert min_eigenvalue_numeric(RationalSymMatrix([[big, 1], [1, big]])) == math.inf
+        surd = ExtRational(0, Fraction(big, 3), 2)  # big sqrt(2) / 3
+        low = min_eigenvalue_numeric(RationalSymMatrix([[surd, 0], [0, Fraction(-3, 2)]]))
+        assert low == -1.5
 
     def test_stack_matches_single_calls(self):
         gen = np.random.default_rng(3)

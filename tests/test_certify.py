@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,10 +7,22 @@ from itertools import product
 import pytest
 
 from pmicert.ring import ExtRational, RadicandMismatch
-from pmicert.algebra import PolyMatrix, Polynomial, SymPolyMatrix, congruence, monomials_upto
+from pmicert.algebra import (
+    PolyMatrix,
+    Polynomial,
+    SymPolyMatrix,
+    congruence,
+    ldlt,
+    monomials_upto,
+    multinomial,
+    psd_exact,
+)
 from pmicert.certify import (
     CertificateParseError,
+    _blocks_to_squares,
+    _facet_membership,
     _fold_squares,
+    _product_membership,
     MultiplierTerm,
     QMCertificate,
     SOSBlock,
@@ -24,8 +38,12 @@ from pmicert.certify import (
     trivial_ball_witness,
     verify_certificate,
 )
-from pmicert.bernstein import to_bernstein
+from pmicert.bernstein import elevate, to_bernstein
+from pmicert.cli import main
+from pmicert.polya import polya_certificate
 from conftest import random_poly, random_sym_matrix
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def x(i=0, n=1):
@@ -558,6 +576,155 @@ class TestIntegerKernels:
         runs = [timed(_fold_squares) for _ in range(3)]
         assert all(folded == oracle for _, folded in runs)
         assert min(t for t, _ in runs) <= old
+
+
+def _polya_target(n, ell, t, seed):
+    """F = I + lam E, E a seeded symmetric matrix of degree 2, at the first
+    lam = j/64 whose Polya degree is exactly t (every Bernstein coefficient
+    PD at degree t, not at t - 1)."""
+    rng = random.Random(seed)
+    while True:
+        E = random_sym_matrix(rng, ell, n, 2)
+        if E.degree != 2:
+            continue
+        for j in range(1, 65):
+            lam = Fraction(j, 64)
+            F = SymPolyMatrix([[E[a, b] * lam + (1 if a == b else 0) for b in range(ell)]
+                               for a in range(ell)])
+            e, reached = to_bernstein(F, 2), 2
+            while not all(psd_exact(mat, strict=True) for _, mat in e.items()):
+                if reached == t:
+                    break
+                reached += 1
+                e = elevate(e, reached)
+            else:
+                if reached == t:
+                    return F
+                continue
+            break
+
+
+def _arrow_witness(n):
+    """G = [[1, x^T], [x, I]] and 1 - ||x||^2 = v^T G v with v = (1, -x)."""
+    one, zero = Polynomial.const(n, 1), Polynomial.zero(n)
+    grid = [[one if a == b else zero for b in range(n + 1)] for a in range(n + 1)]
+    for i in range(n):
+        grid[0][i + 1] = grid[i + 1][0] = x(i, n)
+    v = PolyMatrix.column([one] + [-x(i, n) for i in range(n)])
+    return SymPolyMatrix(grid), QMCertificate(n, 1, n + 1, 2, "exact", [],
+                                              [MultiplierTerm(ExtRational(1), v)])
+
+
+def _inner_ball_witness(n):
+    """G = [1 - 2 ||x||^2] and 1 - ||x||^2 = sum x_i^2 + G: a witness with an
+    SOS part, whose squares enter the Gram block through sigma."""
+    block = gram_from_squares([(1, [x(i, n)]) for i in range(n)], n, 1)
+    one = PolyMatrix([[Polynomial.const(n, 1)]])
+    return scalar(ball_polynomial(n) * 2 - 1), QMCertificate(
+        n, 1, 1, 2, "exact", [block], [MultiplierTerm(ExtRational(1), one)])
+
+
+def _ldl_column_gram(F, witness, max_degree):
+    """The SOS block as the LDL^T-column assembly builds it: every Bernstein
+    coefficient M_alpha = sum piv col col^T enters as the vector squares
+    (c_alpha w piv, q col) and (c_alpha w piv w_s, b_s q col), each folded by
+    gram_from_squares."""
+    n, ell = F.nvars, F.size
+    bw_squares = _blocks_to_squares(witness)
+    pc = polya_certificate(F, max_degree)
+    t = pc.degree
+    facets = {("upper", 0): _facet_membership("upper", n)}
+    facets.update({("lower", i): _facet_membership("lower", n, i) for i in range(n)})
+    base = ExtRational(n, 1, n) ** (-t) if t else ExtRational(1)
+    squares = []
+    for alpha, mat in pc.expansion.items():
+        c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
+        S, sigma = _product_membership(alpha, t, n, facets)
+        for col, piv in zip(*ldlt(mat)):
+            consts = [Polynomial.const(n, c) for c in col]
+            squares += [(c_alpha * w * piv, [q * p for p in consts]) for w, q in S]
+            squares += [(c_alpha * w * piv * ws, [bs * q * p for p in consts])
+                        for w, q in sigma for ws, bs in bw_squares]
+    return gram_from_squares(squares, n, ell)
+
+
+class TestKroneckerAssembly:
+    """assemble_simplex_putinar builds its Gram block as sum_alpha A_alpha
+    (x) M_alpha; it must equal the LDL^T-column assembly in basis and in
+    every entry."""
+
+    @pytest.mark.parametrize("n, ell, t", [(n, ell, t) for n in (1, 2, 3)
+                                           for ell in (1, 2, 3) for t in (2, 3)])
+    def test_gram_equals_ldl_column_assembly(self, n, ell, t):
+        F = _polya_target(n, ell, t, seed=100 * n + 10 * ell + t)
+        witnesses = [(ball_constraint(n), trivial_ball_witness(n)), _arrow_witness(n)]
+        if ell == 1:
+            witnesses.append(_inner_ball_witness(n))
+        for G, witness in witnesses:
+            block = assemble_simplex_putinar(F, G, witness, t).sos_blocks[0]
+            oracle = _ldl_column_gram(F, witness, t)
+            assert block.basis == oracle.basis
+            assert block.gram == oracle.gram
+
+    def test_witness_with_sos_part(self):
+        F = SymPolyMatrix([[Polynomial.const(2, 3), x(0, 2)], [x(0, 2), x(1, 2) + 3]])
+        G, witness = _inner_ball_witness(2)
+        cert = assemble_simplex_putinar(F, G, witness, 4)
+        assert verify_certificate(F, G, cert).ok
+        oracle = _ldl_column_gram(F, witness, 4)
+        assert cert.sos_blocks[0].basis == oracle.basis
+        assert cert.sos_blocks[0].gram == oracle.gram
+
+    def test_corrupted_facet_square_raises(self, monkeypatch):
+        # facet_certificate makes no check of its own: the final exact check
+        # of the assembled certificate must catch a wrong facet identity
+        import pmicert.certify as certify
+
+        real = certify.facet_certificate
+
+        def corrupted(kind, n, index=0):
+            target, cert = real(kind, n, index)
+            gram = cert.sos_blocks[0].gram
+            gram[0][0] = gram[0][0] * 2  # still PSD, no longer the facet
+            return target, cert
+
+        monkeypatch.setattr(certify, "facet_certificate", corrupted)
+        with pytest.raises(AssertionError, match="failed verification"):
+            assemble_simplex_putinar(scalar(x() + 2), ball_constraint(1),
+                                     trivial_ball_witness(1), 6)
+
+
+class TestAdvisoryPlacement:
+    """The grid estimates behind the advisory degree are made only by
+    `pmicert polya`, which prints them."""
+
+    TARGET = str(ROOT / "samples" / "matrix_target.pmi")
+
+    def _certify(self, out, capsys):
+        code = main(["certify-simplex", self.TARGET, "--out", str(out), "--json"])
+        return code, capsys.readouterr().out, out.read_text()
+
+    def test_certify_makes_no_grid_estimate(self, monkeypatch, tmp_path, capsys):
+        import pmicert.polya as polya
+
+        expected = self._certify(tmp_path / "c.qmc", capsys)
+
+        def refuse(*args):
+            raise AssertionError("grid estimate made")
+
+        monkeypatch.setattr(polya, "grid_min_eigenvalue", refuse)
+        assert self._certify(tmp_path / "c.qmc", capsys) == expected
+        assert expected[0] == 0
+        assert expected[2] == (ROOT / "tests" / "golden" / "matrix_target.qmc").read_text()
+
+    def test_polya_keeps_advisory_numbers(self, capsys):
+        assert main(["polya", self.TARGET, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["advisory_degree"] == 1
+        assert payload["fmin_estimate"] == "1.0"
+        assert "advisory_note" not in payload
+        assert main(["polya", self.TARGET]) == 0
+        assert "advisory degree bound: 1\n" in capsys.readouterr().out
 
 
 class TestSerialization:

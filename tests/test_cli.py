@@ -499,6 +499,44 @@ class TestPipelines:
         assert formed == ([m] if m == 905 else [])
 
 
+class TestPastFloatRange:
+    """F = 10^e I + x E on the interval: exactly PD whatever e is."""
+
+    @staticmethod
+    def _problem(tmp_path, e):
+        big = Polynomial.const(1, 10**e)
+        F = SymPolyMatrix([[big, x()], [x(), big]])
+        path = tmp_path / f"big{e}.pmi"
+        path.write_text(dump_problem(ProblemData(1, 2, 1, F, ball_constraint(1))))
+        return str(path)
+
+    @pytest.mark.parametrize("e", [200, 400])
+    def test_certify_and_verify(self, tmp_path, capsys, e):
+        prob, cert = self._problem(tmp_path, e), str(tmp_path / "c.qmc")
+        assert main(["certify-simplex", prob, "--out", cert]) == 0
+        capsys.readouterr()
+        assert main(["verify", cert, prob, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] and report["gram_margins"] == ["5e+199" if e == 200 else "inf"]
+
+    def test_polya_advisory_at_1e200(self, tmp_path, capsys):
+        assert main(["polya", self._problem(tmp_path, 200), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["advisory_degree"] == 1 and "advisory_note" not in payload
+        assert payload["pd_margins"] == {"0": "1e+200", "1": "1e+200"}
+
+    def test_polya_advisory_note_at_1e400(self, tmp_path, capsys):
+        prob = self._problem(tmp_path, 400)
+        assert main(["polya", prob, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["advisory_degree"] is None and payload["fmin_estimate"] is None
+        note = payload["advisory_note"]
+        assert note and payload["pd_margins"] == {"0": "inf", "1": "inf"}
+        assert main(["polya", prob]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"advisory degree bound: not computed ({note})"
+
+
 class TestCommittedSamples:
     def test_samples_parse_and_run(self, capsys):
         import pathlib

@@ -9,6 +9,7 @@ from pmicert.algebra import Polynomial, SymPolyMatrix, congruence, psd_exact
 from pmicert.bernstein import elevate, from_bernstein, to_bernstein
 from pmicert.polya import (
     NotPositiveDefiniteOnSimplex,
+    advisory,
     grid_min_eigenvalue,
     polya_bound,
     polya_certificate,
@@ -117,6 +118,42 @@ class TestPolyaCertificate:
             fmin, _, _ = grid_min_eigenvalue(F, 10**n * (d + 1))
             fmin = min(fmin, norm)
             assert cert.degree <= d + polya_bound(d, norm, fmin)
+
+
+class TestAdvisory:
+    def test_bound_from_grid_estimates(self):
+        two = Polynomial.const(1, 2)
+        adv = advisory(SymPolyMatrix([[two, x()], [x(), two]]))
+        assert (adv.degree, adv.fmin_estimate, adv.note) == (1, 1.0, None)
+
+    def test_nonpositive_estimate_is_a_note(self):
+        adv = advisory(SymPolyMatrix.scalar(x() * x()))
+        assert adv.degree is None and adv.fmin_estimate == 0.0
+        assert adv.note == "smallest-eigenvalue estimate 0 is not positive"
+
+    def test_norm_below_estimate_is_a_note(self, monkeypatch):
+        import pmicert.polya as polya
+
+        monkeypatch.setattr(polya, "grid_min_eigenvalue", lambda F, points: (5.0, None, 4))
+        adv = advisory(SymPolyMatrix.identity(2, 1))
+        assert adv.degree is None
+        assert adv.note == "expansion norm 1 is below the smallest-eigenvalue estimate 5"
+
+    def test_failed_estimate_is_a_note(self):
+        big = Polynomial.const(1, 10**400)
+        adv = advisory(SymPolyMatrix([[big, x()], [x(), big]]))
+        assert adv.degree is None and adv.fmin_estimate is None
+        assert adv.note
+
+    def test_margins_past_the_float_range(self):
+        # the minors of a PD matrix past the float range are positive: inf
+        big = Polynomial.const(1, 10**200)
+        cert = polya_certificate(SymPolyMatrix([[big, x()], [x(), big]]), 4)
+        assert cert.degree == 1
+        assert set(cert.pd_margins.values()) == {1e200}
+        huge = Polynomial.const(1, 10**400)
+        cert = polya_certificate(SymPolyMatrix([[huge, x()], [x(), huge]]), 4)
+        assert set(cert.pd_margins.values()) == {math.inf}
 
 
 class TestSchererHolStep:
