@@ -12,14 +12,16 @@ the terms of sum f g over a list of pairs (f, g): a product of two
 polynomials of two or more terms is one pair, an entry of A @ B the
 A.cols pairs of its row and column, and congruence is two such matmuls.
 Each operand's coefficients go over the lcm L of their denominators, as
-numerator pairs (p, q) of Z[sqrt(r)] (_integer_form), so a term pair makes
-int products only: one when both are rational, four with sqrt(r).  Each
-output monomial keeps its numerators over D, the lcm of the L_f L_g that
-reached it, and one normalised ExtRational is built per monomial at the end.
-The values are those of ExtRational arithmetic, and a product's keys come in
-the order of the ExtRational double loop.  A one-term operand is a scalar
-times a monomial shift and skips the kernel.  certify's fold and Gram
-assembly share the kernel's helpers _common_denominator and _merge.
+numerator pairs (p, q) of Z[sqrt(r)] (_integer_form, made once per
+polynomial and kept with it), so a term pair makes int products only: one
+when both are rational, four with sqrt(r).  Each output monomial keeps its
+numerators over D, the lcm of the L_f L_g that reached it, and one
+normalised ExtRational is built per monomial at the end.  The values are
+those of ExtRational arithmetic, and a product's keys come in the order of
+the ExtRational double loop.  A one-term operand is a scalar times a
+monomial shift and skips the kernel; with the scalar 1 only the exponents
+move, and a product by the scalar 1 is the operand itself.  certify's fold
+and Gram assembly share the kernel's helpers _common_denominator and _merge.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ _new = object.__new__
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms")
+    # _ints: the _integer_form of terms, filled on first use (terms never change)
+    __slots__ = ("nvars", "terms", "_ints")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         clean = {}
@@ -59,6 +62,7 @@ class Polynomial:
             clean[alpha] = coeff if prev is None else prev + coeff
         _set_nvars(self, nvars)
         _set_terms(self, {a: c for a, c in clean.items() if c})
+        _set_ints(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -72,6 +76,7 @@ class Polynomial:
         out = _new(cls)
         _set_nvars(out, nvars)
         _set_terms(out, {a: c for a, c in terms.items() if c})
+        _set_ints(out, None)
         return out
 
     @classmethod
@@ -110,6 +115,14 @@ class Polynomial:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _integer(self) -> tuple:
+        """The _integer_form of the (nonempty) terms, computed once."""
+        ints = self._ints
+        if ints is None:
+            ints = _integer_form(self.terms)
+            _set_ints(self, ints)
+        return ints
+
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise ValueError(
@@ -142,19 +155,25 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             scalar = ExtRational.coerce(other)
+            if scalar == ONE:
+                return self
             return Polynomial._from_clean(
                 self.nvars, {a: c * scalar for a, c in self.terms.items()}
             )
         self._check(other)
         f, g = self.terms, other.terms
         if len(f) > 1 and len(g) > 1:
-            pair = (_integer_form(f), _integer_form(g))
+            pair = (self._integer(), other._integer())
             return Polynomial._from_clean(self.nvars, _sum_of_products([pair]))
         if not f or not g:
             return Polynomial._from_clean(self.nvars, {})
-        # a one-term operand is a scalar times a monomial shift
+        # a one-term operand is a scalar times a monomial shift; with the
+        # scalar 1 only the exponents move
         short, long = (f, g) if len(f) == 1 else (g, f)
         ((mono, c),) = short.items()
+        if c == ONE:
+            return Polynomial._from_clean(
+                self.nvars, {tuple(map(add, a, mono)): d for a, d in long.items()})
         return Polynomial._from_clean(
             self.nvars, {tuple(map(add, a, mono)): d * c for a, d in long.items()}
         )
@@ -260,6 +279,7 @@ class Polynomial:
 # the slots' own setters, past the __setattr__ guard
 _set_nvars = Polynomial.nvars.__set__
 _set_terms = Polynomial.terms.__set__
+_set_ints = Polynomial._ints.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +440,19 @@ class LineReader:
     The read methods raise ValueError; parse() reports it as 'line N: ...',
     N the 1-based number of the line being read.  A declared size is checked
     against the text that remains before anything of that size is built.
+
+    One memo per reader maps each polynomial line (with its nvars) and each
+    coefficient token already parsed to the immutable value parsed from it,
+    so a repeated line or token is parsed once and every repeat is the same
+    object.  Only parses that succeeded are kept, so a malformed line fails
+    at its first occurrence; the memo holds at most one entry per line or
+    token of the text.
     """
 
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0  # lines consumed; the last one read is line self.pos
+        self.memo = {}
 
     def parse(self, read, error: type):
         """read(self), with each ValueError re-raised as error('line N: ...')."""
@@ -477,18 +505,25 @@ class LineReader:
         return alpha
 
     def coeff(self, token: str) -> ExtRational:
-        if not (token.startswith("(") and token.endswith(")")):
-            raise ValueError(f"malformed coefficient {token!r}")
-        return parse_ext_rational(token[1:-1])
+        value = self.memo.get(token)
+        if value is None:
+            if not (token.startswith("(") and token.endswith(")")):
+                raise ValueError(f"malformed coefficient {token!r}")
+            value = self.memo[token] = parse_ext_rational(token[1:-1])
+        return value
 
     def polynomial(self, nvars: int) -> Polynomial:
         """A polynomial line; every written term names all nvars variables, so
         a line holds at most len(line) / nvars terms (this keeps the parse,
         which builds nvars exponents per term, linear in the line)."""
         line = self.line("a polynomial")
-        if (line.count(" + ") + 1) * max(nvars, 1) > len(line):
-            raise ValueError(f"more terms than fit on a line in {nvars} variables")
-        return parse_polynomial(line, nvars)
+        key = (line, nvars)
+        value = self.memo.get(key)
+        if value is None:
+            if (line.count(" + ") + 1) * max(nvars, 1) > len(line):
+                raise ValueError(f"more terms than fit on a line in {nvars} variables")
+            value = self.memo[key] = parse_polynomial(line, nvars)
+        return value
 
     def grid(self, dim: int, what: str) -> list:
         """A symmetric dim x dim grid of '(coeff)' tokens written as its lower
@@ -610,9 +645,10 @@ class PolyMatrix:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         if self.cols == 1:
             return PolyMatrix([[row[0] * p for p in other.entries[0]] for row in self.entries])
-        # each entry goes to integers once, however many products it enters
-        left = [[p.terms and _integer_form(p.terms) for p in row] for row in self.entries]
-        right = [[p.terms and _integer_form(p.terms) for p in row] for row in other.entries]
+        # each entry goes to integers once in its lifetime, however many
+        # products it enters
+        left = [[p.terms and p._integer() for p in row] for row in self.entries]
+        right = [[p.terms and p._integer() for p in row] for row in other.entries]
         inner = range(self.cols)
         return PolyMatrix([
             [Polynomial._from_clean(self.nvars, _sum_of_products(

@@ -15,7 +15,12 @@ sum_ab G_ab S[(a,i),(b,j)], where S is W collapsed onto monomials as an SOS
 block is: exponents are only added, so the multipliers cost m^2 polynomial
 products per entry however many terms there are.  W is never stored: each
 term's nonzero pairs go straight into S, so memory stays linear in the
-distinct monomials, as with one congruence per term.
+distinct monomials, as with one congruence per term.  Terms whose vec(P)
+holds the same polynomial objects fold as one square at the exact sum of
+their scales.  The reader shares every repeated line (algebra.LineReader),
+so in a parsed certificate, where the unit LDL^T column of each Bernstein
+coefficient repeats a multiplier under different scales, each distinct
+vector is folded once; cert.multipliers still keeps every term.
 
 The fold (_fold_squares) and the Gram assemblies (gram_from_squares, and
 the Kronecker blocks of assemble_simplex_putinar) share one integer
@@ -122,22 +127,32 @@ class QMCertificate:
         multipliers fold into W = sum scale vec(P) vec(P)^T, vec(P)[a ell + i]
         = P[a][i]; with S its collapse onto monomials, built square by square
         from the nonzero terms only, entry (i, j) gains
-        sum_ab G_ab S[(a,i),(b,j)]."""
+        sum_ab G_ab S[(a,i),(b,j)].
+
+        Terms whose vec(P) holds the same polynomial objects (a parsed
+        certificate shares every repeated line) are one square whose scale is
+        the exact sum of theirs, s1 v v^T + s2 v v^T = (s1 + s2) v v^T, at the
+        place of the first: W and S are unchanged, and each distinct vector is
+        folded once.  Keys are object identities, not polynomial equality,
+        which would hash every entry."""
         n, ell, m = self.nvars, self.ell, G.size
         upper = _upper_maps(ell)
         for block in self.sos_blocks:
             _collapse(block.basis, block.gram, ell, upper)
         out = {ij: Polynomial._from_clean(n, terms) for ij, terms in upper.items()}
-        squares = []
+        squares = {}
         for term in self.multipliers:
             P = term.matrix
             if P.rows != m or P.cols != ell:
                 raise ValueError(f"multiplier is {P.rows}x{P.cols}, expected {m}x{ell}")
             if P.nvars != n:
                 raise ValueError(f"multiplier is in {P.nvars} variables, expected {n}")
-            squares.append((ExtRational.coerce(term.scale),
-                            [p for row in P.entries for p in row]))
-        S = _fold_squares(squares, m * ell)
+            vec = [p for row in P.entries for p in row]
+            scale = ExtRational.coerce(term.scale)
+            key = tuple(map(id, vec))
+            prev = squares.get(key)
+            squares[key] = (scale, vec) if prev is None else (prev[0] + scale, vec)
+        S = _fold_squares(squares.values(), m * ell)
         for i, j in out:
             total = out[i, j]
             for a in range(m):

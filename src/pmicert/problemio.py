@@ -2,8 +2,9 @@
 
 Coefficients are strings ("p/q" or "p/q+r/s*sqrt(n)") rather than JSON
 numbers so that exact verification downstream is never silently broken by
-binary floats.  The printer emits the upper triangle only, terms in
-graded-lex order, sorted keys: parse -> print is byte-stable.
+binary floats.  An entry names each exponent at most once; a repeat is an
+error, as two conflicting entries are.  The printer emits the upper triangle
+only, terms in graded-lex order, sorted keys: parse -> print is byte-stable.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def _poly_from_terms(terms, n: int, where: str) -> Polynomial:
                 f"{where}: term {idx} has {len(exps)} exponents, expected {n}"
             )
         key = tuple(_natural(e, f"{where}: term {idx} exponent") for e in exps)
+        if key in out:
+            raise ProblemFormatError(f"{where}: term {idx} repeats exponents {list(key)}")
         try:
             out[key] = parse_ext_rational(str(coeff))
         except ValueError as exc:

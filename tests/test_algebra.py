@@ -269,6 +269,46 @@ class TestProductKernel:
         expected = _oracle_matmul(A.transpose(), PolyMatrix(_oracle_matmul(G, A)))
         assert congruence(A, G).entries == expected
 
+    @pytest.mark.parametrize("surd", (0, 2))
+    def test_unit_coefficient_products_equal_oracle(self, surd):
+        rng = random.Random(70 + surd)
+        n = 2
+        pool = self._pool(rng, n)
+        for _ in range(20):
+            f = self._poly(rng, n, surd, pool)
+            # by the scalar 1 the operand itself comes back
+            for one in (1, ExtRational(1), Fraction(1)):
+                assert f * one is f and one * f is f
+            for mono in [(0, 0)] + pool:
+                unit = Polynomial(n, {mono: 1})
+                for prod in (f * unit, unit * f):
+                    expected = _oracle_mul(f, unit)
+                    self._clean(prod)
+                    assert prod == expected
+                    assert list(prod.terms) == list(expected.terms)
+            # other one-term coefficients still multiply
+            c = Polynomial(n, {pool[0]: ExtRational(Fraction(-2, 3))})
+            assert f * c == _oracle_mul(f, c) == c * f
+
+    def test_integer_form_made_once_per_polynomial(self, monkeypatch):
+        import pmicert.algebra as algebra
+
+        real, made = algebra._integer_form, []
+        monkeypatch.setattr(algebra, "_integer_form", lambda terms: made.append(1) or real(terms))
+        rng = random.Random(80)
+        G = random_sym_matrix(rng, 3, 2, 2)
+        # distinct nonzero objects: G's mirrored entries are one object each
+        nonzero = lambda entries: len({id(p) for row in entries for p in row if p.terms})
+        dense = nonzero(G.entries)
+        vs = [self._matrix(rng, 3, 1, 2, 0, self._pool(rng, 2)) for _ in range(4)]
+        for v in vs:
+            gv = _oracle_matmul(G, v)
+            expected = _oracle_matmul(v.transpose(), PolyMatrix(gv))
+            made.clear()
+            assert congruence(v, G).entries == expected
+            # v's entries once (v^T shares them), G v's, and G's in the first only
+            assert len(made) == nonzero(v.entries) + nonzero(gv) + (dense if v is vs[0] else 0)
+
     def test_cancellation_leaves_no_zero_terms(self):
         p = x(2) * Fraction(1, 3) + x(2, 1) * Fraction(2, 7)
         q = x(2) * x(2, 1) * Fraction(5, 2) - 1

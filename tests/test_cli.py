@@ -151,6 +151,31 @@ class TestMalformedProblems:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestRepeatedTerms:
+    """Two terms of one entry with the same exponents are rejected, as two
+    conflicting entries are: neither the last nor the sum is a safe reading."""
+
+    TEXT = _problem_doc(F=[{"row": 0, "col": 0, "terms": [[[1], "1"], [[1], "2"]]}])
+
+    def test_parse_rejects_repeated_exponents(self):
+        from pmicert.problemio import ProblemFormatError
+
+        with pytest.raises(ProblemFormatError) as exc:
+            parse_problem(self.TEXT)
+        assert str(exc.value) == "F[0,0]: term 1 repeats exponents [1]"
+
+    def test_cli_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pmi"
+        bad.write_text(self.TEXT)
+        assert main(["scalarize", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: F[0,0]: term 1 repeats exponents [1]\n"
+
+    def test_distinct_exponents_still_read(self):
+        text = _problem_doc(F=[{"row": 0, "col": 0, "terms": [[[1], "1"], [[0], "2"]]}])
+        assert parse_problem(text).F[0, 0] == x() + 2
+
+
 class TestExitCodes:
     def test_scalarize_success(self, problems, capsys):
         assert main(["scalarize", str(problems["g2"])]) == 0
