@@ -12,17 +12,24 @@ with safeguarded Anderson acceleration of the fixed-point map.  It exits
 optimal (small displacement, closed duality gap), infeasible or unbounded
 (converged nonzero displacement with PSD Gram blocks), or on the
 iteration budget.  Everything is deterministic for fixed inputs.
+
+The coefficient-matching data are index arrays per Gram block (constraint,
+row, column, value).  The PSD projection reads the block layout of the
+iterate: one stacked eigh per run of adjacent equal-size blocks, a clip for
+1x1 blocks.  Each float it computes goes through the same operations in the
+same order as a per-block projection, so iterates, evaluation counts and
+every output are independent of how the blocks are grouped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .ring import ExtRational, ZERO
+from .ring import ExtRational, ZERO, from_parts
 from .algebra import (
     PolyMatrix,
     Polynomial,
@@ -52,10 +59,13 @@ class SDPProblem:
     basis0: list          # monomials of the SOS Gram block
     basis1: list          # monomials of the multiplier block
     monomials: list       # constraint index: all gamma with |gamma| <= 2k
-    entries0: list        # per constraint: {(i, j) i<=j: ExtRational} on Q0
-    entries1: list        # per constraint: {(i, j) i<=j: ExtRational} on Q1
+    entries: list         # per Gram block: arrays (cons, row, col, val), see below
     rhs: list             # ExtRational coefficients of f per constraint
     const_index: int      # position of the constant monomial
+
+    # entries[b] lists the nonzero upper-triangle slots of block b (row <=
+    # col) sorted by (cons, row, col); val is the float of the exact sum of
+    # the coefficients that slot carries in constraint cons.
 
     @property
     def block_sizes(self):
@@ -67,6 +77,14 @@ class SDPProblem:
 
 def count_monomials(n: int, d: int) -> int:
     return math.comb(n + d, n)
+
+
+def _index_arrays(slots: dict) -> tuple:
+    """(cons, row, col, val) arrays of the nonzero {(cons, row, col): exact
+    coefficient} slots, sorted by key."""
+    keys = sorted(key for key, c in slots.items() if c)
+    cons, row, col = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    return cons, row, col, np.array([float(slots[key]) for key in keys])
 
 
 def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
@@ -87,13 +105,13 @@ def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
     index = {g: c for c, g in enumerate(monomials)}
     N0, N1 = len(basis0), len(basis1)
 
-    entries0 = [dict() for _ in monomials]
+    slots0 = {}
     for u in range(N0):
         for v in range(u, N0):
             g = tuple(a + b for a, b in zip(basis0[u], basis0[v]))
-            entries0[index[g]][(u, v)] = ExtRational(1)
+            slots0[index[g], u, v] = 1
 
-    entries1 = [dict() for _ in monomials]
+    slots1 = {}
     for a in range(m):
         for b in range(m):
             gab = G.entries[a][b]
@@ -107,16 +125,14 @@ def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
                         g = tuple(
                             x + y + z for x, y, z in zip(basis1[u], basis1[v], mono)
                         )
-                        row = entries1[index[g]]
-                        row[(iu, iv)] = row.get((iu, iv), ZERO) + coeff
-    for row in entries1:
-        for key in [k_ for k_, v in row.items() if v.is_zero()]:
-            del row[key]
+                        key = (index[g], iu, iv)
+                        slots1[key] = slots1[key] + coeff if key in slots1 else coeff
 
     rhs = [f.coeff(g) for g in monomials]
     const_index = index[(0,) * n]
     return SDPProblem(
-        n, k, kprime, m, basis0, basis1, monomials, entries0, entries1, rhs, const_index
+        n, k, kprime, m, basis0, basis1, monomials,
+        [_index_arrays(slots0), _index_arrays(slots1)], rhs, const_index,
     )
 
 
@@ -141,13 +157,13 @@ def _constraint_matrix(p: SDPProblem) -> np.ndarray:
     """One row per monomial c: [vec A0_c | vec A1_c | c is constant], so that
     A @ (vec X0, vec X1, gamma) is the coefficient vector of the certificate
     plus gamma."""
-    N0, M1 = p.block_sizes
-    A = np.zeros((p.constraint_count(), N0 * N0 + M1 * M1 + 1))
-    for c, (row0, row1) in enumerate(zip(p.entries0, p.entries1)):
-        for (i, j), v in row0.items():
-            A[c, i * N0 + j] = A[c, j * N0 + i] = float(v)
-        for (i, j), v in row1.items():
-            A[c, N0 * N0 + i * M1 + j] = A[c, N0 * N0 + j * M1 + i] = float(v)
+    sizes = p.block_sizes
+    A = np.zeros((p.constraint_count(), sum(s * s for s in sizes) + 1))
+    offset = 0
+    for (cons, row, col, val), size in zip(p.entries, sizes):
+        A[cons, offset + row * size + col] = val
+        A[cons, offset + col * size + row] = val
+        offset += size * size
     A[p.const_index, -1] = 1.0
     return A
 
@@ -157,6 +173,34 @@ def _psd_project(X: np.ndarray) -> np.ndarray:
     w, U = np.linalg.eigh(X)
     w = np.maximum(w, 0.0)
     return (U * w) @ U.T
+
+
+def _block_views(v: np.ndarray, out: np.ndarray, sizes: list) -> list:
+    """For each run of adjacent equal-size square blocks, whose vec forms lie
+    in turn at the start of v and of out: the stacked (count, size, size)
+    views of the run in v and in out."""
+    views = []
+    start = 0
+    for size, group in itertools.groupby(sizes):
+        stop = start + len(list(group)) * size * size
+        views.append((v[start:stop].reshape(-1, size, size),
+                      out[start:stop].reshape(-1, size, size)))
+        start = stop
+    return views
+
+
+def _project_blocks(views: list) -> None:
+    """PSD-project every block of the (source, target) views of _block_views,
+    with one eigh per run (a clip for 1x1 blocks).  Each block goes through
+    the operations of _psd_project in the same order, so each target equals
+    its _psd_project bit for bit."""
+    for X, Y in views:
+        if X.shape[1] == 1:
+            np.maximum(X, 0.0, out=Y)
+            continue
+        w, U = np.linalg.eigh(0.5 * (X + X.transpose(0, 2, 1)))
+        np.maximum(w, 0.0, out=w)
+        np.matmul(U * w[:, None, :], U.transpose(0, 2, 1), out=Y)
 
 
 def _blocks_psd(v: np.ndarray, N0: int, M1: int, floor: float) -> bool:
@@ -213,41 +257,59 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
       SolverError when D moves gamma (unbounded above), else Infeasible;
     - MaxIterationsError when max_iter iterations end first, as they do on a
       weakly infeasible problem, which has no converged displacement.
+
+    The Gram blocks are projected through _project_blocks, one eigh per run
+    of adjacent equal-size blocks of z (both blocks at once when N0 = M1)
+    and a clip for 1x1 blocks.  An evaluation writes its vectors, the
+    projection and the Anderson history into buffers allocated once here.
+    Every float is computed by the same operations in the same order as
+    with per-block projections into fresh arrays, so the iterates and the
+    evaluation count are bit-identical to that form.
     """
     if sum(p.block_sizes) > MAX_TOTAL_BLOCK_SIZE:
         raise ValueError(
             f"total block size {sum(p.block_sizes)} exceeds {MAX_TOTAL_BLOCK_SIZE}"
         )
     N0, M1 = p.block_sizes
-    s0, s1 = N0 * N0, N0 * N0 + M1 * M1
+    s0 = N0 * N0
+    s1 = s0 + M1 * M1
     A = _constraint_matrix(p)
     gram_pinv = np.linalg.pinv(A @ A.T)
     b = np.array([float(v) for v in p.rhs])
     feas_tol = max(tol * 1e-2, 1e-10)
     dim = A.shape[1]
-    z = np.zeros(dim)
+    # every vector of an evaluation lives in a buffer allocated here: w is
+    # z + STEP*e_gamma, r the affine residual A w - b, y the PSD x PSD x R
+    # projection of v, E = D - D_prev
+    z, w, x, v, y, D, D_prev, E, zD, last_zD = np.zeros((10, dim))
+    blocks = _block_views(v, y, p.block_sizes)
+    r, mu = np.zeros((2, len(b)))
     # ring buffers of the last AA_MEMORY differences of accepted evaluations:
     # of their plain DR images z + D (dZ + dG in the step), of their D, and
     # the Gram matrix of the latter
     dT = np.zeros((AA_MEMORY, dim))
     dG = np.zeros((AA_MEMORY, dim))
     GtG = np.zeros((AA_MEMORY, AA_MEMORY))
+    eye = np.eye(AA_MEMORY)
     h = slot = 0
-    last = None      # (z + D, D) of the last accepted evaluation
-    fallback = None  # (z + D, |D|) of the point the pending Anderson step left
-    D_prev = None
+    # The last accepted evaluation, if any, is the previous one: its z + D
+    # is last_zD and its D is D_prev.
+    has_last = False
+    fallback = None  # |D| at the point the pending Anderson step left
     for it in range(1, max_iter + 1):
-        w = z.copy()
+        D, D_prev = D_prev, D
+        np.copyto(w, z)
         w[-1] += STEP
-        mu = gram_pinv @ (A @ w - b)
-        x = w - mu @ A
-        v = 2.0 * x - z
-        y = np.concatenate((
-            _psd_project(v[:s0].reshape(N0, N0)).ravel(),
-            _psd_project(v[s0:s1].reshape(M1, M1)).ravel(),
-            v[-1:],
-        ))
-        D = y - x
+        np.matmul(A, w, out=r)
+        r -= b
+        np.matmul(gram_pinv, r, out=mu)
+        np.matmul(mu, A, out=x)
+        np.subtract(w, x, out=x)
+        np.multiply(x, 2.0, out=v)
+        v -= z
+        _project_blocks(blocks)
+        y[-1] = v[-1]
+        np.subtract(y, x, out=D)
         res = math.sqrt(D @ D)
         gamma = float(x[-1])
         if res < feas_tol and abs(float(b @ mu) / STEP - gamma) < tol * max(1.0, abs(gamma)):
@@ -255,33 +317,35 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
             X1 = x[s0:s1].reshape(M1, M1)
             margin = min(min_eigenvalue_numeric(X0), min_eigenvalue_numeric(X1))
             return RelaxResult(gamma, X0, X1, res, margin, it)
-        if (D_prev is not None and res > feas_tol
-                and np.linalg.norm(D - D_prev) <= feas_tol * res
-                and _blocks_psd(D, N0, M1, -math.sqrt(feas_tol) * res)):
-            if D[-1] > feas_tol:
-                raise SolverError("relaxation appears unbounded above")
-            return Infeasible(res, gamma, it)
-        D_prev = D
-        if fallback is not None and res > AA_SAFEGUARD * fallback[1]:
-            z, h, slot, last, fallback = fallback[0], 0, 0, None, None
+        if it > 1 and res > feas_tol:
+            np.subtract(D, D_prev, out=E)
+            if (math.sqrt(E @ E) <= feas_tol * res
+                    and _blocks_psd(D, N0, M1, -math.sqrt(feas_tol) * res)):
+                if D[-1] > feas_tol:
+                    raise SolverError("relaxation appears unbounded above")
+                return Infeasible(res, gamma, it)
+        if fallback is not None and res > AA_SAFEGUARD * fallback:
+            z, last_zD = last_zD, z
+            h = slot = 0
+            has_last, fallback = False, None
             continue
-        zD = z + D
-        if last is not None:
-            dT[slot] = zD - last[0]
-            dG[slot] = D - last[1]
+        np.add(z, D, out=zD)
+        if has_last:
+            np.subtract(zD, last_zD, out=dT[slot])
+            np.subtract(D, D_prev, out=dG[slot])
             h = min(h + 1, AA_MEMORY)
             GtG[slot, :h] = GtG[:h, slot] = dG[:h] @ dG[slot]
             slot = (slot + 1) % AA_MEMORY
-        last = (zD, D)
-        H = GtG[:h, :h].copy()
-        trace = H.trace()
+        has_last = True
+        zD, last_zD = last_zD, zD
+        trace = GtG[:h, :h].trace()
         if trace > 0.0:
-            H.flat[::h + 1] += AA_REG * trace
-            fallback = (zD, res)
-            z = zD - np.linalg.solve(H, dG[:h] @ D) @ dT[:h]
+            fallback = res
+            H = GtG[:h, :h] + (AA_REG * trace) * eye[:h, :h]
+            np.subtract(last_zD, np.linalg.solve(H, dG[:h] @ D) @ dT[:h], out=z)
         else:
             fallback = None
-            z = zD
+            np.copyto(z, last_zD)
     raise MaxIterationsError(f"iteration budget {max_iter} exhausted")
 
 
@@ -321,6 +385,12 @@ def hierarchy(
     return values
 
 
+def _dyadic(x: float) -> ExtRational:
+    """The float x as the exact rational it is."""
+    num, den = x.as_integer_ratio()
+    return from_parts(num, 0, den, 0)
+
+
 def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
     """Numeric certificate for f - gamma from the solved Gram blocks.
 
@@ -330,35 +400,31 @@ def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
     """
     N0 = len(p.basis0)
     N1 = len(p.basis1)
-    X0 = _psd_project(result.X0)
-    gram = [
-        [ExtRational(Fraction(float(X0[i, j]))) for j in range(N0)] for i in range(N0)
-    ]
+    X0 = _psd_project(result.X0).tolist()
+    gram = [[ZERO] * N0 for _ in range(N0)]
     for i in range(N0):
-        for j in range(N0):
-            gram[j][i] = gram[i][j]
+        row = X0[i]
+        for j in range(i, N0):
+            gram[i][j] = gram[j][i] = _dyadic(row[j])
     block = SOSBlock(list(p.basis0), gram)
     mults = []
     w, U = np.linalg.eigh(0.5 * (result.X1 + result.X1.T))
-    for idx in range(len(w)):
-        if w[idx] <= 1e-14:
+    for weight, vec in zip(w.tolist(), U.T.tolist()):
+        if weight <= 1e-14:
             continue
-        vec = U[:, idx]
         entries = []
         for a in range(p.m):
             terms = {}
             for u in range(N1):
-                val = float(vec[a * N1 + u])
+                val = vec[a * N1 + u]
                 if val != 0.0:
-                    terms[p.basis1[u]] = ExtRational(Fraction(val))
+                    terms[p.basis1[u]] = _dyadic(val)
             entries.append([Polynomial(p.n, terms)])
-        mults.append(
-            MultiplierTerm(ExtRational(Fraction(float(w[idx]))), PolyMatrix(entries))
-        )
+        mults.append(MultiplierTerm(_dyadic(weight), PolyMatrix(entries)))
     return QMCertificate(p.n, 1, p.m, 2 * p.k, "numeric", [block], mults)
 
 
 def certificate_target(p: SDPProblem, gamma: float) -> SymPolyMatrix:
     """The scalar matrix [f - gamma] the extracted certificate represents."""
     f = _poly_from_rhs(p)
-    return SymPolyMatrix.scalar(f - ExtRational(Fraction(gamma)))
+    return SymPolyMatrix.scalar(f - _dyadic(gamma))

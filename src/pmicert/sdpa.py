@@ -7,15 +7,19 @@ that the constant-monomial constraint carries the free objective scalar:
 treatment of the bound variable).  Header comments record that convention.
 
 Layout: comment lines starting with '*', then the number of constraints, the
-number of blocks, the block size list (a negative size would mark a diagonal
-block; none are emitted here), the objective/right-hand-side vector, and one
-line per entry `<cons#> <block#> <i> <j> <value>` with 1-based indices and
-i <= j (upper triangle of the symmetric coefficient matrices).
+number of blocks, the block size list (positive: the parser rejects the
+negative sizes by which SDPA marks diagonal blocks, which are never
+emitted), the objective/right-hand-side vector, and one line per entry
+`<cons#> <block#> <i> <j> <value>` with 1-based indices and i <= j (upper
+triangle of the symmetric coefficient matrices).  Every value is a finite
+float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .relax import SDPProblem
 
@@ -31,15 +35,18 @@ class SdpaData:
 
 
 def to_sdpa_data(p: SDPProblem) -> SdpaData:
+    """The entries ordered by constraint, then block, then (i, j).  Each
+    block's index arrays are sorted by (constraint, i, j) already, so one
+    stable sort by constraint of the blocks' entries, block after block,
+    gives that order."""
     entries = []
-    for c, _ in enumerate(p.monomials):
-        for (i, j) in sorted(p.entries0[c]):
-            entries.append((c + 1, 1, i + 1, j + 1, float(p.entries0[c][(i, j)])))
-        for (i, j) in sorted(p.entries1[c]):
-            entries.append((c + 1, 2, i + 1, j + 1, float(p.entries1[c][(i, j)])))
+    for blk, (cons, row, col, val) in enumerate(p.entries, 1):
+        entries += zip((cons + 1).tolist(), [blk] * len(cons), (row + 1).tolist(),
+                       (col + 1).tolist(), val.tolist())
+    entries.sort(key=itemgetter(0))
     return SdpaData(
         ncons=p.constraint_count(),
-        nblocks=2,
+        nblocks=len(p.entries),
         sizes=list(p.block_sizes),
         objective=[float(v) for v in p.rhs],
         entries=entries,
@@ -64,6 +71,13 @@ def format_sdpa(data: SdpaData) -> str:
 def export_sdpa(p: SDPProblem) -> str:
     """Deterministic SDPA sparse text for a built relaxation."""
     return format_sdpa(to_sdpa_data(p))
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"value {token!r} is not a finite float")
+    return value
 
 
 def parse_sdpa(text: str) -> SdpaData:
@@ -91,8 +105,10 @@ def parse_sdpa(text: str) -> SdpaData:
         sizes = [int(tok) for tok in line.split()]
         if len(sizes) != nblocks:
             raise ValueError(f"block size list has {len(sizes)} entries, expected {nblocks}")
+        if min(sizes, default=1) < 1:
+            raise ValueError(f"block sizes must be positive: {line!r}")
         number, line = body[3]
-        objective = [float(tok) for tok in line.split()]
+        objective = [_finite(tok) for tok in line.split()]
         if len(objective) != ncons:
             raise ValueError(f"objective vector has {len(objective)} entries, expected {ncons}")
         entries = []
@@ -105,7 +121,7 @@ def parse_sdpa(text: str) -> SdpaData:
                 raise ValueError(f"entry indices out of range: {line!r}")
             if not (1 <= i <= j <= sizes[blk - 1]):
                 raise ValueError(f"entry not in upper triangle of its block: {line!r}")
-            entries.append((cons, blk, i, j, float(toks[4])))
+            entries.append((cons, blk, i, j, _finite(toks[4])))
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
     return SdpaData(ncons, nblocks, sizes, objective, entries, gamma_constraint)

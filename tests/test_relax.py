@@ -8,6 +8,8 @@ import pytest
 from pmicert import relax
 from pmicert.algebra import Polynomial, SymPolyMatrix, psd_exact
 from pmicert.certify import ball_constraint, verify_certificate
+from pmicert.cli import main
+from pmicert.problemio import ProblemData, dump_problem
 from pmicert.scalarize import scalarize
 from pmicert.relax import (
     Infeasible,
@@ -73,12 +75,20 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_relaxation(x(), quartic, 1)  # k' would be negative
 
-    def test_size_cap(self):
+    def test_size_cap(self, tmp_path, capsys):
+        # n = 3, k = 8: blocks of 165 and 120, past the cap of 200
         f = Polynomial.variable(3, 0)
-        p = build_relaxation(f, ball_constraint(3), 5)
-        if sum(p.block_sizes) > 200:
-            with pytest.raises(ValueError):
-                solve_sdp(p)
+        p = build_relaxation(f, ball_constraint(3), 8)
+        assert p.block_sizes == [165, 120]
+        assert sum(p.block_sizes) > relax.MAX_TOTAL_BLOCK_SIZE
+        with pytest.raises(ValueError, match="total block size 285 exceeds"):
+            solve_sdp(p)
+        path = tmp_path / "cap.pmi"
+        path.write_text(dump_problem(ProblemData(3, 1, 1, scalar(f), ball_constraint(3))))
+        assert main(["relax", str(path), "--order", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSolve:

@@ -82,8 +82,18 @@ class TestParser:
             (lambda lines: lines[:1] + ["* constraint z carries the free objective scalar gamma"]
              + lines[2:], 2),
             (lambda lines: lines[:4], 5),                                      # truncated
+            (lambda lines: lines[:4] + ["0 1"] + lines[5:], 5),                # block sizes
+            (lambda lines: lines[:4] + ["2 -1"] + lines[5:], 5),
+            (lambda lines: lines[:5] + ["nan 1.0 0.0"] + lines[6:], 6),        # objective
+            (lambda lines: lines[:5] + ["0.0 inf 0.0"] + lines[6:], 6),
+            (lambda lines: lines[:5] + ["0.0 1.0 1e999"] + lines[6:], 6),
+            (lambda lines: lines[:6] + ["1 1 1 1 nan"] + lines[7:], 7),        # entry value
+            (lambda lines: lines[:6] + ["1 1 1 1 -inf"] + lines[7:], 7),
+            (lambda lines: lines[:6] + ["1 1 1 1 1e999"] + lines[7:], 7),
         ],
-        ids=["ncons", "objective", "entry-value", "entry-index", "gamma-comment", "truncated"],
+        ids=["ncons", "objective", "entry-value", "entry-index", "gamma-comment", "truncated",
+             "size-zero", "size-negative", "objective-nan", "objective-inf",
+             "objective-overflow", "entry-nan", "entry-minus-inf", "entry-overflow"],
     )
     def test_errors_name_their_line(self, edit, line):
         lines = export_sdpa(interval_problem()).splitlines()

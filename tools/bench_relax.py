@@ -1,9 +1,10 @@
 """Iterations, process CPU time and exit of `pmicert relax --json` per instance,
-for one or more source trees of the program.
+and the in-process CPU time of the solver, for one or more source trees of
+the program.
 
     git archive <commit> | tar -x -C /tmp/parent
     python3 tools/bench_relax.py --variant parent=/tmp/parent/src \\
-        --variant new=src --seed 7 --out BENCH_relax.json
+        --variant new=src --seed 7 --repeats 21 --out BENCH_relax.json
 
 Instances: the relax jobs of the benchmark's `relax` workload at --seed
 (perfbench/workloads.py), and 32 box instances at k = 2: the two degenerate
@@ -13,7 +14,12 @@ draws of tests/test_relax.py.  Each instance runs once per variant, the
 variants alternating, in a fresh process with PYTHONPATH set to the
 variant's source tree and numpy's BLAS held to one thread (tools/harness.py);
 CPU time is the child's user plus system time, interpreter start-up and
-imports included.
+imports included.  A second fresh process per instance and variant builds
+the relaxation and times --repeats calls of solve_sdp on it after one
+untimed call: solve_s is their median process CPU time and eval_us that
+median over the evaluation count, so start-up and parsing drop out.  An
+instance whose gamma or iteration count differs between variants is listed
+under "differs" in the summary.
 """
 
 from __future__ import annotations
@@ -31,6 +37,22 @@ import harness  # puts perfbench/ on sys.path
 import families as fam
 import workloads
 from refmath import write_problem
+
+# run as python -c SOLVE_TIMER <problem> <order> <repeats>
+SOLVE_TIMER = """
+import json, statistics, sys, time
+from pmicert.problemio import load_problem
+from pmicert.relax import build_relaxation, solve_sdp
+prob = load_problem(sys.argv[1])
+p = build_relaxation(prob.F[0, 0], prob.G, int(sys.argv[2]))
+result = solve_sdp(p)
+times = []
+for _ in range(int(sys.argv[3])):
+    start = time.process_time()
+    solve_sdp(p)
+    times.append(time.process_time() - start)
+print(json.dumps({"solve_s": statistics.median(times), "evaluations": result.iterations}))
+"""
 
 DEGENERATE_BOXES = [("box-opt-9", [4, -3], [-8, -2]), ("box-opt-2.25", [1, 2], [1, 4])]
 
@@ -57,6 +79,17 @@ def instances(seed: int, workdir: str):
     return out
 
 
+def solve_time(src: str, path: str, k: int, repeats: int) -> dict:
+    """Median in-process CPU seconds of solve_sdp, and per evaluation in µs;
+    None for both when the solver raises."""
+    proc = harness.run_python(src, ["-c", SOLVE_TIMER, path, str(k), str(repeats)])
+    if proc.returncode != 0:
+        return {"solve_s": None, "eval_us": None}
+    timed = json.loads(proc.stdout)
+    return {"solve_s": round(timed["solve_s"], 6),
+            "eval_us": round(timed["solve_s"] / timed["evaluations"] * 1e6, 2)}
+
+
 def run(src: str, path: str, k: int) -> dict:
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = harness.run_python(src, ["-c", harness.CLI, "relax", path, "--order", str(k),
@@ -74,7 +107,10 @@ def run(src: str, path: str, k: int) -> dict:
 
 
 def main() -> int:
-    args = harness.parser(__doc__.split("\n\n")[0], "BENCH_relax.json").parse_args()
+    ap = harness.parser(__doc__.split("\n\n")[0], "BENCH_relax.json")
+    ap.add_argument("--repeats", type=int, default=21,
+                    help="timed solve_sdp calls per instance and variant")
+    args = ap.parse_args()
     variants = harness.variants(args)
     records = []
     with tempfile.TemporaryDirectory() as workdir:
@@ -82,6 +118,7 @@ def main() -> int:
             rec = {"job": job, "n": n, "k": k}
             for label, src in harness.in_turn(variants, i):
                 rec[label] = run(src, path, k)
+                rec[label].update(solve_time(src, path, k, args.repeats))
             records.append(rec)
             print(job, *(f"{label}={rec[label]['iterations']}" for label, _ in variants),
                   file=sys.stderr)
@@ -93,7 +130,12 @@ def main() -> int:
             "iterations_total": sum(its),
             "iterations_median": statistics.median(its) if its else None,
             "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 3),
+            "solve_s_total": round(sum(r[label]["solve_s"] or 0.0 for r in records), 4),
         }
+    summary["differs"] = [
+        r["job"] for r in records
+        if len({(r[label]["gamma"], r[label]["iterations"]) for label, _ in variants}) > 1
+    ]
     harness.write(args.out, args, variants, summary, records)
     return 0
 
