@@ -1,27 +1,36 @@
 """Exact multivariate polynomials and symmetric polynomial matrices.
 
-Polynomials are sparse term maps from exponent tuples to ExtRational
-coefficients; all arithmetic is exact over Q[sqrt(r)].  Matrices come in
-three flavours: general rectangular polynomial matrices (PolyMatrix),
-exactly-symmetric square ones (SymPolyMatrix) and constant symmetric
-matrices over the coefficient ring (RationalSymMatrix), which carry the
-exact positive-semidefiniteness test.
+A Polynomial is kept in integers, the layout of FLINT's fmpq_poly: its
+coefficients are numerators p + q sqrt(r) of Z[sqrt(r)] over one common
+denominator L, the least one (L and all the p and q have no common factor),
+and each monomial is packed into one int.  A monomial alpha of degree d in
+n variables packs as d B^n + alpha_1 B^(n-1) + ... + alpha_n with B = 2^w,
+so int order is graded-lex order and the monomial of a product is the int
+sum of its factors'.  The field width w is the least 8 2^j with
+d < 2^(w-1) for the polynomial's degree d (_width): the exponents of a
+product of two polynomials of one width stay below 2^w, so no field carries
+into the next.  A result whose degree needs another width is repacked, so
+equal polynomials have equal packings.  ExtRational coefficients are built
+only where a coefficient is read: the terms view {exponent tuple:
+ExtRational}, made on first use and kept with the polynomial, and through
+it coeff, evaluate and evaluate_float.  Printing reads the integers.
 
-Products go through one integer kernel, _sum_of_products, which returns
-the terms of sum f g over a list of pairs (f, g): a product of two
-polynomials of two or more terms is one pair, an entry of A @ B the
-A.cols pairs of its row and column, and congruence is two such matmuls.
-Each operand's coefficients go over the lcm L of their denominators, as
-numerator pairs (p, q) of Z[sqrt(r)] (_integer_form, made once per
-polynomial and kept with it), so a term pair makes int products only: one
-when both are rational, four with sqrt(r).  Each output monomial keeps its
-numerators over D, the lcm of the L_f L_g that reached it, and one
-normalised ExtRational is built per monomial at the end.  The values are
-those of ExtRational arithmetic, and a product's keys come in the order of
-the ExtRational double loop.  A one-term operand is a scalar times a
-monomial shift and skips the kernel; with the scalar 1 only the exponents
-move, and a product by the scalar 1 is the operand itself.  certify's fold
-and Gram assembly share the kernel's helpers _common_denominator and _merge.
+Every exact sum is one accumulator, _accumulate, keyed by packed monomials
+over one common denominator, the lcm of those of its items: a sum of
+polynomials, a product (every term pair), a sum of products (an entry of
+A @ B, certify's fold of squares) and the upper triangle of a square
+(certify's Gram assembly).  A term pair makes int products only: one when
+both sides are rational, four with sqrt(r).  A product's terms come in the
+order the ExtRational double loop first reaches them, a sum's in the order
+of its operands.  RadicandMismatch is raised where ExtRational arithmetic
+raises it: two coefficients with different irrational radicands
+multiplied, or added into one monomial while its irrational part is
+nonzero.
+
+Matrices come in three flavours: general rectangular polynomial matrices
+(PolyMatrix), exactly-symmetric square ones (SymPolyMatrix) and constant
+symmetric matrices over the coefficient ring (RationalSymMatrix), which
+carry the exact positive-semidefiniteness test.
 """
 
 from __future__ import annotations
@@ -29,40 +38,89 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import mul, or_
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, ONE, common_radicand, from_parts, parse_ext_rational
+from .ring import ExtRational, ZERO, ONE, _make, common_radicand, parse_ext_rational, parse_parts
 
 Exponent = tuple
+
+_gcd = math.gcd
+_new = object.__new__
 
 
 def _grlex_key(alpha: Exponent):
     return (sum(alpha), alpha)
 
 
-_new = object.__new__
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+def _width(degree: int) -> int:
+    """Field width of a polynomial of this degree: the least w = 8 2^j with
+    degree < 2^(w-1), so that two such degrees add below 2^w."""
+    w = 8
+    while degree >> (w - 1):
+        w += w
+    return w
+
+
+def _pack(alpha, w: int) -> int:
+    if w == 8:  # every exponent is below 128
+        return sum(alpha) << 8 * len(alpha) | int.from_bytes(bytes(alpha), "big")
+    key = sum(alpha)
+    for e in alpha:
+        key = key << w | e
+    return key
+
+
+def _unpack(key: int, n: int, w: int) -> tuple:
+    fields = key & ((1 << w * n) - 1)
+    if w == 8:
+        return tuple(fields.to_bytes(n, "big"))
+    mask = (1 << w) - 1
+    return tuple(fields >> w * (n - 1 - i) & mask for i in range(n))
+
+
+def _repacked(form: tuple, n: int, w: int, width: int) -> tuple:
+    mons = tuple(_pack(_unpack(k, n, w), width) for k in form[0])
+    return (mons,) + form[1:]
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+
+
+# an integer form (monomials, ps, qs, rs, L): coefficient k is
+# (ps[k] + qs[k] sqrt(rs[k]))/L, with qs and rs None when all are rational
+_ZERO_FORM = ((), (), None, None, 1)
 
 
 class Polynomial:
-    # _ints: the _integer_form of terms, filled on first use (terms never change)
-    __slots__ = ("nvars", "terms", "_ints")
+    # nvars, the field width _w and the integer form _f are the state;
+    # _terms is the ExtRational view, filled on first use
+    __slots__ = ("nvars", "_w", "_f", "_terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         clean = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(e) for e in alpha)
+            alpha = tuple(map(int, alpha))
             if len(alpha) != nvars:
                 raise ValueError(f"exponent {alpha} has wrong length for nvars={nvars}")
-            if any(e < 0 for e in alpha):
+            if alpha and min(alpha) < 0:
                 raise ValueError(f"negative exponent in {alpha}")
             coeff = ExtRational.coerce(coeff)
             prev = clean.get(alpha)
             clean[alpha] = coeff if prev is None else prev + coeff
-        _set_nvars(self, nvars)
-        _set_terms(self, {a: c for a, c in clean.items() if c})
-        _set_ints(self, None)
+        terms = {a: c for a, c in clean.items() if c}
+        if not terms:
+            _init(self, nvars, 8, _ZERO_FORM, terms)
+            return
+        w, mons = _packed(terms, nvars)
+        _init(self, nvars, w, (mons,) + _integer_coeffs(terms.values()), terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -70,22 +128,13 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _from_clean(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Internal results: terms already map valid exponent tuples to
-        ExtRational coefficients, each exponent once; only zeros are dropped."""
-        out = _new(cls)
-        _set_nvars(out, nvars)
-        _set_terms(out, {a: c for a, c in terms.items() if c})
-        _set_ints(out, None)
-        return out
-
-    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
+        return _poly(nvars, 8, _ZERO_FORM)
 
     @classmethod
     def const(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: ExtRational.coerce(value)})
+        c = ExtRational.coerce(value)
+        return _poly(nvars, 8, _constant_form(c), {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -93,19 +142,33 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[index] = 1
-        return cls(nvars, {tuple(exp): ONE})
+        exp = tuple(exp)
+        return _poly(nvars, 8, ((_pack(exp, 8),), (1,), None, None, 1), {exp: ONE})
 
     # -- queries ----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """{exponent tuple: ExtRational} in term order, built on first use."""
+        terms = self._terms
+        if terms is None:
+            mons, ps, qs, rs, den = self._f
+            n, w = self.nvars, self._w
+            if qs is None:
+                qs = rs = repeat(0)
+            terms = {_unpack(k, n, w): _make(p, q, den, r)
+                     for k, p, q, r in zip(mons, ps, qs, rs)}
+            _set_terms(self, terms)
+        return terms
+
+    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+        mons = self._f[0]
+        return max(mons) >> self._w * self.nvars if mons else -1
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._f[0]
 
     def coeff(self, alpha) -> ExtRational:
         return self.terms.get(tuple(alpha), ZERO)
@@ -115,14 +178,6 @@ class Polynomial:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _integer(self) -> tuple:
-        """The _integer_form of the (nonempty) terms, computed once."""
-        ints = self._ints
-        if ints is None:
-            ints = _integer_form(self.terms)
-            _set_ints(self, ints)
-        return ints
-
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise ValueError(
@@ -130,75 +185,95 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(self.nvars, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            prev = terms.get(alpha)
-            terms[alpha] = c if prev is None else prev + c
-        return Polynomial._from_clean(self.nvars, terms)
+        return self._sum(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._from_clean(self.nvars, {a: -c for a, c in self.terms.items()})
+        return _poly(self.nvars, self._w, _negated(self._f))
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(self.nvars, other)
-        return self + (-other)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _sum(self, other, negate: bool) -> "Polynomial":
+        """self + other, or self - other with negate; other a Polynomial or a
+        scalar."""
+        if isinstance(other, Polynomial):
+            self._check(other)
+            g, gw, terms = other._f, other._w, other._terms
+        else:
+            g, gw, terms = _constant_form(ExtRational.coerce(other)), 8, None
+        if negate:
+            g, terms = _negated(g), None
+        n, w = self.nvars, max(self._w, gw)
+        # a zero operand: the other one, as a new polynomial
+        if not g[0]:
+            return _poly(n, self._w, self._f, self._terms)
+        if not self._f[0]:
+            return _poly(n, gw, g, terms)
+        f = self._f if self._w == w else _repacked(self._f, n, self._w, w)
+        if gw != w:
+            g = _repacked(g, n, gw, w)
+        return _finish(n, w, *_accumulate([(f, None, None), (g, None, None)]))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             scalar = ExtRational.coerce(other)
             if scalar == ONE:
                 return self
-            return Polynomial._from_clean(
-                self.nvars, {a: c * scalar for a, c in self.terms.items()}
-            )
+            return _build(self.nvars, self._w, *_scaled(self._f, scalar.parts()))
         self._check(other)
-        f, g = self.terms, other.terms
+        f, g = self._f[0], other._f[0]
         if len(f) > 1 and len(g) > 1:
-            pair = (self._integer(), other._integer())
-            return Polynomial._from_clean(self.nvars, _sum_of_products([pair]))
+            return _sum_of_products(self.nvars, [(self, other)])
         if not f or not g:
-            return Polynomial._from_clean(self.nvars, {})
+            return Polynomial.zero(self.nvars)
         # a one-term operand is a scalar times a monomial shift; with the
         # scalar 1 only the exponents move
-        short, long = (f, g) if len(f) == 1 else (g, f)
-        ((mono, c),) = short.items()
-        if c == ONE:
-            return Polynomial._from_clean(
-                self.nvars, {tuple(map(add, a, mono)): d for a, d in long.items()})
-        return Polynomial._from_clean(
-            self.nvars, {tuple(map(add, a, mono)): d * c for a, d in long.items()}
-        )
+        short, long = (self, other) if len(f) == 1 else (other, self)
+        w = max(self._w, other._w)
+        (mono,), (p,), q, r, den = _at(short, w)
+        form = _at(long, w)
+        if mono:
+            form = (tuple([k + mono for k in form[0]]),) + form[1:]
+        if p == den and not q:
+            return _canonical(self.nvars, w, form)
+        return _build(self.nvars, w, *_scaled(form, (p, q and q[0], den, r and r[0])))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.const(self.nvars, 1)
-        base = self
-        while k:
+        if not k:
+            return Polynomial.const(self.nvars, 1)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        f, g = self._f, other._f
+        if (self.nvars != other.nvars or f[4] != g[4] or len(f[0]) != len(g[0])
+                or (f[2] is None) != (g[2] is None)):
+            return False
+        if f[0] == g[0]:
+            return f[1:4] == g[1:4]
+        return _coeff_map(f) == _coeff_map(g)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._f[4], frozenset(_coeff_map(self._f).items())))
 
     # -- evaluation and substitution --------------------------------------
 
@@ -240,33 +315,53 @@ class Polynomial:
             raise ValueError(
                 f"target degree {target_degree} below polynomial degree {d}"
             )
-        terms = {}
-        for alpha, c in self.terms.items():
-            terms[(target_degree - sum(alpha),) + alpha] = c
-        return Polynomial(self.nvars + 1, terms)
+        n, w = self.nvars, self._w
+        mons = self._f[0]
+        width = _width(target_degree) if mons else 8
+        if width == w:
+            low = (1 << w * n) - 1
+            top = target_degree << w * (n + 1)
+            mons = tuple([top | (target_degree - (k >> w * n)) << w * n | k & low
+                          for k in mons])
+        else:
+            mons = tuple([_pack((target_degree - sum(a),) + a, width)
+                          for a in (_unpack(k, n, w) for k in mons)])
+        return _poly(n + 1, width, (mons,) + self._f[1:])
 
     def dehomogenize(self) -> "Polynomial":
         """Substitute 1 for the first variable and drop it."""
         if self.nvars < 1:
             raise ValueError("no variable to dehomogenize")
-        terms: dict = {}
-        for alpha, c in self.terms.items():
-            key = alpha[1:]
-            terms[key] = terms.get(key, ZERO) + c
-        return Polynomial(self.nvars - 1, terms)
+        n, w = self.nvars, self._w
+        mons, ps, qs, rs, den = self._f
+        shift = w * (n - 1)
+        low, field = (1 << shift) - 1, (1 << w) - 1
+        mons = [(k >> w * n) - (k >> shift & field) << shift | k & low for k in mons]
+        return _finish(n - 1, w, *_accumulate([((mons, ps, qs, rs, den), None, None)]))
 
     # -- text form --------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical form: '(coeff) * x1^e1*...*xn^en' terms, graded-lex."""
-        if not self.terms:
-            alpha = (0,) * self.nvars
-            mono = "*".join(f"x{i + 1}^0" for i in range(self.nvars)) or "1"
+        mons, ps, qs, rs, den = self._f
+        n, w = self.nvars, self._w
+        if not mons:
+            mono = "*".join(f"x{i + 1}^0" for i in range(n)) or "1"
             return f"(0/1) * {mono}"
+        # one {} per exponent; packed keys order as graded-lex
+        mono = "*".join([f"x{i}^{{}}" for i in range(1, n + 1)]) or "1"
+        low = (1 << w * n) - 1
         parts = []
-        for alpha in sorted(self.terms, key=_grlex_key, reverse=True):
-            mono = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(alpha)) or "1"
-            parts.append(f"({self.terms[alpha]}) * {mono}")
+        for k in sorted(range(len(mons)), key=mons.__getitem__, reverse=True):
+            p = ps[k]
+            g = _gcd(p, den)
+            coeff = f"{p // g}/{den // g}"
+            q = qs and qs[k]
+            if q:
+                g = _gcd(q, den)
+                coeff += f"{'+' if q > 0 else '-'}{abs(q) // g}/{den // g}*sqrt({rs[k]})"
+            exps = (mons[k] & low).to_bytes(n, "big") if w == 8 else _unpack(mons[k], n, w)
+            parts.append(f"({coeff}) * {mono.format(*exps)}")
         return " + ".join(parts)
 
     def __str__(self):
@@ -278,113 +373,244 @@ class Polynomial:
 
 # the slots' own setters, past the __setattr__ guard
 _set_nvars = Polynomial.nvars.__set__
-_set_terms = Polynomial.terms.__set__
-_set_ints = Polynomial._ints.__set__
+_set_w = Polynomial._w.__set__
+_set_f = Polynomial._f.__set__
+_set_terms = Polynomial._terms.__set__
 
 
-# ---------------------------------------------------------------------------
-# the integer product kernel
+def _init(poly: Polynomial, nvars: int, w: int, form: tuple, terms: dict | None) -> Polynomial:
+    _set_nvars(poly, nvars)
+    _set_w(poly, w)
+    _set_f(poly, form)
+    _set_terms(poly, terms)
+    return poly
 
 
-def _common_denominator(coeffs) -> tuple:
+def _poly(nvars: int, w: int, form: tuple, terms: dict | None = None) -> Polynomial:
+    return _init(_new(Polynomial), nvars, w, form, terms)
+
+
+def _packed(alphas, nvars: int) -> tuple:
+    """(w, monomials): the nonempty exponent tuples alphas packed at the
+    width of their largest degree."""
+    try:  # _pack at width 8, inline: the degree is the top byte
+        mons = tuple([int.from_bytes(bytes((sum(a), *a)), "big") for a in alphas])
+        top = max(mons) >> 8 * nvars
+    except ValueError:  # a degree past a byte
+        top = max(map(sum, alphas))
+    if top < 128:
+        return 8, mons
+    w = _width(top)
+    return w, tuple([_pack(a, w) for a in alphas])
+
+
+def _integer_coeffs(coeffs) -> tuple:
     """(ps, qs, rs, L) of a nonempty sequence of ExtRationals: coefficient k
-    is (ps[k] + qs[k] sqrt(rs[k]))/L, L the lcm of their denominators."""
-    ps, qs, ds, rs = zip(*[c.parts() for c in coeffs])
+    is (ps[k] + qs[k] sqrt(rs[k]))/L, L the lcm of their denominators; qs
+    and rs are None when every coefficient is rational."""
+    return _over_lcm(*zip(*map(ExtRational.parts, coeffs)))
+
+
+def _over_lcm(ps, qs, ds, rs) -> tuple:
+    """(ps, qs, rs, L): the values (ps[k] + qs[k] sqrt(rs[k]))/ds[k] over L,
+    the lcm of the ds; qs and rs None when every qs[k] is 0."""
+    if len(ds) == 1:
+        return (ps[0],), (qs[0],) if qs[0] else None, (rs[0],) if qs[0] else None, ds[0]
     L = math.lcm(*ds)
-    if any(d != L for d in ds):
-        ps = [p * (L // d) for p, d in zip(ps, ds)]
-        qs = [q * (L // d) for q, d in zip(qs, ds)]
-    return ps, qs, rs, L
+    rational = not any(qs)
+    if ds.count(L) != len(ds):
+        scales = [L // d for d in ds]
+        ps = map(mul, ps, scales)
+        if not rational:
+            qs = map(mul, qs, scales)
+    if rational:
+        return tuple(ps), None, None, L
+    return tuple(ps), tuple(qs), tuple(rs), L
 
 
-def _merge(cur: list, x: int, y: int, den: int) -> None:
-    """Add (x + y sqrt(r))/den into the numerators [P, Q] over D of cur,
-    where den does not divide D: D becomes lcm(D, den)."""
-    D = cur[2]
-    g = math.gcd(D, den)
-    fo, fn = den // g, D // g
-    cur[0] = cur[0] * fo + x * fn
-    cur[1] = cur[1] * fo + y * fn
-    cur[2] = D * fo
+def _canonical(nvars: int, w: int, form: tuple) -> Polynomial:
+    """The Polynomial of a reduced form packed at width w, repacked if its
+    degree calls for another width."""
+    mons = form[0]
+    if mons:
+        top = max(mons) >> w * nvars
+        if top >> (w - 1) or (w > 8 and not top >> (w // 2 - 1)):
+            width = _width(top)
+            return _poly(nvars, width, _repacked(form, nvars, w, width))
+    return _poly(nvars, w, form)
 
 
-def _integer_form(terms: dict) -> tuple:
-    """(monomials, ps, qs, rs, L) of a nonzero term map over its common
-    denominator L; qs and rs are None when every coefficient is rational."""
-    ps, qs, rs, L = _common_denominator(terms.values())
-    if not any(qs):
+def _build(nvars: int, w: int, mons, ps, qs, rs, den: int) -> Polynomial:
+    """The Polynomial of numerators over den at width w: terms with p = q = 0
+    dropped, a radicand only where q != 0, and the common factor of den and
+    the numerators divided out."""
+    if qs is not None and any(qs):
+        if 0 in map(or_, ps, qs):  # p | q is 0 only when both are
+            mons, ps, qs, rs = zip(*[t for t in zip(mons, ps, qs, rs) if t[1] or t[2]])
+        rs = tuple(map(mul, rs, map(bool, qs)))  # 0 where q is
+        g = _gcd(den, *ps, *qs)
+        if g != 1:
+            qs = [q // g for q in qs]
+        qs = tuple(qs)
+    else:
         qs = rs = None
-    return tuple(terms), ps, qs, rs, L
+        if 0 in ps:
+            mons = [k for k, p in zip(mons, ps) if p]
+            ps = [p for p in ps if p]
+        g = _gcd(den, *ps)
+    if g != 1:
+        ps = [p // g for p in ps]
+        den //= g
+    return _canonical(nvars, w, (tuple(mons), tuple(ps), qs, rs, den))
 
 
-def _sum_of_products(pairs) -> dict:
-    """The terms of sum f g over the (f, g) in pairs, each an _integer_form;
-    a coefficient that cancels is kept as zero.
+def _finish(nvars: int, w: int, acc: dict, den: int, rational: bool) -> Polynomial:
+    """The Polynomial of an _accumulate result."""
+    if rational:
+        return _build(nvars, w, acc.keys(), tuple(acc.values()), None, None, den)
+    if not acc:
+        return Polynomial.zero(nvars)
+    return _build(nvars, w, acc.keys(), *zip(*acc.values()), den)
 
-    A term pair makes int products only: one when both coefficients are
-    rational, four with sqrt(r).  Per output monomial the numerators [P, Q]
-    add over D, the lcm of the denominators L_f L_g of the pairs that reached
-    it (a denominator that divides D scales by one quotient, any other takes
-    one gcd in _merge), with R the radicand of the irrational part so far;
-    one ExtRational is built per monomial at the end.  Radicands are tracked
-    only on the irrational path, and RadicandMismatch is raised where
-    ExtRational arithmetic raises it: two coefficients with different
-    irrational radicands multiplied, or added into one monomial while its
-    irrational part is nonzero.  Keys come in the order the loops first
-    reach them."""
+
+def _constant_form(c: ExtRational) -> tuple:
+    if not c:
+        return _ZERO_FORM
+    p, q, d, r = c.parts()
+    return (0,), (p,), (q,) if q else None, (r,) if q else None, d
+
+
+def _negated(form: tuple) -> tuple:
+    mons, ps, qs, rs, den = form
+    return mons, tuple([-p for p in ps]), qs and tuple([-q for q in qs]), rs, den
+
+
+def _coeff_map(form: tuple) -> dict:
+    mons, ps, qs, rs, _ = form
+    return dict(zip(mons, ps if qs is None else zip(ps, qs, rs)))
+
+
+def _at(poly: Polynomial, w: int) -> tuple:
+    """The integer form of poly packed at width w >= poly._w."""
+    if poly._w == w:
+        return poly._f
+    return _repacked(poly._f, poly.nvars, poly._w, w)
+
+
+def _scaled(form: tuple, scale: tuple) -> tuple:
+    """(monomials, ps, qs, rs, den) of (sp + sq sqrt(sr))/sd times form, for
+    scale = (sp, sq, sd, sr), unreduced.  An irrational scale and an
+    irrational coefficient of another radicand raise RadicandMismatch, as
+    ExtRational multiplication does."""
+    mons, ps, qs, rs, den = form
+    sp, sq, sd, sr = scale
+    if not sq:
+        return mons, [p * sp for p in ps], qs and [q * sp for q in qs], rs, den * sd
+    if qs is None:
+        return mons, [p * sp for p in ps], [p * sq for p in ps], [sr] * len(ps), den * sd
+    xs, ys = [], []
+    for p, q, r in zip(ps, qs, rs):
+        if q and r != sr:
+            common_radicand(r, sr)
+        xs.append(p * sp + q * sq * sr)
+        ys.append(p * sq + q * sp)
+    return mons, xs, ys, [sr] * len(ps), den * sd
+
+
+# the constant 1 at packed key 0 as the one right term (key, p, q, r) of a
+# plain sum
+_UNIT = [(0, 1, 0, 0)]
+
+
+def _accumulate(items) -> tuple:
+    """(acc, D, rational): one exact sum of items over D, the lcm of their
+    denominators.  An item (f, g, starts) holds integer forms: (f, None,
+    None) adds f, (f, g, None) the product f g over every term pair, and
+    (f, g, starts) the pairs (k, l) with l >= starts[k] only.  For a square
+    v v^T with starts[k] the first term of k's group, the terms that share
+    a key offset, that is its upper triangle: a group pairs with itself in
+    both orders, its mirrored pairs on one key, and with later groups once.
+    starts[k] = k gives the upper triangle of a matrix keyed by position.
+
+    acc maps each key, in the order first reached, to its numerator P over
+    D when every form is rational (rational is then True), else to
+    [P, Q, R] with R the radicand of the irrational part so far;
+    numerators that cancel stay as zeros.  A sum of monomial keys never
+    carries between exponent fields when f and g are packed at one width w
+    and their degrees are below 2^(w-1), which _width ensures."""
+    dens = []
+    rational = True
+    for f, g, _ in items:
+        if g is None:
+            dens.append(f[4])
+            rational = rational and f[2] is None
+        else:
+            dens.append(f[4] * g[4])
+            rational = rational and f[2] is None and g[2] is None
+    D = math.lcm(*dens)
     acc = {}
     get = acc.get
-    for (fm, fp, fq, fr, fL), (gm, gp, gq, gr, gL) in pairs:
-        den = fL * gL
-        if fq is None and gq is None:
-            for a, pa in zip(fm, fp):
-                for b, pb in zip(gm, gp):
-                    key = tuple(map(add, a, b))
-                    x = pa * pb
-                    cur = get(key)
-                    if cur is None:
-                        acc[key] = [x, 0, den, 0]
-                    elif cur[2] == den:
-                        cur[0] += x
-                    else:
-                        f, rem = divmod(cur[2], den)
-                        if rem:
-                            _merge(cur, x, 0, den)
-                        else:
-                            cur[0] += x * f
+    for (f, g, starts), den in zip(items, dens):
+        fm, fp, fq, fr, _ = f
+        scale = D // den
+        if scale != 1:
+            fp = [p * scale for p in fp]
+        if rational and g is None:
+            for a, x in zip(fm, fp):
+                acc[a] = get(a, 0) + x
             continue
-        if fq is None:
-            fq = fr = (0,) * len(fm)
-        if gq is None:
-            gq = gr = (0,) * len(gm)
-        for a, pa, qa, ra in zip(fm, fp, fq, fr):
-            for b, pb, qb, rb in zip(gm, gp, gq, gr):
+        if rational:
+            right = list(zip(g[0], g[1]))
+            cols = (fm, fp)
+        else:
+            if fq is None:
+                fq = fr = repeat(0)
+            elif scale != 1:
+                fq = [q * scale for q in fq]
+            if g is None:
+                right = _UNIT
+            else:
+                gq = g[2] or repeat(0)
+                right = list(zip(g[0], g[1], gq, g[3] or gq))
+            cols = (fm, fp, fq, fr)
+        # a row is a term of f and the terms of g it pairs with
+        if starts is None:
+            rows = zip(*cols, repeat(right))
+        else:
+            rows = zip(*cols, map(right.__getitem__, map(slice, starts, repeat(None))))
+        if rational:
+            for a, x, pairs in rows:
+                for b, y in pairs:
+                    key = a + b
+                    acc[key] = get(key, 0) + x * y
+            continue
+        for a, pa, qa, ra, pairs in rows:
+            for b, pb, qb, rb in pairs:
                 if qa and qb:
-                    r = common_radicand(ra, rb)
+                    r = ra if ra == rb else common_radicand(ra, rb)
                     x, y = pa * pb + qa * qb * r, pa * qb + qa * pb
                 else:
-                    r = ra or rb
+                    r = rb if qb else ra
                     x, y = pa * pb, pa * qb + qa * pb
-                key = tuple(map(add, a, b))
+                key = a + b
                 cur = get(key)
                 if cur is None:
-                    acc[key] = [x, y, den, r if y else 0]
+                    acc[key] = [x, y, r if y else 0]
                     continue
                 if y:
-                    if cur[1]:
-                        common_radicand(cur[3], r)
-                    cur[3] = r
-                if cur[2] == den:
-                    cur[0] += x
-                    cur[1] += y
-                else:
-                    f, rem = divmod(cur[2], den)
-                    if rem:
-                        _merge(cur, x, y, den)
-                    else:
-                        cur[0] += x * f
-                        cur[1] += y * f
-    return {key: from_parts(p, q, d, r) for key, (p, q, d, r) in acc.items()}
+                    if cur[1] and cur[2] != r:
+                        common_radicand(cur[2], r)
+                    cur[2] = r
+                cur[0] += x
+                cur[1] += y
+    return acc, D, rational
+
+
+def _sum_of_products(nvars: int, pairs) -> Polynomial:
+    """sum f g over the pairs (f, g) of nonzero Polynomials in nvars
+    variables, packed at the widest width among them."""
+    w = max([max(f._w, g._w) for f, g in pairs], default=8)
+    return _finish(nvars, w, *_accumulate([(_at(f, w), _at(g, w), None) for f, g in pairs]))
 
 
 def _is_natural(token: str) -> bool:
@@ -396,9 +622,14 @@ def _is_natural(token: str) -> bool:
 _FACTOR = re.compile(r"x([0-9]+)\^([0-9]+)").fullmatch
 
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Inverse of Polynomial.to_text."""
-    terms = {}
+def parse_polynomial(text: str, nvars: int, coefficients: dict | None = None) -> Polynomial:
+    """Inverse of Polynomial.to_text.  The coefficients are read as integers
+    straight into the integer form; a monomial written twice is summed.
+    coefficients, if given, maps each coefficient text already read to its
+    parse_parts and takes the new ones."""
+    if coefficients is None:
+        coefficients = {}
+    alphas, parts = [], []
     for chunk in text.split(" + "):
         chunk = chunk.strip()
         if not chunk:
@@ -406,7 +637,11 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         if not chunk.startswith("("):
             raise ValueError(f"malformed term {chunk!r}: missing coefficient parens")
         close = chunk.rindex(")")  # the coefficient itself may contain 'sqrt(n)'
-        coeff = parse_ext_rational(chunk[1:close])
+        coeff = chunk[1:close]
+        value = coefficients.get(coeff)
+        if value is None:
+            value = coefficients[coeff] = parse_parts(coeff)
+        parts.append(value)
         rest = chunk[close + 1 :].lstrip(" *")
         exps = [None] * nvars
         if rest and rest != "1":
@@ -421,11 +656,22 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 if exps[idx] is not None:
                     raise ValueError(f"variable x{var} repeated in one monomial")
                 exps[idx] = int(exp)
-        key = tuple(e or 0 for e in exps)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    # every exponent is a checked natural, nvars of them, each key once
-    return Polynomial._from_clean(nvars, terms)
+        alphas.append(tuple([e or 0 for e in exps]))
+    # every exponent is a checked natural, nvars of them
+    return polynomial_from_parts(nvars, alphas, parts)
+
+
+def polynomial_from_parts(nvars: int, alphas: list, parts: list) -> Polynomial:
+    """The polynomial sum_k (p + q sqrt(r))/d x^alphas[k] for the integers
+    (p, q, d, r) = parts[k] of ring.parse_parts; each alpha is nvars
+    naturals, checked by the caller, and a repeated one is summed."""
+    if not alphas:
+        return Polynomial.zero(nvars)
+    w, mons = _packed(alphas, nvars)
+    ps, qs, rs, L = _over_lcm(*zip(*parts))
+    if len(set(mons)) == len(mons):
+        return _build(nvars, w, mons, ps, qs, rs, L)
+    return _finish(nvars, w, *_accumulate([((mons, ps, qs, rs, L), None, None)]))
 
 
 def lower_triangle_rows(grid) -> list:
@@ -444,15 +690,17 @@ class LineReader:
     One memo per reader maps each polynomial line (with its nvars) and each
     coefficient token already parsed to the immutable value parsed from it,
     so a repeated line or token is parsed once and every repeat is the same
-    object.  Only parses that succeeded are kept, so a malformed line fails
-    at its first occurrence; the memo holds at most one entry per line or
-    token of the text.
+    object.  A second one keeps the integers of each coefficient text read
+    inside a polynomial line.  Only parses that succeeded are kept, so a
+    malformed line fails at its first occurrence; each memo holds at most
+    one entry per line or token of the text.
     """
 
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0  # lines consumed; the last one read is line self.pos
         self.memo = {}
+        self.coefficients = {}  # for parse_polynomial
 
     def parse(self, read, error: type):
         """read(self), with each ValueError re-raised as error('line N: ...')."""
@@ -522,7 +770,7 @@ class LineReader:
         if value is None:
             if (line.count(" + ") + 1) * max(nvars, 1) > len(line):
                 raise ValueError(f"more terms than fit on a line in {nvars} variables")
-            value = self.memo[key] = parse_polynomial(line, nvars)
+            value = self.memo[key] = parse_polynomial(line, nvars, self.coefficients)
         return value
 
     def grid(self, dim: int, what: str) -> list:
@@ -590,6 +838,16 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
+    def _of(cls, entries: list, nvars: int) -> "PolyMatrix":
+        """Internal results: entries is a nonempty rectangular list of lists
+        of Polynomials in nvars variables, kept as it is."""
+        out = _new(cls)
+        for name, value in (("rows", len(entries)), ("cols", len(entries[0])),
+                            ("nvars", nvars), ("entries", entries)):
+            object.__setattr__(out, name, value)
+        return out
+
+    @classmethod
     def zero(cls, rows: int, cols: int, nvars: int) -> "PolyMatrix":
         z = Polynomial.zero(nvars)
         return cls([[z for _ in range(cols)] for _ in range(rows)])
@@ -613,28 +871,27 @@ class PolyMatrix:
         return max(p.degree for row in self.entries for p in row)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return PolyMatrix._of([list(col) for col in zip(*self.entries)], self.nvars)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return PolyMatrix._of([[p + q for p, q in zip(row, other_row)]
+                               for row, other_row in zip(self.entries, other.entries)],
+                              self.nvars)
 
     def __sub__(self, other):
-        return self + other.scale(ExtRational(-1))
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        return PolyMatrix._of([[p - q for p, q in zip(row, other_row)]
+                               for row, other_row in zip(self.entries, other.entries)],
+                              self.nvars)
 
     def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix([[p * c for p in row] for row in self.entries])
+        return PolyMatrix._of([[p * c for p in row] for row in self.entries], self.nvars)
 
     def scale_poly(self, q: Polynomial) -> "PolyMatrix":
-        return PolyMatrix([[p * q for p in row] for row in self.entries])
+        return PolyMatrix._of([[p * q for p in row] for row in self.entries], self.nvars)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -644,18 +901,15 @@ class PolyMatrix:
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
         if self.cols == 1:
-            return PolyMatrix([[row[0] * p for p in other.entries[0]] for row in self.entries])
-        # each entry goes to integers once in its lifetime, however many
-        # products it enters
-        left = [[p.terms and p._integer() for p in row] for row in self.entries]
-        right = [[p.terms and p._integer() for p in row] for row in other.entries]
-        inner = range(self.cols)
-        return PolyMatrix([
-            [Polynomial._from_clean(self.nvars, _sum_of_products(
-                [(row[k], right[k][j]) for k in inner if row[k] and right[k][j]]))
+            return PolyMatrix._of(
+                [[row[0] * p for p in other.entries[0]] for row in self.entries], self.nvars)
+        right, inner, n = other.entries, range(self.cols), self.nvars
+        return PolyMatrix._of([
+            [_sum_of_products(n, [(row[k], right[k][j]) for k in inner
+                                  if row[k]._f[0] and right[k][j]._f[0]])
              for j in range(other.cols)]
-            for row in left
-        ])
+            for row in self.entries
+        ], n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

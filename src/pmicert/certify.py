@@ -22,18 +22,13 @@ so in a parsed certificate, where the unit LDL^T column of each Bernstein
 coefficient repeats a multiplier under different scales, each distinct
 vector is folded once; cert.multipliers still keeps every term.
 
-The fold (_fold_squares) and the Gram assemblies (gram_from_squares, and
-the Kronecker blocks of assemble_simplex_putinar) share one integer
-accumulator, _square_sums.  Each square's coefficients go over one
-common denominator, so every pair product is a numerator pair (p, q) of
-Z[sqrt(r)] formed by int products alone (one product when the square is
-rational).  Each output coefficient keeps its numerators over its own
-denominator, the lcm of those of the squares that reached it, so no
-denominator grows with squares that never touch it; one normalised
-ExtRational is built per output coefficient at the end.  The fold packs a
-monomial mu as the int sum mu_i B^i, B > 2 max(exponent) a power of 256,
-with the slot (p, q) above it, so a pair's key mu + nu is one int add and is
-unpacked once, by a byte conversion.
+The fold (_fold_squares), the collapse of SOS blocks (_collapse) and the
+Gram assemblies (gram_from_squares, and the Kronecker blocks of
+assemble_simplex_putinar) are sums of algebra's one accumulator,
+_accumulate: a fold slot sums the products scale v[p] v[q] of its squares
+(the upper triangle of the square when p = q), a Gram the upper triangles
+of its squares keyed by position, and a reconstructed entry the collapsed
+blocks and the products G_ab S[(a,i),(b,j)] at once.
 
 All payloads are stored exactly (floats entering from numeric solvers are
 dyadic rationals, hence exact); the mode flag only selects the verification
@@ -46,17 +41,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import add, mul
 
-from .ring import ExtRational, ZERO, ONE, common_radicand, from_parts
+from .ring import ExtRational, ZERO, ONE, _make, common_radicand
 from .algebra import (
     LineReader,
     PolyMatrix,
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
-    _common_denominator,
-    _merge,
+    _accumulate,
+    _at,
+    _build,
+    _finish,
+    _integer_coeffs,
+    _pack,
+    _unpack,
+    _scaled,
+    _width,
     ldlt,
     min_eigenvalue_numeric,
     lower_triangle_rows,
@@ -96,9 +99,9 @@ class SOSBlock:
         return RationalSymMatrix(self.gram)
 
     def to_sym_poly(self, nvars: int, ell: int) -> SymPolyMatrix:
-        upper = _upper_maps(ell)
-        _collapse(self.basis, self.gram, ell, upper)
-        polys = {ij: Polynomial._from_clean(nvars, terms) for ij, terms in upper.items()}
+        width = _width(max(map(sum, self.basis), default=0))
+        polys = {ij: _finish(nvars, width, *_accumulate([(form, None, None)]))
+                 for ij, form in _collapse(self.basis, self.gram, ell, width).items()}
         return SymPolyMatrix.from_upper(ell, polys, nvars)
 
     def degree(self) -> int:
@@ -136,10 +139,6 @@ class QMCertificate:
         folded once.  Keys are object identities, not polynomial equality,
         which would hash every entry."""
         n, ell, m = self.nvars, self.ell, G.size
-        upper = _upper_maps(ell)
-        for block in self.sos_blocks:
-            _collapse(block.basis, block.gram, ell, upper)
-        out = {ij: Polynomial._from_clean(n, terms) for ij, terms in upper.items()}
         squares = {}
         for term in self.multipliers:
             P = term.matrix
@@ -153,15 +152,22 @@ class QMCertificate:
             prev = squares.get(key)
             squares[key] = (scale, vec) if prev is None else (prev[0] + scale, vec)
         S = _fold_squares(squares.values(), m * ell)
-        for i, j in out:
-            total = out[i, j]
-            for a in range(m):
-                for b in range(m):
-                    p, q = a * ell + i, b * ell + j
-                    s = S[min(p, q), max(p, q)]
-                    if s and G[a, b].terms:
-                        total = total + G[a, b] * Polynomial._from_clean(n, s)
-            out[i, j] = total
+        # one packing width for every item of an entry's sum
+        basis_degree = max((sum(b) for block in self.sos_blocks for b in block.basis), default=0)
+        width = max([_width(basis_degree)] + [p._w for p in S.values()]
+                    + [p._w for row in G.entries for p in row])
+        collapsed = [_collapse(block.basis, block.gram, ell, width) for block in self.sos_blocks]
+        out = {}
+        for i in range(ell):
+            for j in range(i, ell):
+                items = [(forms[i, j], None, None) for forms in collapsed if (i, j) in forms]
+                for a in range(m):
+                    for b in range(m):
+                        p, q = a * ell + i, b * ell + j
+                        s = S.get((min(p, q), max(p, q)))
+                        if s is not None and s._f[0] and G[a, b]._f[0]:
+                            items.append((_at(G[a, b], width), _at(s, width), None))
+                out[i, j] = _finish(n, width, *_accumulate(items))
         H = self.sphere_multiplier
         if sphere and H is not None:
             if H.size != ell or H.nvars != n:
@@ -173,188 +179,143 @@ class QMCertificate:
         return SymPolyMatrix.from_upper(ell, out, n)
 
 
-def _upper_maps(w: int) -> dict:
-    return {(i, j): {} for i in range(w) for j in range(i, w)}
-
-
-def _collapse(basis, gram, w: int, out: dict) -> None:
-    """Add sum_{u,v} gram[u w + i][v w + j] x^(basis[u] + basis[v]) into the
-    coefficient map out[i, j] for each i <= j < w.  Exponents are only
-    added, once per (u, v) with a nonzero entry; no Polynomial is built."""
-    for u, bu in enumerate(basis):
+def _collapse(basis, gram, w: int, width: int) -> dict:
+    """{(i, j): the integer form of sum_{u,v} gram[u w + i][v w + j]
+    x^(basis[u] + basis[v])}, i <= j < w, for the (i, j) with a nonzero
+    entry: a monomial packed at width (no narrower than the basis degree
+    needs) once per (u, v), so one may repeat; the sum is left to
+    _accumulate."""
+    keys = [_pack(b, width) for b in basis]
+    found = {}
+    for u, ku in enumerate(keys):
         rows = gram[u * w:(u + 1) * w]
-        for v, bv in enumerate(basis):
-            mono = None
+        for v, kv in enumerate(keys):
             base = v * w
             for i, row in enumerate(rows):
                 for j in range(i, w):
                     c = row[base + j]
                     if c:
-                        if mono is None:
-                            mono = tuple(map(add, bu, bv))
-                        terms = out[i, j]
-                        prev = terms.get(mono)
-                        terms[mono] = c if prev is None else prev + c
-
-
-def _square_sums(squares) -> dict:
-    """{row_a + col_b: sum of scale c_a c_b} over the (scale, items) in
-    squares and every pair a <= b of their items (row, col, end, c).
-
-    An item's end is one past the last item of its group: a pair of two
-    different items of one group counts twice, since its mirror (b, a) lands
-    on the same key.  Per square the coefficients go over one common
-    denominator L, so every product is a numerator pair (p, q) of Z[sqrt(r)]
-    over the scale's denominator times L^2, formed by int products only (one
-    per pair when the square is rational).  Per key the numerators add over
-    D, the lcm of the denominators of the squares that reached that key
-    (never one lcm for the whole fold, which would grow with every square),
-    and one ExtRational is built per key at the end.  Two different
-    irrational radicands raise RadicandMismatch."""
-    acc = {}
-    get = acc.get
-    r = 0
-    for scale, items in squares:
-        if not scale or not items:
-            continue
-        sp, sq, sd, sr = scale.parts()
-        rows, cols, ends, coeffs = zip(*items)
-        ps, qs, rs, L = _common_denominator(coeffs)
-        for cr in {sr, *rs}:
-            r = common_radicand(r, cr)
-        den = sd * L * L
-        count = len(items)
-        if not (sq or any(qs)):
-            for k in range(count):
-                wa = sp * ps[k]
-                twice = wa + wa
-                row, e = rows[k], ends[k]
-                for l in range(k, count):
-                    key = row + cols[l]
-                    x = (twice if k < l < e else wa) * ps[l]
-                    cur = get(key)
-                    if cur is None:
-                        acc[key] = [x, 0, den]
-                    elif cur[2] == den:
-                        cur[0] += x
-                    else:
-                        f, rem = divmod(cur[2], den)
-                        if rem:
-                            _merge(cur, x, 0, den)
-                        else:
-                            cur[0] += x * f
-            continue
-        qrs = [q * r for q in qs]
-        for k in range(count):
-            pa, qa = ps[k], qs[k]
-            wp, wq = sp * pa + sq * qrs[k], sp * qa + sq * pa
-            row, e = rows[k], ends[k]
-            for l in range(k, count):
-                key = row + cols[l]
-                pb = ps[l]
-                x, y = wp * pb + wq * qrs[l], wp * qs[l] + wq * pb
-                if k < l < e:
-                    x, y = x + x, y + y
-                cur = get(key)
-                if cur is None:
-                    acc[key] = [x, y, den]
-                elif cur[2] == den:
-                    cur[0] += x
-                    cur[1] += y
-                else:
-                    f, rem = divmod(cur[2], den)
-                    if rem:
-                        _merge(cur, x, y, den)
-                    else:
-                        cur[0] += x * f
-                        cur[1] += y * f
-    return {key: from_parts(p, q, d, r) for key, (p, q, d) in acc.items()}
+                        mons, coeffs = found.setdefault((i, j), ([], []))
+                        mons.append(ku + kv)
+                        coeffs.append(c)
+    return {ij: (mons,) + _integer_coeffs(coeffs) for ij, (mons, coeffs) in found.items()}
 
 
 def _fold_squares(squares, w: int) -> dict:
-    """Coefficient maps S[p, q], p <= q < w, of sum scale v v^T over the
-    (scale, v) in squares, v a list of w polynomials, collapsed onto
-    monomials: terms c x^mu of v[p] and d x^nu of v[q] add scale c d at
-    mu + nu.  Only nonzero terms are paired, so time is the sum of the
-    squared term counts, memory the number of distinct sums, and nothing
-    dense is built.
+    """{(p, q): S[p, q]}, p <= q < w, of sum scale v v^T over the (scale, v)
+    in squares, v a list of w polynomials, collapsed onto monomials: terms
+    c x^mu of v[p] and d x^nu of v[q] add scale c d at mu + nu.  Only
+    nonzero terms are paired, so time is the sum of the squared term
+    counts, memory the number of distinct sums, and nothing dense is built.
+    Slots that no pair reaches are left out.  Two different irrational
+    radicands anywhere in the fold raise RadicandMismatch.
 
-    A monomial mu is packed as the int sum mu_i B^i, B > 2 max(e) a power
-    of 256, so mu + nu is one int add with no carry between exponents, the
-    slot (p, q) rides above it at (p w + q) B^n, and packing and unpacking
-    are byte conversions, linear in n; each key is unpacked once, at the
-    end."""
-    out = _upper_maps(w)
-    squares = [(ExtRational.coerce(s), [(p, poly.terms) for p, poly in enumerate(vec) if poly.terms])
-               for s, vec in squares]
-    monos = {mu for s, vec in squares if s for _, terms in vec for mu in terms}
-    if not monos:
-        return out
-    nvars = len(next(iter(monos)))
-    top = 2 * max(max(mu, default=0) for mu in monos)  # the largest exponent of a sum
-    size = max(1, -(-top.bit_length() // 8))  # bytes per exponent
-    width = size * nvars
-    packed = {mu: int.from_bytes(b"".join(e.to_bytes(size, "little") for e in mu), "little")
-              for mu in monos}
-    shift = 1 << 8 * width
-
-    def items(vec):
-        flat = []
-        for p, terms in vec:
-            end = len(flat) + len(terms)
-            flat += [(p * w * shift + packed[mu], p * shift + packed[mu], end, c)
-                     for mu, c in terms.items()]
-        return flat
-
-    sums = _square_sums((s, items(vec)) for s, vec in squares if s)
-    unpacked = {}
-    for key, value in sums.items():
-        if not value:
-            continue
-        slot, rest = divmod(key, shift)
-        mono = unpacked.get(rest)
-        if mono is None:
-            digits = rest.to_bytes(width, "little")
-            mono = unpacked[rest] = tuple(int.from_bytes(digits[i:i + size], "little")
-                                          for i in range(0, width, size))
-        out[divmod(slot, w)][mono] = value
+    One _accumulate sums every square, each the upper triangle of scale
+    v v^T with the terms of v over one denominator.  The slot (p, q) rides
+    above the packed monomial: a term of v[p] is keyed p w B + mu as a row
+    and p B + mu as a column, B past every sum of two packed monomials, so
+    a pair's key is the slot p w + q times B plus mu + nu, and the terms of
+    one v[p] are a group whose mirrored pairs share a key."""
+    squares = [(s, vec) for s, vec in ((ExtRational.coerce(s), vec) for s, vec in squares)
+               if s and any(p._f[0] for p in vec)]
+    if not squares:
+        return {}
+    r = 0
+    for s, vec in squares:
+        for cr in {s.radicand, *(x for p in vec if p._f[3] for x in p._f[3])}:
+            r = common_radicand(r, cr)
+    nvars = squares[0][1][0].nvars
+    width = max(p._w for _, vec in squares for p in vec)
+    shift = 1 << width * (nvars + 1)
+    items = []
+    for s, vec in squares:
+        forms = [(p, _at(poly, width)) for p, poly in enumerate(vec) if poly._f[0]]
+        L = math.lcm(*[f[4] for _, f in forms])
+        rows, cols, ps, qs, rs, starts = [], [], [], [], [], []
+        for p, (mons, fp, fq, fr, den) in forms:
+            c, size = L // den, len(mons)
+            starts += [len(rows)] * size
+            rows += map(add, mons, repeat(p * w * shift))
+            cols += map(add, mons, repeat(p * shift))
+            ps += fp if c == 1 else map(mul, fp, repeat(c))
+            if fq:
+                qs += fq if c == 1 else map(mul, fq, repeat(c))
+                rs += fr
+            else:
+                qs += [0] * size
+                rs += [0] * size
+        if not any(qs):
+            qs = rs = None
+        col = (cols, ps, qs, rs, L)
+        items.append((_scaled((rows,) + col[1:], s.parts()), col, starts))
+    acc, D, rational = _accumulate(items)
+    slots = {}
+    for key, value in acc.items():
+        slot, mono = divmod(key, shift)
+        slots.setdefault(slot, []).append((mono, value) if rational else (mono, *value))
+    out = {}
+    for slot, terms in slots.items():
+        if rational:
+            (mons, ps), qs, rs = zip(*terms), None, None
+        else:
+            mons, ps, qs, rs = zip(*terms)
+        out[divmod(slot, w)] = _build(nvars, width, mons, ps, qs, rs, D)
     return out
 
 
-def _grlex_basis(polys, nvars: int) -> list:
-    """The monomials of polys in graded-lex order; the constant alone if
-    there are none."""
-    monos = set()
-    for p in polys:
-        monos.update(p.terms)
-    return sorted(monos, key=lambda a: (sum(a), a)) or [(0,) * nvars]
+def _grlex_basis(polys, nvars: int) -> tuple:
+    """(basis, index, width): the monomials of polys in graded-lex order
+    (the constant alone if there are none), and index mapping each one,
+    packed at width, the widest of polys, to its place in basis."""
+    polys = [p for p in polys if p._f[0]]
+    width = max([p._w for p in polys], default=8)
+    keys = sorted({k for p in polys for k in _at(p, width)[0]}) or [0]
+    return [_unpack(k, nvars, width) for k in keys], {k: u for u, k in enumerate(keys)}, width
 
 
-def _gram_sums(squares, index: dict, ell: int) -> dict:
+def _gram_sums(squares, index: dict, width: int, ell: int) -> dict:
     """{a dim + b: entry (a, b)}, a <= b, of the Gram matrix of
     sum_r w_r v_r v_r^T on basis (x) R^ell, dim = len(index) ell: position
-    (u, i) of a term c x^mu of v_r[i] is index[mu] ell + i."""
+    (u, i) of a term c x^mu of v_r[i] is index[mu] ell + i, mu packed at
+    width.  Each square is the upper triangle of w_r v_r v_r^T in
+    _accumulate, keyed a dim + b.  Two different irrational radicands raise
+    RadicandMismatch."""
     dim = len(index) * ell
-    return _square_sums(
-        (w, [(a * dim, a, k + 1, c) for k, (a, c) in enumerate(sorted(
-            (index[mono] * ell + i, c) for i, p in enumerate(col) for mono, c in p.terms.items()))])
-        for w, col in squares
-    )
+    items = []
+    r = 0
+    for w, col in squares:
+        forms = [(i, _at(p, width)) for i, p in enumerate(col) if p._f[0]]
+        if not w or not forms:
+            continue
+        L = math.lcm(*[f[4] for _, f in forms])
+        pos, ps, qs, rs = zip(*sorted(
+            (index[k] * ell + i, x * (L // den), y * (L // den), z)
+            for i, (mons, fp, fq, fr, den) in forms
+            for k, x, y, z in zip(mons, fp, fq or repeat(0), fr or repeat(0))))
+        if not any(qs):
+            qs = rs = None
+        for cr in {w.radicand, *(rs or ())}:
+            r = common_radicand(r, cr)
+        rows = _scaled(([a * dim for a in pos], ps, qs, rs, L), w.parts())
+        items.append((rows, (pos, ps, qs, rs, L), range(len(pos))))
+    acc, D, rational = _accumulate(items)
+    if rational:
+        return {key: _make(p, 0, D, 0) for key, p in acc.items()}
+    return {key: _make(p, q, D, r) for key, (p, q, r) in acc.items()}
 
 
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
     """Assemble sum_r w_r v_r v_r^T (w_r >= 0, v_r polynomial columns of
     length ell) into a single PSD Gram block.  Each square fills the upper
-    triangle, entry (a, b) at key a dim + b of _square_sums; the lower
+    triangle, entry (a, b) at key a dim + b of _gram_sums; the lower
     triangle is mirrored."""
     squares = [(ExtRational.coerce(w), col) for w, col in squares]
     if any(w.sign() < 0 for w, _ in squares):
         raise ValueError("square weights must be nonnegative")
-    basis = _grlex_basis((p for _, col in squares for p in col), nvars)
-    index = {b: u for u, b in enumerate(basis)}
+    basis, index, width = _grlex_basis((p for _, col in squares for p in col), nvars)
     dim = len(basis) * ell
     gram = [[ZERO] * dim for _ in range(dim)]
-    for key, value in _gram_sums(squares, index, ell).items():
+    for key, value in _gram_sums(squares, index, width, ell).items():
         a, b = divmod(key, dim)
         gram[a][b] = gram[b][a] = value
     return SOSBlock(basis, gram)
@@ -489,7 +450,7 @@ def assemble_simplex_putinar(
     sigma's squares route through the supplied witness.  The SOS part is
     therefore sum_alpha A_alpha (x) M_alpha, A_alpha the Gram matrix of the
     scalar squares of c_alpha b_alpha on the graded-lex union of the
-    monomials of every q: one _square_sums call and one Kronecker expansion
+    monomials of every q: one _gram_sums call and one Kronecker expansion
     per alpha.  The multiplier terms are rank one in qmcert-v1, so there
     M_alpha enters through its exact LDL^T factorization: one term
     scale P_t (q col) per square of sigma, column col and witness term P_t.
@@ -532,12 +493,11 @@ def assemble_simplex_putinar(
                     out_mults.append(MultiplierTerm(
                         scale * term.scale, PolyMatrix([[p * c for c in col] for p in pq])))
 
-    basis = _grlex_basis((q for _, squares in expanded for _, q in squares), n)
-    index = {b: u for u, b in enumerate(basis)}
+    basis, index, width = _grlex_basis((q for _, squares in expanded for _, q in squares), n)
     N, dim = len(basis), len(basis) * ell
     gram = [[ZERO] * dim for _ in range(dim)]
     for M, squares in expanded:
-        for key, value in _gram_sums(((w, [q]) for w, q in squares), index, 1).items():
+        for key, value in _gram_sums(((w, [q]) for w, q in squares), index, width, 1).items():
             if not value:
                 continue
             u, v = divmod(key, N)
@@ -580,7 +540,7 @@ def _coefficient_count(F: SymPolyMatrix, G: SymPolyMatrix, cert: QMCertificate) 
     grids = [F.entries, G.entries] + [term.matrix.entries for term in cert.multipliers]
     if cert.sphere_multiplier is not None:
         grids.append(cert.sphere_multiplier.entries)
-    terms = sum(len(p.terms) for grid in grids for row in grid for p in row)
+    terms = sum(len(p._f[0]) for grid in grids for row in grid for p in row)
     return terms + sum(b.size() * (b.size() + 1) // 2 for b in cert.sos_blocks)
 
 
@@ -647,14 +607,15 @@ def verify_certificate(
             rnorm = math.inf
             unnormed = (f"residual of degree {t} needs {steps} Bernstein conversion steps, "
                         f"past the budget of {budget}; its norm is not computed")
-    margins = [min_eigenvalue_numeric(block.matrix()) for block in cert.sos_blocks]
+    grams = [block.matrix() for block in cert.sos_blocks]
+    margins = [min_eigenvalue_numeric(M) for M in grams]
 
     if mode == "exact":
         ok = residual.is_zero()
         if not ok:
             messages.append("nonzero residual")
-        for idx, block in enumerate(cert.sos_blocks):
-            if not psd_exact(block.matrix()):
+        for idx, M in enumerate(grams):
+            if not psd_exact(M):
                 ok = False
                 messages.append(f"gram block {idx} is not PSD")
         return VerifyReport(ok, rnorm, margins, messages)

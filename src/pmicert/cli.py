@@ -148,31 +148,34 @@ def _cmd_polya(args) -> int:
 
 
 def _cmd_scalarize(args) -> int:
+    # each polynomial is rendered once, and only the output that is printed
+    # is built
     prob = load_problem(args.problem)
     if args.charpoly:
-        entries = charpoly_scalarization(prob.G)
-        payload = {"count": len(entries), "polynomials": []}
-        human = []
-        for idx, entry in enumerate(entries, 1):
-            payload["polynomials"].append(
-                {
-                    "poly": entry.poly.to_text(),
-                    "has_witness": entry.witnesses is not None,
-                }
-            )
-            human.append(f"g{idx}: {entry.poly.to_text()}"
-                         + ("" if entry.witnesses else "   [no module witness]"))
-        _emit(args, payload, "\n".join(human))
+        entries = [(entry.poly.to_text(), entry.witnesses is not None)
+                   for entry in charpoly_scalarization(prob.G)]
+        if args.json:
+            payload = {"count": len(entries), "polynomials": [
+                {"poly": poly, "has_witness": has} for poly, has in entries]}
+            _emit(args, payload, "")
+        else:
+            _emit(args, {}, "\n".join(
+                f"g{idx}: {poly}" + ("" if has else "   [no module witness]")
+                for idx, (poly, has) in enumerate(entries, 1)))
         return 0
     system = scalarize(prob.G)
-    payload = {"count": len(system), "entries": []}
+    entries = [(d.to_text(), [v[r, 0].to_text() for r in range(v.rows)])
+               for d, v in system.entries]
+    if args.json:
+        payload = {"count": len(system), "entries": [
+            {"poly": poly, "witness": witness} for poly, witness in entries]}
+        _emit(args, payload, "")
+        return 0
     human = [f"{len(system)} scalar inequalities (theta({prob.m}))"]
-    for idx, (d, v) in enumerate(system.entries, 1):
-        witness = [v[r, 0].to_text() for r in range(v.rows)]
-        payload["entries"].append({"poly": d.to_text(), "witness": witness})
-        human.append(f"{idx}. {d.to_text()}")
+    for idx, (poly, witness) in enumerate(entries, 1):
+        human.append(f"{idx}. {poly}")
         human.append("   witness: [" + "; ".join(witness) + "]")
-    _emit(args, payload, "\n".join(human))
+    _emit(args, {}, "\n".join(human))
     return 0
 
 
@@ -235,27 +238,30 @@ def _cmd_homogenize(args) -> int:
     except EmptyFeasibleSample as exc:
         _emit(args, {"error": str(exc)}, f"FAIL: {exc}")
         return 1
-    def fmt_matrix(M):
-        return [[M[i, j].to_text() for j in range(M.size)] for i in range(M.size)]
-    payload = {
-        "d0": lifted.d0,
-        "F_tilde": fmt_matrix(lifted.F_tilde),
-        "G_hat": fmt_matrix(lifted.G_hat),
-        "F_tilde_min": repr(est.value),
-        "argmin": [repr(c) for c in est.argmin],
-        "feasible_samples": est.feasible,
-    }
+    # each entry of the upper triangles rendered once: a symmetric matrix has
+    # the same text at (i, j) and (j, i)
+    F_text, G_text = ({(i, j): M[i, j].to_text() for i in range(M.size) for j in range(i, M.size)}
+                      for M in (lifted.F_tilde, lifted.G_hat))
+    if args.json:
+        def full(upper, size):
+            return [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+        payload = {
+            "d0": lifted.d0,
+            "F_tilde": full(F_text, lifted.F_tilde.size),
+            "G_hat": full(G_text, lifted.G_hat.size),
+            "F_tilde_min": repr(est.value),
+            "argmin": [repr(c) for c in est.argmin],
+            "feasible_samples": est.feasible,
+        }
+        _emit(args, payload, "")
+        return 0
     human = ["homogenized problem (x0 is the first variable):"]
     human.append(f"d0 = {lifted.d0}")
-    for i in range(lifted.F_tilde.size):
-        for j in range(i, lifted.F_tilde.size):
-            human.append(f"F~[{i}][{j}] = {lifted.F_tilde[i, j].to_text()}")
-    for i in range(lifted.G_hat.size):
-        for j in range(i, lifted.G_hat.size):
-            human.append(f"G^[{i}][{j}] = {lifted.G_hat[i, j].to_text()}")
+    for name, upper in (("F~", F_text), ("G^", G_text)):
+        human.extend(f"{name}[{i}][{j}] = {text}" for (i, j), text in upper.items())
     human.append(f"F~_min estimate: {est.value!r}")
     human.append("argmin: (" + ", ".join(repr(c) for c in est.argmin) + ")")
-    _emit(args, payload, "\n".join(human))
+    _emit(args, {}, "\n".join(human))
     return 0
 
 

@@ -23,6 +23,11 @@ from .algebra import (
     PolyMatrix,
     Polynomial,
     SymPolyMatrix,
+    _accumulate,
+    _at,
+    _finish,
+    _pack,
+    _unpack,
     min_eigenvalue_numeric,
     monomials_upto,
     multinomial,
@@ -170,20 +175,29 @@ def _split_rescaled(q: Polynomial, N: int, u_pows) -> tuple:
     """Exact split s^N q((1,x)/s) = even + s*odd with s = sqrt(1+||x||^2).
 
     q lives in n+1 variables (x0 first); even/odd are returned in n
-    variables.  Requires N >= deg q.
+    variables.  Requires N >= deg q.  A term c x0^a x^beta of q, e = N minus
+    its degree, adds c x^beta u^(e // 2) to even (e even) or odd (e odd),
+    u = 1 + ||x||^2 = u_pows[1]: each part is one sum over j of h_j u^j, h_j
+    the terms of q that meet u^j.
     """
     n = q.nvars - 1
-    even = Polynomial.zero(n)
-    odd = Polynomial.zero(n)
-    for alpha, c in q.terms.items():
-        e = N - sum(alpha)
+    mons, ps, qs, rs, den = q._f
+    w = max(q._w, u_pows[-1]._w)  # the highest power is the widest
+    parts = ({}, {})  # by parity of e: {j: [monomials, ps, qs, rs] of h_j}
+    for k, key in enumerate(mons):
+        e = N - (key >> q._w * (n + 1))
         if e < 0:
             raise ValueError("normalization degree below a term degree")
-        mono = Polynomial(n, {alpha[1:]: c})
-        if e % 2 == 0:
-            even = even + mono * u_pows[e // 2]
-        else:
-            odd = odd + mono * u_pows[(e - 1) // 2]
+        h = parts[e % 2].setdefault(e // 2, ([], [], [], []))
+        h[0].append(_pack(_unpack(key, n + 1, q._w)[1:], w))
+        h[1].append(ps[k])
+        if qs:
+            h[2].append(qs[k])
+            h[3].append(rs[k])
+    even, odd = (_finish(n, w, *_accumulate([((hm, hp, hq or None, hr or None, den),
+                                              _at(u_pows[j], w), None)
+                                             for j, (hm, hp, hq, hr) in part.items()]))
+                 for part in parts)
     return even, odd
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ring import parse_ext_rational
-from .algebra import Polynomial, SymPolyMatrix
+from .ring import parse_parts
+from .algebra import Polynomial, SymPolyMatrix, polynomial_from_parts
 
 
 class ProblemFormatError(ValueError):
@@ -59,10 +59,10 @@ def _poly_from_terms(terms, n: int, where: str) -> Polynomial:
         if key in out:
             raise ProblemFormatError(f"{where}: term {idx} repeats exponents {list(key)}")
         try:
-            out[key] = parse_ext_rational(str(coeff))
+            out[key] = parse_parts(str(coeff))
         except ValueError as exc:
             raise ProblemFormatError(f"{where}: term {idx}: {exc}") from None
-    return Polynomial(n, out)
+    return polynomial_from_parts(n, list(out), list(out.values()))
 
 
 def _matrix_from_entries(entries, size: int, n: int, name: str) -> SymPolyMatrix:

@@ -48,15 +48,21 @@ def _make(p: int, q: int, d: int, r: int) -> "ExtRational":
     return x
 
 
+def _folded(p: int, q: int, d: int, r: int) -> tuple:
+    """(p, q, d, r) with a perfect-square radicand folded into the rational
+    part, and r = 0 whenever q = 0."""
+    if q:
+        root = math.isqrt(r)
+        if root * root != r:
+            return p, q, d, r
+        p += q * root
+    return p, 0, d, 0
+
+
 def from_parts(p: int, q: int, d: int, r: int) -> "ExtRational":
     """(p + q*sqrt(r))/d in canonical form, for any d != 0 and r >= 0: a
     perfect-square radicand folds into the rational part."""
-    if q:
-        root = math.isqrt(r)
-        if root * root == r:
-            p += q * root
-            q = 0
-    return _make(p, q, d, r)
+    return _make(*_folded(p, q, d, r))
 
 
 def common_radicand(r1: int, r2: int) -> int:
@@ -229,14 +235,18 @@ class ExtRational:
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
+        if not k:
+            return ONE
+        # square-and-multiply: k.bit_length() - 1 squarings and popcount(k) - 1
+        # multiplications
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     # -- comparisons ------------------------------------------------------
 
@@ -321,13 +331,20 @@ def parse_ext_rational(text: str) -> ExtRational:
     with nonnegative integer n, where each rational may also be a finite
     decimal ('-1.25'); spaces are ignored.  Exponents, '_' separators, zero
     denominators and negative radicands raise ValueError."""
+    return _make(*parse_parts(text))
+
+
+def parse_parts(text: str) -> tuple:
+    """The integers (p, q, d, r) of the value (p + q*sqrt(r))/d that
+    parse_ext_rational reads from text: d > 0, r = 0 unless q != 0 and r is
+    not a perfect square, no common factor taken out."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty coefficient string")
     star = s.find("*sqrt(")
     if star == -1:
         p, d = _parse_rational(s, text)
-        return _make(p, 0, d, 0)
+        return p, 0, d, 0
     root = _RADICAND.fullmatch(s, star)
     if root is None:
         raise ValueError(f"malformed coefficient {text!r}")
@@ -342,7 +359,7 @@ def parse_ext_rational(text: str) -> ExtRational:
     else:
         pa, da = 0, 1
         pb, db = _parse_rational(head, text)
-    return from_parts(pa * db, pb * da, da * db, int(root[2]))
+    return _folded(pa * db, pb * da, da * db, int(root[2]))
 
 
 ZERO = ExtRational(0)

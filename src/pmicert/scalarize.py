@@ -145,9 +145,10 @@ def reduction_step(G: SymPolyMatrix, i: int, j: int) -> ReductionStep:
           for c in range(m)] for r in range(m)]
     )
 
-    B = SymPolyMatrix(
-        [[s * (s * H[r][c] - beta[r] * beta[c]) for c in range(m - 1)] for r in range(m - 1)]
-    )
+    # the upper triangle, mirrored
+    B = SymPolyMatrix.from_upper(m - 1, {
+        (r, c): s * (s * H[r][c] - beta[r] * beta[c]) for r in range(m - 1) for c in range(r, m - 1)
+    }, nv)
     return ReductionStep(i, j, s, B, transform, T, X_minus, X_plus)
 
 

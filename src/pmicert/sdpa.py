@@ -84,6 +84,7 @@ def parse_sdpa(text: str) -> SdpaData:
     """Text-level parser for the exported format (round-trip stable).  Each
     error names its 1-based line in the file, comment lines counted."""
     gamma_constraint = 0
+    gamma_line = None  # the line of the gamma comment, if there is one
     body = []  # (line number, text) of the non-comment lines
     number = 0
     try:
@@ -91,7 +92,7 @@ def parse_sdpa(text: str) -> SdpaData:
             line = line.strip()
             if line.startswith(("*", '"')):
                 if "free objective scalar gamma" in line:
-                    gamma_constraint = int(line.split()[2])
+                    gamma_constraint, gamma_line = int(line.split()[2]), number
             elif line:
                 body.append((number, line))
         if len(body) < 4:
@@ -99,6 +100,9 @@ def parse_sdpa(text: str) -> SdpaData:
             raise ValueError("truncated SDPA file: missing header lines")
         number, line = body[0]
         ncons = int(line)
+        if gamma_line is not None and not 1 <= gamma_constraint <= ncons:
+            number = gamma_line
+            raise ValueError(f"gamma constraint {gamma_constraint} is outside 1..{ncons}")
         number, line = body[1]
         nblocks = int(line)
         number, line = body[2]

@@ -65,8 +65,8 @@ class TestPolynomialArithmetic:
 
 
 class TestInternalResults:
-    """Sums, negations and products are built by Polynomial._from_clean,
-    which skips the validation of the public constructor."""
+    """Sums, negations and products are built from integer forms, which
+    skips the validation of the public constructor."""
 
     @staticmethod
     def _check(result: Polynomial):
@@ -289,25 +289,6 @@ class TestProductKernel:
             # other one-term coefficients still multiply
             c = Polynomial(n, {pool[0]: ExtRational(Fraction(-2, 3))})
             assert f * c == _oracle_mul(f, c) == c * f
-
-    def test_integer_form_made_once_per_polynomial(self, monkeypatch):
-        import pmicert.algebra as algebra
-
-        real, made = algebra._integer_form, []
-        monkeypatch.setattr(algebra, "_integer_form", lambda terms: made.append(1) or real(terms))
-        rng = random.Random(80)
-        G = random_sym_matrix(rng, 3, 2, 2)
-        # distinct nonzero objects: G's mirrored entries are one object each
-        nonzero = lambda entries: len({id(p) for row in entries for p in row if p.terms})
-        dense = nonzero(G.entries)
-        vs = [self._matrix(rng, 3, 1, 2, 0, self._pool(rng, 2)) for _ in range(4)]
-        for v in vs:
-            gv = _oracle_matmul(G, v)
-            expected = _oracle_matmul(v.transpose(), PolyMatrix(gv))
-            made.clear()
-            assert congruence(v, G).entries == expected
-            # v's entries once (v^T shares them), G v's, and G's in the first only
-            assert len(made) == nonzero(v.entries) + nonzero(gv) + (dense if v is vs[0] else 0)
 
     def test_cancellation_leaves_no_zero_terms(self):
         p = x(2) * Fraction(1, 3) + x(2, 1) * Fraction(2, 7)

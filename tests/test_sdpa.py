@@ -72,6 +72,19 @@ class TestParser:
         with pytest.raises(ValueError):
             parse_sdpa("1\n2\n3\n0.0\n")
 
+    def test_gamma_constraint_in_range(self):
+        # the last constraint may carry gamma; one past it may not
+        lines = export_sdpa(interval_problem()).splitlines()
+        ncons = int(lines[2])
+        for k in (1, ncons):
+            text = "\n".join(lines[:1] + [f"* constraint {k} carries the free objective scalar gamma"]
+                             + lines[2:]) + "\n"
+            assert parse_sdpa(text).gamma_constraint == k
+        text = "\n".join(lines[:1] + [f"* constraint {ncons + 1} carries the free objective "
+                                      "scalar gamma"] + lines[2:]) + "\n"
+        with pytest.raises(ValueError, match=f"^line 2: gamma constraint {ncons + 1} is outside"):
+            parse_sdpa(text)
+
     @pytest.mark.parametrize(
         "edit, line",
         [
@@ -90,10 +103,18 @@ class TestParser:
             (lambda lines: lines[:6] + ["1 1 1 1 nan"] + lines[7:], 7),        # entry value
             (lambda lines: lines[:6] + ["1 1 1 1 -inf"] + lines[7:], 7),
             (lambda lines: lines[:6] + ["1 1 1 1 1e999"] + lines[7:], 7),
+            # the gamma constraint must be one of the ncons constraints
+            (lambda lines: lines[:1] + ["* constraint 99 carries the free objective scalar gamma"]
+             + lines[2:], 2),
+            (lambda lines: lines[:1] + ["* constraint -4 carries the free objective scalar gamma"]
+             + lines[2:], 2),
+            (lambda lines: lines[:1] + ["* constraint 0 carries the free objective scalar gamma"]
+             + lines[2:], 2),
         ],
         ids=["ncons", "objective", "entry-value", "entry-index", "gamma-comment", "truncated",
              "size-zero", "size-negative", "objective-nan", "objective-inf",
-             "objective-overflow", "entry-nan", "entry-minus-inf", "entry-overflow"],
+             "objective-overflow", "entry-nan", "entry-minus-inf", "entry-overflow",
+             "gamma-past-ncons", "gamma-negative", "gamma-zero"],
     )
     def test_errors_name_their_line(self, edit, line):
         lines = export_sdpa(interval_problem()).splitlines()
