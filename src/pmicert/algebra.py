@@ -43,16 +43,11 @@ from operator import mul, or_
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, ONE, _make, common_radicand, parse_ext_rational, parse_parts
-
-Exponent = tuple
+from .ring import (ExtRational, ZERO, ONE, _make, common_radicand, parse_ext_rational, parse_parts,
+                   quotient, sign_of)
 
 _gcd = math.gcd
 _new = object.__new__
-
-
-def _grlex_key(alpha: Exponent):
-    return (sum(alpha), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +291,7 @@ class Polynomial:
         """Float value at one point (n,), or an array of values at each row of
         a (P, n) batch of points."""
         pts = np.asarray(point, dtype=float)
-        batch = np.atleast_2d(pts)
-        total = np.zeros(len(batch))
-        # monomials by repeated multiplication: numpy's power may take a SIMD
-        # or a scalar pow by array layout, and the two differ in the last bit
-        for alpha, c in self.terms.items():
-            mono = np.ones(len(batch))
-            for i, e in enumerate(alpha):
-                for _ in range(e):
-                    mono *= batch[:, i]
-            total += mono * float(c)
+        total = _float_values(self, np.atleast_2d(pts), {})
         return float(total[0]) if pts.ndim == 1 else total
 
     def homogenize(self, target_degree: int) -> "Polynomial":
@@ -613,6 +599,23 @@ def _sum_of_products(nvars: int, pairs) -> Polynomial:
     return _finish(nvars, w, *_accumulate([(_at(f, w), _at(g, w), None) for f, g in pairs]))
 
 
+def _float_values(poly: Polynomial, batch: np.ndarray, monomials: dict) -> np.ndarray:
+    """The values of poly at the rows of batch, its terms summed in term
+    order.  The values of a monomial are read from monomials, or made there
+    on first use by repeated multiplication: numpy's power may take a SIMD
+    or a scalar pow by array layout, and the two differ in the last bit."""
+    total = np.zeros(len(batch))
+    for alpha, c in poly.terms.items():
+        mono = monomials.get(alpha)
+        if mono is None:
+            mono = monomials[alpha] = np.ones(len(batch))
+            for i, e in enumerate(alpha):
+                for _ in range(e):
+                    mono *= batch[:, i]
+        total += mono * float(c)
+    return total
+
+
 def _is_natural(token: str) -> bool:
     """A non-negative integer written in ASCII decimal digits only."""
     return token.isascii() and token.isdigit()
@@ -796,17 +799,18 @@ def multinomial(total: int, parts) -> int:
 
 
 def monomials_upto(nvars: int, degree: int) -> list:
-    """All exponent tuples with |alpha| <= degree, sorted graded-lex."""
-    out = []
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-    rec([], nvars, degree)
-    out.sort(key=_grlex_key)
-    return out
+    """All exponent tuples with |alpha| <= degree, in graded-lex order: degree
+    by degree, each degree in ascending lex order, so the list up to a lower
+    degree is a prefix.  The tuples of degree d in the last m variables are
+    a followed by those of degree d - a in the last m - 1, for a = 0..d,
+    built from one variable up."""
+    if not nvars:
+        return [()]
+    tails = [[(d,)] for d in range(degree + 1)]  # the last variable alone
+    for _ in range(nvars - 1):
+        tails = [[(a,) + rest for a in range(d + 1) for rest in tails[d - a]]
+                 for d in range(degree + 1)]
+    return [alpha for level in tails for alpha in level]
 
 
 # ---------------------------------------------------------------------------
@@ -979,9 +983,10 @@ class SymPolyMatrix(PolyMatrix):
         pts = np.asarray(point, dtype=float)
         batch = np.atleast_2d(pts)
         out = np.empty((len(batch), self.size, self.size))
+        monomials = {}  # one table of monomial values for every entry
         for i, row in enumerate(self.entries):
             for j in range(i, self.size):
-                out[:, i, j] = out[:, j, i] = row[j].evaluate_float(batch)
+                out[:, i, j] = out[:, j, i] = _float_values(row[j], batch, monomials)
         return out[0] if pts.ndim == 1 else out
 
     def homogenize(self, target_degree: int) -> "SymPolyMatrix":
@@ -1120,16 +1125,20 @@ class RationalSymMatrix:
 
 
 def psd_exact(M: RationalSymMatrix, strict: bool = False) -> bool:
-    """Exact PSD (strict: PD) decision of any size, from the LDL^T of ldlt.
+    """Exact PSD (strict: PD) decision of any size, from the signs of the
+    fraction-free elimination alone (_eliminate), which builds no
+    ExtRational.
 
     PSD: no negative pivot and every zero pivot has a zero row.  PD: in
-    addition all M.size pivots are positive.
+    addition all M.size pivots are positive.  A matrix that mixes two
+    irrational radicands is not decided PSD (_eliminate raises
+    RadicandMismatch, a ValueError).
     """
     try:
-        _, pivots = ldlt(M)
+        _, _, steps = _eliminate(M)
     except ValueError:
         return False
-    return not strict or len(pivots) == M.size
+    return not strict or len(steps) == M.size
 
 
 def psd_exact_ldlt(M: RationalSymMatrix) -> bool:
@@ -1144,39 +1153,86 @@ def ldlt(M: RationalSymMatrix):
     Symmetric elimination without row exchanges; a zero pivot whose row is
     zero is skipped, so len(pivots) == M.size exactly when M is PD.  Raises
     ValueError if a negative pivot or a zero pivot with a nonzero row is met
-    (i.e. the matrix is not PSD).
+    (i.e. the matrix is not PSD), RadicandMismatch if M mixes two irrational
+    radicands.
 
-    Only the upper triangle is updated: the trailing block stays symmetric,
-    so step k reads its column from row k (a[k][i], i > k) and row i is
-    updated from column i on.  The pivots and columns are those of the
-    full-row elimination, at about half its ring operations.
+    The elimination is _eliminate's, in integers; the ExtRationals are built
+    from its kept steps only: step k with pivot minor B_k, after the kept
+    pivot minor B' (1 at first), has column entries a_ki / B_k and pivot
+    B_k / (L B').  These are the values of the ExtRational elimination.
+    """
+    L, r, steps = _eliminate(M)
+    cols, pivots = [], []
+    sp, sq = L, 0  # L B'
+    for k, ps, qs in steps:
+        bp, bq = ps[0], qs[0]
+        cols.append([ZERO] * k + [ONE]
+                    + [quotient(x, y, bp, bq, r) for x, y in zip(ps[1:], qs[1:])])
+        pivots.append(quotient(bp, bq, sp, sq, r))
+        sp, sq = L * bp, L * bq
+    return cols, pivots
+
+
+def _eliminate(M: RationalSymMatrix) -> tuple:
+    """(L, r, steps): the fraction-free symmetric elimination (Bareiss, Math.
+    Comp. 1968) of L M over Z[sqrt(r)], with L the lcm of the denominators
+    of M's entries and r their one irrational radicand (0 if none;
+    RadicandMismatch if there are two).
+
+    An entry of L M is a pair (p, q) of ints, the value p + q sqrt(r).  The
+    step at a kept pivot B = a_kk replaces each a_ij, k < i <= j, by
+    (B a_ij - a_ki a_kj) / B', B' the kept pivot before it (1 at first).
+    The division is exact in Z[sqrt(r)], by the conjugate over the norm when
+    B' is irrational: by Sylvester's identity a_ij is then the minor of L M
+    on the kept rows and i against the kept columns and j.  Only the upper
+    triangle is held (row i from column i), and the kept pivots are
+    positive, so each pivot has the sign of the ExtRational elimination's,
+    decided by comparing p^2 with r q^2.  A negative pivot, or a zero one
+    with a nonzero row, raises ValueError: M is not PSD.  A zero pivot with
+    a zero row is skipped, and B' stays.
+
+    steps lists each kept k with (ps, qs), row k of L M at its step from
+    column k on: B = (ps[0], qs[0]) is L^j times the principal minor of M
+    on the j rows kept so far, k the last.
     """
     n = M.size
-    a = [row[:] for row in M.entries]
-    cols = []
-    pivots = []
+    grid = [[v.parts() for v in row[i:]] for i, row in enumerate(M.entries)]
+    L = math.lcm(*[x[2] for row in grid for x in row])
+    r = 0
+    for x in {x[3] for row in grid for x in row if x[1]}:
+        r = common_radicand(r, x)
+    P = [[p * (L // d) for p, _, d, _ in row] for row in grid]
+    Q = [[q * (L // d) for _, q, d, _ in row] for row in grid]
+    steps = []
+    sp, sq, norm = 1, 0, 1  # B' and its norm
     for k in range(n):
-        rowk = a[k]
-        piv = rowk[k]
-        s = piv.sign()
+        ps, qs = P[k], Q[k]
+        bp, bq = ps[0], qs[0]
+        s = sign_of(bp, bq, r)
         if s < 0:
             raise ValueError("matrix is not positive semidefinite (negative pivot)")
-        if s == 0:
-            if any(rowk[j] for j in range(k + 1, n)):
+        if not s:
+            if any(ps) or any(qs):
                 raise ValueError("matrix is not positive semidefinite (zero pivot row)")
             continue
-        inv = piv.inverse()
-        col = [ZERO] * k + [ONE] + [rowk[i] * inv for i in range(k + 1, n)]
-        cols.append(col)
-        pivots.append(piv)
+        steps.append((k, ps, qs))
+        bqr, sqr = bq * r, sq * r
         for i in range(k + 1, n):
-            factor = col[i]
-            if not factor:
-                continue
-            row = a[i]
-            for j in range(i, n):
-                row[j] = row[j] - factor * rowk[j]
-    return cols, pivots
+            off = i - k
+            cp, cq = ps[off], qs[off]
+            cqr = cq * r
+            xs, ys = [], []
+            for ap, aq, dp, dq in zip(P[i], Q[i], ps[off:], qs[off:]):
+                xs.append(bp * ap + bqr * aq - cp * dp - cqr * dq)
+                ys.append(bp * aq + bq * ap - cp * dq - cq * dp)
+            if sq:
+                P[i] = [(x * sp - y * sqr) // norm for x, y in zip(xs, ys)]
+                Q[i] = [(y * sp - x * sq) // norm for x, y in zip(xs, ys)]
+            else:
+                P[i] = [x // sp for x in xs]
+                Q[i] = [y // sp for y in ys]
+        sp, sq, norm = bp, bq, bp * bp - bqr * bq
+    return L, r, steps
 
 
 def min_eigenvalue_numeric(M, tol: float = 1e-12):

@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .ring import ExtRational, ZERO
+from .ring import ExtRational, ZERO, _make, common_radicand
 from .algebra import (
     LineReader,
     Polynomial,
@@ -168,30 +169,49 @@ def from_bernstein(e: BernsteinExpansion) -> SymPolyMatrix:
 
 
 def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
-    """Degree elevation; represents the same matrix at a higher degree."""
+    """Degree elevation; represents the same matrix at a higher degree.
+
+    A step from degree t sets c'_alpha = ((t + 1 - |alpha|) c_alpha +
+    sum_i alpha_i c_(alpha - e_i)) / (t + 1), the terms with |alpha| > t
+    or alpha_i = 0 left out.  It runs in integers: the upper triangles of
+    all coefficients over one common denominator D, numerators in Z[sqrt(r)]
+    laid out as the rational parts and then the sqrt(r) parts, so a step is
+    one integer combination per alpha with D (t + 1) as the new
+    denominator.  ExtRationals are built once, at the target degree; their
+    values are those of the step-by-step exact recurrence.  Two irrational
+    radicands raise RadicandMismatch.
+    """
     if target < e.degree:
         raise ValueError(f"cannot elevate from degree {e.degree} down to {target}")
-    out = e
-    while out.degree < target:
-        t = out.degree
-        scale = ExtRational(Fraction(1, t + 1))
-        ell = out.ell
-        zero = RationalSymMatrix([[ZERO] * ell for _ in range(ell)])
-        coeffs = {}
-        for alpha in monomials_upto(out.nvars, t + 1):
-            acc = zero
-            weight = t + 1 - sum(alpha)
-            if weight and sum(alpha) <= t:
-                acc = acc + out[alpha].scale(weight)
+    if target == e.degree:
+        return e
+    n, ell, t = e.nvars, e.ell, e.degree
+    upper = [(i, j) for i in range(ell) for j in range(i, ell)]
+    parts = {alpha: [mat[i, j].parts() for i, j in upper] for alpha, mat in e.items()}
+    D = math.lcm(*[d for values in parts.values() for _, _, d, _ in values])
+    r = 0
+    for x in {x for values in parts.values() for _, q, _, x in values if q}:
+        r = common_radicand(r, x)
+    num = {alpha: [p * (D // d) for p, _, d, _ in values] + [q * (D // d) for _, q, d, _ in values]
+           for alpha, values in parts.items()}
+    while t < target:
+        step = {}
+        for alpha in monomials_upto(n, t + 1):
+            terms = [(t + 1 - sum(alpha), num[alpha])] if sum(alpha) <= t else []
             for i, ei in enumerate(alpha):
-                if ei == 0:
-                    continue
-                lower = list(alpha)
-                lower[i] -= 1
-                acc = acc + out[tuple(lower)].scale(ei)
-            coeffs[alpha] = acc.scale(scale)
-        out = BernsteinExpansion(out.nvars, t + 1, ell, coeffs)
-    return out
+                if ei:
+                    terms.append((ei, num[alpha[:i] + (ei - 1,) + alpha[i + 1:]]))
+            weights, rows = zip(*terms)
+            step[alpha] = [sum(map(mul, weights, column)) for column in zip(*rows)]
+        num, D, t = step, D * (t + 1), t + 1
+    size = len(upper)
+    coeffs = {}
+    for alpha, values in num.items():
+        grid = [[None] * ell for _ in range(ell)]
+        for (i, j), p, q in zip(upper, values[:size], values[size:]):
+            grid[i][j] = grid[j][i] = _make(p, q, D, r)
+        coeffs[alpha] = RationalSymMatrix(grid)
+    return BernsteinExpansion(n, t, ell, coeffs)
 
 
 def _spectral_norm(mat: np.ndarray) -> float:
@@ -242,12 +262,30 @@ def simplex_lattice(n: int, resolution: int):
     Images of the uniform lattice on the standard simplex under
     x_i = (n + sqrt(n)) y_i - 1.
     """
+    return [simplex_lattice_point(n, beta, resolution)
+            for beta in _lattice_compositions(resolution, n + 1)]
+
+
+def simplex_lattice_point(n: int, beta, resolution: int) -> list:
+    """The exact point of simplex_lattice for the composition beta of
+    resolution into n + 1 parts."""
     scale = ExtRational(n, 1, n)
-    points = []
-    for beta in _lattice_compositions(resolution, n + 1):
-        y = [Fraction(b, resolution) for b in beta[:n]]
-        points.append([scale * yi - 1 for yi in y])
-    return points
+    return [scale * Fraction(b, resolution) - 1 for b in beta[:n]]
+
+
+def simplex_lattice_rounded(n: int, resolution: int) -> tuple:
+    """(compositions, points): the compositions of simplex_lattice in its
+    order, and the (P, n) array of the float() of each exact coordinate,
+    from integers.  With (sp + sq sqrt(sr))/sd the folded parts of
+    n + sqrt(n), coordinate b is (sp b - sd res)/(sd res) +
+    (sq b)/(sd res) sqrt(sr): the terms ExtRational.__float__ rounds, over
+    a denominator that may differ by a common factor, which changes no
+    correctly rounded quotient."""
+    betas = list(_lattice_compositions(resolution, n + 1))
+    sp, sq, sd, sr = ExtRational(n, 1, n).parts()
+    b = np.array([beta[:n] for beta in betas], dtype=np.int64).reshape(len(betas), n)
+    den = sd * resolution
+    return betas, (sp * b - den) / den + (sq * b) / den * math.sqrt(sr)
 
 
 def simplex_lattice_float(n: int, resolution: int) -> np.ndarray:

@@ -273,13 +273,13 @@ def _grlex_basis(polys, nvars: int) -> tuple:
     return [_unpack(k, nvars, width) for k in keys], {k: u for u, k in enumerate(keys)}, width
 
 
-def _gram_sums(squares, index: dict, width: int, ell: int) -> dict:
-    """{a dim + b: entry (a, b)}, a <= b, of the Gram matrix of
-    sum_r w_r v_r v_r^T on basis (x) R^ell, dim = len(index) ell: position
-    (u, i) of a term c x^mu of v_r[i] is index[mu] ell + i, mu packed at
-    width.  Each square is the upper triangle of w_r v_r v_r^T in
-    _accumulate, keyed a dim + b.  Two different irrational radicands raise
-    RadicandMismatch."""
+def _gram_sums(squares, index: dict, width: int, ell: int) -> tuple:
+    """The _accumulate result (acc, D, rational) of the Gram matrix of
+    sum_r w_r v_r v_r^T on basis (x) R^ell, entry (a, b), a <= b, at key
+    a dim + b, dim = len(index) ell: position (u, i) of a term c x^mu of
+    v_r[i] is index[mu] ell + i, mu packed at width.  Each square is the
+    upper triangle of w_r v_r v_r^T in _accumulate.  Two different
+    irrational radicands raise RadicandMismatch."""
     dim = len(index) * ell
     items = []
     r = 0
@@ -298,10 +298,19 @@ def _gram_sums(squares, index: dict, width: int, ell: int) -> dict:
             r = common_radicand(r, cr)
         rows = _scaled(([a * dim for a in pos], ps, qs, rs, L), w.parts())
         items.append((rows, (pos, ps, qs, rs, L), range(len(pos))))
-    acc, D, rational = _accumulate(items)
-    if rational:
-        return {key: _make(p, 0, D, 0) for key, p in acc.items()}
-    return {key: _make(p, q, D, r) for key, (p, q, r) in acc.items()}
+    return _accumulate(items)
+
+
+def _gram_grid(dim: int, acc: dict, D: int, rational: bool) -> list:
+    """The symmetric dim x dim grid of ExtRationals of an _accumulate result
+    keyed a dim + b for the entries (a, b) of its upper triangle; an entry no
+    key reaches is ZERO."""
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for key, value in acc.items():
+        p, q, r = (value, 0, 0) if rational else value
+        a, b = divmod(key, dim)
+        gram[a][b] = gram[b][a] = _make(p, q, D, r)
+    return gram
 
 
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
@@ -314,11 +323,7 @@ def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
         raise ValueError("square weights must be nonnegative")
     basis, index, width = _grlex_basis((p for _, col in squares for p in col), nvars)
     dim = len(basis) * ell
-    gram = [[ZERO] * dim for _ in range(dim)]
-    for key, value in _gram_sums(squares, index, width, ell).items():
-        a, b = divmod(key, dim)
-        gram[a][b] = gram[b][a] = value
-    return SOSBlock(basis, gram)
+    return SOSBlock(basis, _gram_grid(dim, *_gram_sums(squares, index, width, ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +455,19 @@ def assemble_simplex_putinar(
     sigma's squares route through the supplied witness.  The SOS part is
     therefore sum_alpha A_alpha (x) M_alpha, A_alpha the Gram matrix of the
     scalar squares of c_alpha b_alpha on the graded-lex union of the
-    monomials of every q: one _gram_sums call and one Kronecker expansion
-    per alpha.  The multiplier terms are rank one in qmcert-v1, so there
-    M_alpha enters through its exact LDL^T factorization: one term
-    scale P_t (q col) per square of sigma, column col and witness term P_t.
-    The result verifies exactly, and that final check is the check of record.
+    monomials of every q (one _gram_sums call per alpha).  The Kronecker sum
+    is one _accumulate call with one product item (A_alpha, M_alpha) per
+    alpha: entry (u, v) of A_alpha is keyed (u ell) dim + v ell and entry
+    (i, j) of M_alpha is keyed i dim + j, so a pair lands on entry
+    (u ell + i, v ell + j) of the dim x dim Gram; a diagonal block (u = v)
+    pairs with the upper triangle of M_alpha only.
+
+    The multiplier terms are rank one in qmcert-v1, so there M_alpha enters
+    through its exact LDL^T factorization: one term scale P_t (q col) per
+    square of sigma, column col and witness term P_t.  Value-equal
+    multiplier vectors are one object (equal q, equal col and the same
+    P_t), so the final verification folds each distinct vector once.  The
+    result verifies exactly, and that final check is the check of record.
     """
     n = F.nvars
     ell = F.size
@@ -475,6 +488,8 @@ def assemble_simplex_putinar(
     scale_base = ExtRational(n, 1, n) ** (-t) if t else ONE
     expanded = []   # (M_alpha, scalar squares of c_alpha b_alpha)
     out_mults = []
+    # value-equal q, col and witness term give one multiplier matrix object
+    polys, col_ids, matrices = {}, {}, {}
     for alpha, mat in pc.expansion.items():
         c_alpha = scale_base * multinomial(t, alpha + (t - sum(alpha),))
         S, sigma = _product_membership(alpha, t, n, facet_cache)
@@ -485,31 +500,39 @@ def assemble_simplex_putinar(
         if not (sigma and bw_mults):
             continue
         cols, pivots = ldlt(mat)
+        cids = [col_ids.setdefault(tuple(col), len(col_ids)) for col in cols]
         for w, q in sigma:
-            shifted = [[row[0] * q for row in term.matrix.entries] for term in bw_mults]
-            for col, piv in zip(cols, pivots):
+            q = polys.setdefault(q, q)
+            for col, cid, piv in zip(cols, cids, pivots):
                 scale = c_alpha * w * piv
-                for term, pq in zip(bw_mults, shifted):
-                    out_mults.append(MultiplierTerm(
-                        scale * term.scale, PolyMatrix([[p * c for c in col] for p in pq])))
+                for ti, term in enumerate(bw_mults):
+                    P = matrices.get((id(q), cid, ti))
+                    if P is None:
+                        pq = [row[0] * q for row in term.matrix.entries]
+                        P = matrices[id(q), cid, ti] = PolyMatrix([[p * c for c in col] for p in pq])
+                    out_mults.append(MultiplierTerm(scale * term.scale, P))
 
     basis, index, width = _grlex_basis((q for _, squares in expanded for _, q in squares), n)
     N, dim = len(basis), len(basis) * ell
-    gram = [[ZERO] * dim for _ in range(dim)]
+    items = []
     for M, squares in expanded:
-        for key, value in _gram_sums(((w, [q]) for w, q in squares), index, width, 1).items():
-            if not value:
-                continue
+        acc, D, rational = _gram_sums(((w, [q]) for w, q in squares), index, width, 1)
+        # M_alpha's nonzero entries, the strictly lower ones first
+        entries = sorted((j >= i, i * dim + j, v) for i, row in enumerate(M)
+                         for j, v in enumerate(row) if v)
+        if not acc or not entries:
+            continue
+        upper, mkeys, mvalues = zip(*entries)
+        right = (mkeys, *_integer_coeffs(mvalues))
+        first_upper = upper.index(True)
+        keys, starts = [], []
+        for key in acc:
             u, v = divmod(key, N)
-            for i in range(ell):
-                row, Mi = gram[u * ell + i], M[i]
-                for j in range(i if u == v else 0, ell):
-                    if Mi[j]:
-                        row[v * ell + j] += value * Mi[j]
-    for a in range(dim):
-        for b in range(a):
-            gram[a][b] = gram[b][a]
-    block = SOSBlock(basis, gram)
+            keys.append(u * ell * dim + v * ell)
+            starts.append(first_upper if u == v else 0)
+        values = (tuple(acc.values()), None, None) if rational else tuple(zip(*acc.values()))
+        items.append(((keys, *values, D), right, starts))
+    block = SOSBlock(basis, _gram_grid(dim, *_accumulate(items)))
 
     d_G = max(G.degree, 0)
     k = block.degree()

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ring import ExtRational, ONE
+from .ring import ExtRational, _make
 from .algebra import (
     LineReader,
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
-    ldlt,
+    _eliminate,
     min_eigenvalue_numeric,
     monomials_upto,
     multinomial,
@@ -36,8 +36,9 @@ from .bernstein import (
     norm_of_expansion,
     read_expansion,
     serialize_expansion,
-    simplex_lattice,
     simplex_lattice_float,
+    simplex_lattice_point,
+    simplex_lattice_rounded,
     to_bernstein,
 )
 
@@ -90,22 +91,22 @@ def _pd_margin(mat: RationalSymMatrix) -> float | None:
     """Exact PD test with margin: None if mat is not positive definite, else
     its smallest leading principal minor as a float.
 
-    The k-th leading principal minor of a PD matrix is the product
-    d_1 ... d_k of its first k LDL^T pivots, so the margin is
-    min_k float(d_1 ... d_k), computed exactly before rounding.  A minor
-    past the float range is positive, so its float is inf.
+    The fraction-free elimination of L mat (algebra._eliminate) has the
+    k-th leading principal minor of L mat as its k-th pivot B_k, so the
+    k-th minor of mat is B_k / L^k, exact before rounding.  A minor past the
+    float range is positive, so its float is inf.
     """
     try:
-        _, pivots = ldlt(mat)
+        L, r, steps = _eliminate(mat)
     except ValueError:
         return None
-    if len(pivots) < mat.size:
+    if len(steps) < mat.size:
         return None
-    minor, margin = ONE, math.inf
-    for d in pivots:
-        minor = minor * d
+    margin, scale = math.inf, 1
+    for _, ps, qs in steps:
+        scale *= L
         try:
-            margin = min(margin, float(minor))
+            margin = min(margin, float(_make(ps[0], qs[0], scale, r)))
         except OverflowError:
             pass
     return margin
@@ -168,13 +169,14 @@ def polya_certificate(F: SymPolyMatrix, max_degree: int) -> PolyaCertificate:
     # failed within the cap: look for an exact refutation point
     n = F.nvars
     res = lattice_resolution_for(n, 10**n * (d + 1))
-    exact_pts = simplex_lattice(n, res)
-    eigs = min_eigenvalue_numeric(F.evaluate_float(np.array(exact_pts, dtype=float)))
+    betas, pts = simplex_lattice_rounded(n, res)
+    eigs = min_eigenvalue_numeric(F.evaluate_float(pts))
     witness = None
     witness_eig = None
     for idx in np.flatnonzero(eigs < 1e-9):
-        if not psd_exact(F.evaluate(exact_pts[idx]), strict=True):
-            witness = exact_pts[idx]
+        point = simplex_lattice_point(n, betas[idx], res)
+        if not psd_exact(F.evaluate(point), strict=True):
+            witness = point
             witness_eig = float(eigs[idx])
             break
     msg = f"no positive-definite expansion up to degree {max_degree}"

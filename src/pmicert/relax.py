@@ -99,9 +99,10 @@ def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
     if kprime < 0:
         raise ValueError(f"relaxation order {k} too small for constraint degree {d_G}")
     m = G.size
-    basis0 = monomials_upto(n, k)
-    basis1 = monomials_upto(n, kprime)
+    # graded-lex order: each basis is a prefix of the order-2k monomials
     monomials = monomials_upto(n, 2 * k)
+    basis0 = monomials[:math.comb(n + k, n)]
+    basis1 = monomials[:math.comb(n + kprime, n)]
     index = {g: c for c, g in enumerate(monomials)}
     N0, N1 = len(basis0), len(basis1)
 

@@ -65,6 +65,28 @@ def from_parts(p: int, q: int, d: int, r: int) -> "ExtRational":
     return _make(*_folded(p, q, d, r))
 
 
+def sign_of(p: int, q: int, r: int) -> int:
+    """Exact sign in {-1, 0, 1} of p + q*sqrt(r), r not a perfect square
+    when q != 0."""
+    if not q:
+        return (p > 0) - (p < 0)
+    if p >= 0 and q > 0:
+        return 1
+    if p <= 0 and q < 0:
+        return -1
+    # mixed signs: p^2 != q^2 r because r is not a perfect square
+    return 1 if (p * p > q * q * r) == (p > 0) else -1
+
+
+def quotient(p: int, q: int, s: int, t: int, r: int) -> "ExtRational":
+    """(p + q*sqrt(r)) / (s + t*sqrt(r)) for s + t*sqrt(r) != 0, r not a
+    perfect square when q or t is nonzero: times the conjugate over the norm
+    s^2 - t^2 r when t != 0."""
+    if t:
+        return _make(p * s - q * t * r, q * s - p * t, s * s - t * t * r, r)
+    return _make(p, q, s, r)
+
+
 def common_radicand(r1: int, r2: int) -> int:
     """The one irrational radicand among r1 and r2 (0 if neither is)."""
     if r1 and r2 and r1 != r2:
@@ -134,16 +156,7 @@ class ExtRational:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        p, q = self._p, self._q
-        if not q:
-            return (p > 0) - (p < 0)
-        if p >= 0 and q > 0:
-            return 1
-        if p <= 0 and q < 0:
-            return -1
-        # mixed signs: p^2 != q^2 r because r is not a perfect square
-        dominant = p * p > q * q * self._r
-        return 1 if dominant == (p > 0) else -1
+        return sign_of(self._p, self._q, self._r)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -209,15 +222,11 @@ class ExtRational:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtRational":
-        p, q, d = self._p, self._q, self._d
-        if not q:
-            if not p:
-                raise ZeroDivisionError("division by zero")
-            return _make(d, 0, p, 0)
-        # d/(p + q sqrt r) = d (p - q sqrt r)/(p^2 - q^2 r); the denominator is
-        # nonzero because sqrt(r) is irrational whenever q != 0
-        r = self._r
-        return _make(d * p, -d * q, p * p - q * q * r, r)
+        # d/(p + q sqrt r); p^2 - q^2 r != 0 because sqrt(r) is irrational
+        # whenever q != 0
+        if not (self._p or self._q):
+            raise ZeroDivisionError("division by zero")
+        return quotient(self._d, 0, self._p, self._q, self._r)
 
     def __truediv__(self, other):
         if type(other) is not ExtRational:

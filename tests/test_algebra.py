@@ -624,6 +624,19 @@ class TestBatchEvaluation:
                         ref = float(exact[i, j])
                         assert abs(mat[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    def test_shared_monomial_table_is_bit_identical(self, rng):
+        # one table of monomial values serves every entry of a matrix; each
+        # entry must read exactly what its own evaluation gives
+        gen = np.random.default_rng(11)
+        for _ in range(10):
+            n, ell = rng.randint(1, 4), rng.randint(1, 4)
+            F = random_sym_matrix(rng, ell, n, rng.randint(1, 5))
+            pts = gen.uniform(-2.0, 2.0, (37, n))
+            batch = F.evaluate_float(pts)
+            for i in range(ell):
+                for j in range(ell):
+                    assert np.array_equal(batch[:, i, j], F[i, j].evaluate_float(pts))
+
     def test_single_point_shapes(self):
         F = SymPolyMatrix([[x() + 1, x()], [x(), Polynomial.const(1, 2)]])
         assert F.evaluate_float([0.5]).shape == (2, 2)
@@ -668,6 +681,32 @@ def test_monomials_upto_count():
     for n in range(1, 4):
         for d in range(5):
             assert len(monomials_upto(n, d)) == comb(n + d, n)
+
+
+def _recursive_monomials(nvars, degree):
+    """The enumeration monomials_upto replaced: recursive, then sorted by
+    (degree, exponents)."""
+    out = []
+
+    def rec(prefix, remaining, budget):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for e in range(budget + 1):
+            rec(prefix + [e], remaining - 1, budget - e)
+
+    rec([], nvars, degree)
+    return sorted(out, key=lambda alpha: (sum(alpha), alpha))
+
+
+def test_monomials_upto_equals_recursive_enumeration():
+    for n in range(5):
+        for d in range(-1, 9):
+            got = monomials_upto(n, d)
+            assert got == _recursive_monomials(n, d), (n, d)
+            # each lower degree is a prefix, as build_relaxation slices it
+            for low in range(d + 1):
+                assert got[:math.comb(n + low, n)] == monomials_upto(n, low)
 
 
 class TestScaleArgument:

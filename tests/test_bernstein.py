@@ -16,6 +16,8 @@ from pmicert.bernstein import (
     from_bernstein,
     simplex_lattice,
     simplex_lattice_float,
+    simplex_lattice_point,
+    simplex_lattice_rounded,
     to_bernstein,
 )
 from conftest import random_poly, random_sym_matrix
@@ -251,6 +253,20 @@ def test_exact_lattice_points_lie_on_simplex():
             for c in coords:
                 total = total - c
             assert total.sign() >= 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rounded_lattice_is_the_float_of_the_exact_one(n):
+    # n = 1 and n = 4 fold sqrt(n) into the rational part
+    for res in (1, 2, 3, 6, 10) if n < 5 else (1, 4, 7):
+        betas, pts = simplex_lattice_rounded(n, res)
+        exact = simplex_lattice(n, res)
+        assert len(betas) == len(exact) == len(pts) == math.comb(res + n, n)
+        floats = np.array(exact, dtype=float).reshape(len(exact), n)
+        assert np.array_equal(pts, floats)
+        assert np.array_equal(np.signbit(pts), np.signbit(floats))
+        for beta, point in zip(betas, exact):
+            assert simplex_lattice_point(n, beta, res) == point
 
 
 class TestExpansionSerialization:

@@ -1,0 +1,366 @@
+"""The exact matrix work of certify-simplex in integers against its
+ExtRational oracles: the fraction-free LDL^T behind ldlt, psd_exact and
+polya._pd_margin, the one-call Kronecker Gram of assemble_simplex_putinar,
+its interned multiplier vectors, and integer Bernstein elevation."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from pmicert.ring import ONE, ZERO, ExtRational, RadicandMismatch
+from pmicert.algebra import (
+    Polynomial,
+    PolyMatrix,
+    RationalSymMatrix,
+    SymPolyMatrix,
+    ldlt,
+    monomials_upto,
+    multinomial,
+    psd_exact,
+)
+from pmicert.bernstein import BernsteinExpansion, elevate, to_bernstein
+from pmicert.certify import (
+    MultiplierTerm,
+    QMCertificate,
+    _blocks_to_squares,
+    _facet_membership,
+    _product_membership,
+    assemble_simplex_putinar,
+    ball_constraint,
+    gram_from_squares,
+    trivial_ball_witness,
+    verify_certificate,
+)
+from pmicert.polya import _pd_margin, polya_certificate
+from conftest import random_sym_matrix
+
+
+# ---------------------------------------------------------------------------
+# oracles: the ExtRational loops the integer code replaced
+
+
+def oracle_ldlt(M: RationalSymMatrix):
+    """Symmetric elimination one ExtRational operation at a time, the upper
+    triangle only, a zero pivot with a zero row skipped."""
+    n = M.size
+    a = [row[:] for row in M.entries]
+    cols, pivots = [], []
+    for k in range(n):
+        rowk = a[k]
+        piv = rowk[k]
+        s = piv.sign()
+        if s < 0:
+            raise ValueError("matrix is not positive semidefinite (negative pivot)")
+        if s == 0:
+            if any(rowk[j] for j in range(k + 1, n)):
+                raise ValueError("matrix is not positive semidefinite (zero pivot row)")
+            continue
+        inv = piv.inverse()
+        col = [ZERO] * k + [ONE] + [rowk[i] * inv for i in range(k + 1, n)]
+        cols.append(col)
+        pivots.append(piv)
+        for i in range(k + 1, n):
+            factor = col[i]
+            if not factor:
+                continue
+            row = a[i]
+            for j in range(i, n):
+                row[j] = row[j] - factor * rowk[j]
+    return cols, pivots
+
+
+def oracle_margin(M: RationalSymMatrix):
+    """The smallest leading principal minor as a float, from the products of
+    the oracle's pivots; None unless M is PD."""
+    try:
+        _, pivots = oracle_ldlt(M)
+    except ValueError:
+        return None
+    if len(pivots) < M.size:
+        return None
+    minor, margin = ONE, math.inf
+    for d in pivots:
+        minor = minor * d
+        try:
+            margin = min(margin, float(minor))
+        except OverflowError:
+            pass
+    return margin
+
+
+def oracle_elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
+    """Degree elevation one unit step and one ExtRational matrix at a time."""
+    out = e
+    while out.degree < target:
+        t, ell = out.degree, out.ell
+        coeffs = {}
+        for alpha in monomials_upto(out.nvars, t + 1):
+            acc = RationalSymMatrix([[ZERO] * ell for _ in range(ell)])
+            if sum(alpha) <= t:
+                acc = acc + out[alpha].scale(t + 1 - sum(alpha))
+            for i, ei in enumerate(alpha):
+                if ei:
+                    lower = list(alpha)
+                    lower[i] -= 1
+                    acc = acc + out[tuple(lower)].scale(ei)
+            coeffs[alpha] = acc.scale(ExtRational(Fraction(1, t + 1)))
+        out = BernsteinExpansion(out.nvars, t + 1, ell, coeffs)
+    return out
+
+
+def outcome(fn, M):
+    """("returned", result) or ("raised", exception type, message)."""
+    try:
+        return "returned", fn(M)
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# random matrices over Q, Q(sqrt 2), Q(sqrt 3) and Q(sqrt 8)
+
+
+def _value(rng, surd):
+    v = ExtRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    if surd and rng.random() < 0.5:
+        v = v + ExtRational(0, Fraction(rng.randint(-2, 2), rng.randint(1, 3)), surd)
+    return v
+
+
+def _positive(rng, surd):
+    v = ExtRational(Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+    if surd and rng.random() < 0.5:
+        v = v + ExtRational.sqrt(surd) * rng.randint(0, 2)
+    return v
+
+
+def _congruent(U, d):
+    """U^T diag(d) U."""
+    n = len(d)
+    return [[sum((U[r][i] * d[r] * U[r][j] for r in range(n)), ZERO) for j in range(n)]
+            for i in range(n)]
+
+
+def _unit_upper(rng, size, surd):
+    return [[ONE if i == j else _value(rng, surd) if j > i else ZERO for j in range(size)]
+            for i in range(size)]
+
+
+def cases(rng, surd, sizes=range(1, 19)):
+    """(kind, matrix) per size: PD (U^T D U, U unit upper triangular, D > 0),
+    singular PSD whose zero pivots have zero rows (zeros in D), a zero
+    pivot with a nonzero row (one entry right of such a pivot bumped), and
+    indefinite (a negative entry in D, and a random symmetric matrix)."""
+    for size in sizes:
+        U = _unit_upper(rng, size, surd)
+        d = [_positive(rng, surd) for _ in range(size)]
+        yield "pd", _congruent(U, d)
+        zeros = rng.sample(range(size), max(1, size // 4))
+        d0 = [ZERO if k in zeros else v for k, v in enumerate(d)]
+        singular = _congruent(U, d0)
+        yield "zero-row", singular
+        k = min(zeros)
+        if k < size - 1:
+            j = rng.randrange(k + 1, size)
+            bumped = [row[:] for row in singular]
+            bumped[k][j] = bumped[j][k] = bumped[k][j] + 1
+            yield "zero-pivot-nonzero-row", bumped
+        dn = d[:]
+        dn[rng.randrange(size)] = -dn[0]
+        yield "indefinite", _congruent(U, dn)
+        R = [[_value(rng, surd) for _ in range(size)] for _ in range(size)]
+        yield "symmetric", [[R[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+
+
+# 8 is not squarefree: Z[sqrt(8)] is still a ring, and every minor lies in it
+SURDS = [0, 2, 3, 8]
+
+
+class TestIntegerLdlt:
+    @pytest.mark.parametrize("surd", SURDS)
+    def test_ldlt_equals_oracle(self, surd):
+        rng = random.Random(1000 + surd)
+        seen = set()
+        for kind, entries in cases(rng, surd):
+            M = RationalSymMatrix(entries)
+            expected = outcome(oracle_ldlt, M)
+            assert outcome(ldlt, M) == expected, (kind, M.size)
+            seen.add((kind, expected[0]))
+        assert {("pd", "returned"), ("zero-row", "returned"),
+                ("zero-pivot-nonzero-row", "raised"), ("indefinite", "raised")} <= seen
+
+    @pytest.mark.parametrize("surd", SURDS)
+    def test_psd_exact_and_margin_equal_oracle(self, surd):
+        rng = random.Random(2000 + surd)
+        for kind, entries in cases(rng, surd):
+            M = RationalSymMatrix(entries)
+            got = outcome(oracle_ldlt, M)
+            psd = got[0] == "returned"
+            pd = psd and len(got[1][1]) == M.size
+            assert psd_exact(M) == psd, (kind, M.size)
+            assert psd_exact(M, strict=True) == pd, (kind, M.size)
+            assert _pd_margin(M) == oracle_margin(M), (kind, M.size)
+            if kind == "pd":
+                assert pd
+            if kind in ("zero-row", "zero-pivot-nonzero-row"):
+                assert not pd
+
+    def test_pivots_and_columns_rebuild_the_matrix(self):
+        rng = random.Random(5)
+        for surd in SURDS:
+            for kind, entries in cases(rng, surd, sizes=(1, 4, 9)):
+                M = RationalSymMatrix(entries)
+                if kind not in ("pd", "zero-row"):
+                    continue
+                cols, pivots = ldlt(M)
+                assert all(p.sign() > 0 for p in pivots)
+                rebuilt = [[sum((p * c[i] * c[j] for c, p in zip(cols, pivots)), ZERO)
+                            for j in range(M.size)] for i in range(M.size)]
+                assert rebuilt == M.entries
+
+    def test_margin_is_the_smallest_leading_minor(self):
+        M = RationalSymMatrix([[4, 2, 0], [2, 3, 1], [0, 1, Fraction(3, 4)]])
+        # leading minors 4, 8 and 4 (9/4 - 1) - 2 (3/2) = 2
+        assert _pd_margin(M) == 2.0
+
+    def test_minor_past_the_float_range_is_skipped(self):
+        big = ExtRational(10 ** 200)
+        M = RationalSymMatrix([[big, ZERO], [ZERO, big]])
+        assert _pd_margin(M) == 1e200
+        assert _pd_margin(M) == oracle_margin(M)
+
+    def test_denominators_far_apart(self):
+        M = RationalSymMatrix([[Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 7), Fraction(1, 11)]])
+        assert outcome(ldlt, M) == outcome(oracle_ldlt, M)
+        assert _pd_margin(M) == oracle_margin(M)
+
+    def test_mixed_radicands_raise(self):
+        s2, s3 = ExtRational.sqrt(2), ExtRational.sqrt(3)
+        for entries in ([[s2, ZERO], [ZERO, s3]],
+                        [[ONE, s2, ZERO], [s2, ExtRational(3), ONE], [ZERO, ONE, s3 + 2]]):
+            M = RationalSymMatrix(entries)
+            with pytest.raises(RadicandMismatch):
+                ldlt(M)
+            assert not psd_exact(M)
+            assert _pd_margin(M) is None
+
+    def test_radicand_in_one_entry_only(self):
+        M = RationalSymMatrix([[ExtRational(2), ONE], [ONE, ExtRational.sqrt(5)]])
+        assert outcome(ldlt, M) == outcome(oracle_ldlt, M)
+        assert psd_exact(M, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# elevation
+
+
+class TestIntegerElevation:
+    @pytest.mark.parametrize("n, ell, degree, steps", [(1, 2, 2, 4), (2, 2, 2, 3), (2, 3, 1, 2),
+                                                       (3, 1, 2, 2)])
+    def test_multi_step_equals_oracle(self, n, ell, degree, steps):
+        rng = random.Random(10 * n + ell)
+        e = to_bernstein(random_sym_matrix(rng, ell, n, degree), degree)
+        got = elevate(e, degree + steps)
+        expected = oracle_elevate(e, degree + steps)
+        assert got.degree == expected.degree
+        assert list(got.coeffs) == list(expected.coeffs)
+        assert all(got[a] == expected[a] for a in expected.coeffs)
+        one_step = elevate(e, degree + 1)
+        assert all(one_step[a] == oracle_elevate(e, degree + 1)[a] for a in one_step.coeffs)
+
+    def test_irrational_coefficients(self):
+        # n = 2 puts sqrt(2) into every coefficient of x1 x2
+        F = SymPolyMatrix([[Polynomial(2, {(1, 1): 1, (0, 0): 3}), Polynomial.variable(2, 0)],
+                           [Polynomial.variable(2, 0), Polynomial.const(2, 2)]])
+        e = to_bernstein(F, 2)
+        assert any(v.radicand for _, mat in e.items() for row in mat.entries for v in row)
+        got, expected = elevate(e, 5), oracle_elevate(e, 5)
+        assert all(got[a] == expected[a] for a in expected.coeffs)
+
+    def test_same_degree_is_the_expansion(self):
+        e = to_bernstein(random_sym_matrix(random.Random(3), 2, 1, 2), 2)
+        assert elevate(e, 2) is e
+
+
+# ---------------------------------------------------------------------------
+# assembly: one-call Kronecker Gram and interned multiplier vectors
+
+
+def _target(n, ell, seed):
+    """A target PD on the simplex: I + E / 64 with E of degree 2."""
+    rng = random.Random(seed)
+    E = random_sym_matrix(rng, ell, n, 2)
+    return SymPolyMatrix([[E[a, b] * Fraction(1, 64) + (1 if a == b else 0) for b in range(ell)]
+                          for a in range(ell)])
+
+
+def _arrow_witness(n):
+    one, zero = Polynomial.const(n, 1), Polynomial.zero(n)
+    grid = [[one if a == b else zero for b in range(n + 1)] for a in range(n + 1)]
+    for i in range(n):
+        grid[0][i + 1] = grid[i + 1][0] = Polynomial.variable(n, i)
+    v = PolyMatrix.column([one] + [-Polynomial.variable(n, i) for i in range(n)])
+    return SymPolyMatrix(grid), QMCertificate(n, 1, n + 1, 2, "exact", [], [MultiplierTerm(ONE, v)])
+
+
+def oracle_kronecker_gram(F, witness, max_degree, basis):
+    """sum_alpha A_alpha (x) M_alpha on basis, one ExtRational product and sum
+    per entry: A_alpha the Gram of alpha's scalar squares, each entry placed
+    by its monomials."""
+    n, ell = F.nvars, F.size
+    bw_squares = _blocks_to_squares(witness)
+    pc = polya_certificate(F, max_degree)
+    t = pc.degree
+    facets = {("upper", 0): _facet_membership("upper", n)}
+    facets.update({("lower", i): _facet_membership("lower", n, i) for i in range(n)})
+    base = ExtRational(n, 1, n) ** (-t) if t else ONE
+    place = {tuple(b): u for u, b in enumerate(basis)}
+    dim = len(basis) * ell
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for alpha, M in pc.expansion.items():
+        c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
+        S, sigma = _product_membership(alpha, t, n, facets)
+        squares = [(c_alpha * w, [q]) for w, q in S]
+        squares += [(c_alpha * w * ws, [bs * q]) for w, q in sigma for ws, bs in bw_squares]
+        A = gram_from_squares(squares, n, 1)
+        for u, bu in enumerate(A.basis):
+            for v, bv in enumerate(A.basis):
+                for i in range(ell):
+                    for j in range(ell):
+                        a, b = place[tuple(bu)] * ell + i, place[tuple(bv)] * ell + j
+                        gram[a][b] = gram[a][b] + A.gram[u][v] * M[i, j]
+    return gram
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n, ell, witness", [(1, 2, "ball"), (1, 3, "arrow"), (2, 2, "ball"),
+                                                 (2, 2, "arrow"), (2, 1, "arrow")])
+    def test_kronecker_gram_equals_oracle(self, n, ell, witness):
+        F = _target(n, ell, seed=10 * n + ell)
+        G, W = _arrow_witness(n) if witness == "arrow" else (ball_constraint(n), trivial_ball_witness(n))
+        block = assemble_simplex_putinar(F, G, W, 6).sos_blocks[0]
+        assert block.gram == oracle_kronecker_gram(F, W, 6, block.basis)
+
+    @pytest.mark.parametrize("n, ell", [(1, 2), (2, 2), (2, 3)])
+    def test_interned_vectors_leave_the_reconstruction_equal(self, n, ell):
+        F = _target(n, ell, seed=n + 7 * ell)
+        G, W = _arrow_witness(n)
+        cert = assemble_simplex_putinar(F, G, W, 6)
+        vectors = [tuple(p for row in t.matrix.entries for p in row) for t in cert.multipliers]
+        # value-equal vectors are the same objects, so verify folds each once
+        by_value = {}
+        for vec in vectors:
+            assert tuple(map(id, by_value.setdefault(vec, vec))) == tuple(map(id, vec))
+        assert len(by_value) < len(vectors)
+        # the same terms over fresh objects: nothing shared, nothing merged
+        fresh = QMCertificate(cert.nvars, cert.ell, cert.m, cert.k, cert.mode, cert.sos_blocks,
+                              [MultiplierTerm(t.scale, PolyMatrix(
+                                  [[p * 1 + Polynomial.zero(n) for p in row]
+                                   for row in t.matrix.entries]))
+                               for t in cert.multipliers])
+        assert len({tuple(map(id, (p for row in t.matrix.entries for p in row)))
+                    for t in fresh.multipliers}) == len(vectors)
+        assert cert.reconstruction(G) == fresh.reconstruction(G) == F
+        assert verify_certificate(F, G, fresh).ok
