@@ -18,9 +18,9 @@ term's nonzero pairs go straight into S, so memory stays linear in the
 distinct monomials, as with one congruence per term.  Terms whose vec(P)
 holds the same polynomial objects fold as one square at the exact sum of
 their scales.  The reader shares every repeated line (algebra.LineReader),
-so in a parsed certificate, where the unit LDL^T column of each Bernstein
-coefficient repeats a multiplier under different scales, each distinct
-vector is folded once; cert.multipliers still keeps every term.
+so in a parsed certificate that repeats a multiplier under different
+scales, each distinct vector is folded once; cert.multipliers still keeps
+every term.
 
 The fold (_fold_squares), the collapse of SOS blocks (_collapse) and the
 Gram assemblies (gram_from_squares, and the Kronecker blocks of
@@ -462,12 +462,14 @@ def assemble_simplex_putinar(
     (u ell + i, v ell + j) of the dim x dim Gram; a diagonal block (u = v)
     pairs with the upper triangle of M_alpha only.
 
-    The multiplier terms are rank one in qmcert-v1, so there M_alpha enters
-    through its exact LDL^T factorization: one term scale P_t (q col) per
-    square of sigma, column col and witness term P_t.  Value-equal
-    multiplier vectors are one object (equal q, equal col and the same
-    P_t), so the final verification folds each distinct vector once.  The
-    result verifies exactly, and that final check is the check of record.
+    The multiplier terms are rank one in qmcert-v1.  A square w q^2 of the
+    sigma of alpha contributes c_alpha w (P_t q)^T G (P_t q) (x) M_alpha for
+    each witness term scale s_t P_t^T G P_t, so the squares with the same q
+    share one sum N_q = sum c_alpha w M_alpha, positive definite as a
+    positive combination of positive definite matrices.  One exact LDL^T of
+    each N_q gives one term piv s_t, P = (P_t q) col^T per column col and
+    witness term.  The result verifies exactly, and that final check is the
+    check of record.
     """
     n = F.nvars
     ell = F.size
@@ -487,30 +489,26 @@ def assemble_simplex_putinar(
 
     scale_base = ExtRational(n, 1, n) ** (-t) if t else ONE
     expanded = []   # (M_alpha, scalar squares of c_alpha b_alpha)
-    out_mults = []
-    # value-equal q, col and witness term give one multiplier matrix object
-    polys, col_ids, matrices = {}, {}, {}
+    merged = {}     # q -> [(c_alpha w, M_alpha)] over the squares w q^2 of each sigma
     for alpha, mat in pc.expansion.items():
         c_alpha = scale_base * multinomial(t, alpha + (t - sum(alpha),))
         S, sigma = _product_membership(alpha, t, n, facet_cache)
         squares = [(c_alpha * w, q) for w, q in S]
         for w, q in sigma:
             squares += [(c_alpha * w * ws, bs * q) for ws, bs in bw_squares]
+            merged.setdefault(q, []).append((c_alpha * w, mat.entries))
         expanded.append((mat.entries, squares))
-        if not (sigma and bw_mults):
-            continue
-        cols, pivots = ldlt(mat)
-        cids = [col_ids.setdefault(tuple(col), len(col_ids)) for col in cols]
-        for w, q in sigma:
-            q = polys.setdefault(q, q)
-            for col, cid, piv in zip(cols, cids, pivots):
-                scale = c_alpha * w * piv
-                for ti, term in enumerate(bw_mults):
-                    P = matrices.get((id(q), cid, ti))
-                    if P is None:
-                        pq = [row[0] * q for row in term.matrix.entries]
-                        P = matrices[id(q), cid, ti] = PolyMatrix([[p * c for c in col] for p in pq])
-                    out_mults.append(MultiplierTerm(scale * term.scale, P))
+
+    out_mults = []
+    for q, parts in merged.items():
+        N_q = RationalSymMatrix([[sum((c * M[i][j] for c, M in parts), ZERO) for j in range(ell)]
+                                 for i in range(ell)])
+        cols, pivots = ldlt(N_q)
+        pqs = [(term.scale, [row[0] * q for row in term.matrix.entries]) for term in bw_mults]
+        for col, piv in zip(cols, pivots):
+            for s, pq in pqs:
+                out_mults.append(MultiplierTerm(piv * s, PolyMatrix([[p * c for c in col]
+                                                                     for p in pq])))
 
     basis, index, width = _grlex_basis((q for _, squares in expanded for _, q in squares), n)
     N, dim = len(basis), len(basis) * ell

@@ -1,11 +1,16 @@
 """The exact matrix work of certify-simplex in integers against its
 ExtRational oracles: the fraction-free LDL^T behind ldlt, psd_exact and
 polya._pd_margin, the one-call Kronecker Gram of assemble_simplex_putinar,
-its interned multiplier vectors, and integer Bernstein elevation."""
+its multiplier terms (one LDL^T per sigma polynomial), and integer
+Bernstein elevation."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +35,15 @@ from pmicert.certify import (
     assemble_simplex_putinar,
     ball_constraint,
     gram_from_squares,
+    serialize,
     trivial_ball_witness,
     verify_certificate,
 )
 from pmicert.polya import _pd_margin, polya_certificate
+from pmicert.problemio import ProblemData, dump_problem
 from conftest import random_sym_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +294,7 @@ class TestIntegerElevation:
 
 
 # ---------------------------------------------------------------------------
-# assembly: one-call Kronecker Gram and interned multiplier vectors
+# assembly: one-call Kronecker Gram and merged multiplier terms
 
 
 def _target(n, ell, seed):
@@ -305,23 +314,60 @@ def _arrow_witness(n):
     return SymPolyMatrix(grid), QMCertificate(n, 1, n + 1, 2, "exact", [], [MultiplierTerm(ONE, v)])
 
 
+def _witness(n, kind):
+    """(G, witness that 1 - ||x||^2 lies in QM[G]): the ball itself or the
+    (n + 1) x (n + 1) arrow matrix."""
+    return _arrow_witness(n) if kind == "arrow" else (ball_constraint(n), trivial_ball_witness(n))
+
+
+def _coefficients(F, max_degree):
+    """(c_alpha, M_alpha, S, sigma) for each Bernstein coefficient of F's
+    Polya certificate: c_alpha b_alpha M_alpha is its term, and b_alpha =
+    sum S + (sum sigma) (1 - ||x||^2) in weighted scalar squares."""
+    n = F.nvars
+    pc = polya_certificate(F, max_degree)
+    t = pc.degree
+    facets = {("upper", 0): _facet_membership("upper", n)}
+    facets.update({("lower", i): _facet_membership("lower", n, i) for i in range(n)})
+    base = ExtRational(n, 1, n) ** (-t) if t else ONE
+    for alpha, M in pc.expansion.items():
+        c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
+        yield (c_alpha, M, *_product_membership(alpha, t, n, facets))
+
+
+def _sigma_parts(F, max_degree):
+    """{q: [(c_alpha w, M_alpha)]} over the squares w q^2 of every sigma."""
+    parts = {}
+    for c_alpha, M, _, sigma in _coefficients(F, max_degree):
+        for w, q in sigma:
+            parts.setdefault(q, []).append((c_alpha * w, M))
+    return parts
+
+
+def _merged(parts, ell):
+    """sum c M over parts, entry by entry in ExtRationals."""
+    return RationalSymMatrix([[sum((c * M[i, j] for c, M in parts), ZERO) for j in range(ell)]
+                              for i in range(ell)])
+
+
+def _verify_exit(certificate, problem):
+    """Exit status of `pmicert verify --mode exact` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "pmicert.cli", "verify", str(certificate),
+                           str(problem), "--mode", "exact"], env=env, capture_output=True,
+                          timeout=120).returncode
+
+
 def oracle_kronecker_gram(F, witness, max_degree, basis):
     """sum_alpha A_alpha (x) M_alpha on basis, one ExtRational product and sum
     per entry: A_alpha the Gram of alpha's scalar squares, each entry placed
     by its monomials."""
     n, ell = F.nvars, F.size
     bw_squares = _blocks_to_squares(witness)
-    pc = polya_certificate(F, max_degree)
-    t = pc.degree
-    facets = {("upper", 0): _facet_membership("upper", n)}
-    facets.update({("lower", i): _facet_membership("lower", n, i) for i in range(n)})
-    base = ExtRational(n, 1, n) ** (-t) if t else ONE
     place = {tuple(b): u for u, b in enumerate(basis)}
     dim = len(basis) * ell
     gram = [[ZERO] * dim for _ in range(dim)]
-    for alpha, M in pc.expansion.items():
-        c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
-        S, sigma = _product_membership(alpha, t, n, facets)
+    for c_alpha, M, S, sigma in _coefficients(F, max_degree):
         squares = [(c_alpha * w, [q]) for w, q in S]
         squares += [(c_alpha * w * ws, [bs * q]) for w, q in sigma for ws, bs in bw_squares]
         A = gram_from_squares(squares, n, 1)
@@ -339,28 +385,70 @@ class TestAssembly:
                                                  (2, 2, "arrow"), (2, 1, "arrow")])
     def test_kronecker_gram_equals_oracle(self, n, ell, witness):
         F = _target(n, ell, seed=10 * n + ell)
-        G, W = _arrow_witness(n) if witness == "arrow" else (ball_constraint(n), trivial_ball_witness(n))
+        G, W = _witness(n, witness)
         block = assemble_simplex_putinar(F, G, W, 6).sos_blocks[0]
         assert block.gram == oracle_kronecker_gram(F, W, 6, block.basis)
 
-    @pytest.mark.parametrize("n, ell", [(1, 2), (2, 2), (2, 3)])
-    def test_interned_vectors_leave_the_reconstruction_equal(self, n, ell):
+    @pytest.mark.parametrize("witness", ["ball", "arrow"])
+    @pytest.mark.parametrize("n, ell", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_one_ldlt_per_sigma_polynomial(self, n, ell, witness, tmp_path):
         F = _target(n, ell, seed=n + 7 * ell)
-        G, W = _arrow_witness(n)
+        G, W = _witness(n, witness)
         cert = assemble_simplex_putinar(F, G, W, 6)
+        parts = _sigma_parts(F, 6)
+        width = len(W.multipliers)
+        ranks = [len(ldlt(_merged(terms, ell))[1]) for terms in parts.values()]
+        assert len(cert.multipliers) == sum(ranks) * width
+        # one term per (alpha, square of sigma, column of M_alpha, witness term) before
+        unmerged = sum(len(ldlt(M)[1]) for terms in parts.values() for _, M in terms) * width
+        assert len(cert.multipliers) <= unmerged
         vectors = [tuple(p for row in t.matrix.entries for p in row) for t in cert.multipliers]
-        # value-equal vectors are the same objects, so verify folds each once
-        by_value = {}
-        for vec in vectors:
-            assert tuple(map(id, by_value.setdefault(vec, vec))) == tuple(map(id, vec))
-        assert len(by_value) < len(vectors)
-        # the same terms over fresh objects: nothing shared, nothing merged
-        fresh = QMCertificate(cert.nvars, cert.ell, cert.m, cert.k, cert.mode, cert.sos_blocks,
-                              [MultiplierTerm(t.scale, PolyMatrix(
-                                  [[p * 1 + Polynomial.zero(n) for p in row]
-                                   for row in t.matrix.entries]))
-                               for t in cert.multipliers])
-        assert len({tuple(map(id, (p for row in t.matrix.entries for p in row)))
-                    for t in fresh.multipliers}) == len(vectors)
-        assert cert.reconstruction(G) == fresh.reconstruction(G) == F
-        assert verify_certificate(F, G, fresh).ok
+        assert len(set(vectors)) == len(vectors)
+        assert all(t.scale.sign() > 0 for t in cert.multipliers)
+        assert cert.reconstruction(G) == F
+        # the check of record, from the serialized text in a fresh process
+        problem = tmp_path / "p.pmi"
+        problem.write_text(dump_problem(ProblemData(n, ell, G.size, F, G)))
+        (tmp_path / "c.qmc").write_text(serialize(cert))
+        cert.multipliers[0].scale = cert.multipliers[0].scale * 2
+        (tmp_path / "tampered.qmc").write_text(serialize(cert))
+        assert _verify_exit(tmp_path / "c.qmc", problem) == 0
+        assert _verify_exit(tmp_path / "tampered.qmc", problem) == 1
+
+    def test_merge_missing_a_part_fails_verification(self, monkeypatch):
+        # leave one alpha's c_alpha w M_alpha out of the first N_q that merges
+        # several: the factor is still PD, and the final exact check must
+        # refuse the certificate
+        import pmicert.certify as certify
+
+        F = _target(2, 2, seed=16)
+        target = next(terms for terms in _sigma_parts(F, 6).values() if len(terms) > 1)
+        full, wrong = _merged(target, 2), []
+
+        def drop_one_part(N):
+            if N == full:
+                wrong.append(N)
+                N = _merged(target[1:], 2)
+            return ldlt(N)
+
+        monkeypatch.setattr(certify, "ldlt", drop_one_part)
+        with pytest.raises(AssertionError, match="assembled certificate failed verification"):
+            assemble_simplex_putinar(F, *_witness(2, "arrow"), 6)
+        assert len(wrong) == 1
+
+    def test_radicands_fail_as_before(self):
+        # n = 1: c_alpha and the facet weights are rational, so a target over
+        # Q(sqrt 3) merges and verifies exactly
+        root3 = ExtRational.sqrt(3)
+        x = Polynomial.variable(1, 0)
+        F = SymPolyMatrix([[Polynomial.const(1, 2), x * root3], [x * root3, Polynomial.const(1, 2)]])
+        G, W = _witness(1, "ball")
+        cert = assemble_simplex_putinar(F, G, W, 6)
+        unmerged = sum(len(terms) for terms in _sigma_parts(F, 6).values()) * F.size
+        assert len(cert.multipliers) < unmerged
+        assert verify_certificate(F, G, cert, mode="exact").ok
+        # n = 2: they carry sqrt 2, which meets sqrt 3 as it did per alpha
+        x1 = Polynomial.variable(2, 0)
+        F2 = SymPolyMatrix([[Polynomial.const(2, 2), x1 * root3], [x1 * root3, Polynomial.const(2, 2)]])
+        with pytest.raises(RadicandMismatch):
+            assemble_simplex_putinar(F2, *_witness(2, "ball"), 6)

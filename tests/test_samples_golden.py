@@ -15,6 +15,9 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
+from pmicert.certify import deserialize, serialize
 from pmicert.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +74,25 @@ def test_certificate_verifies(tmp_path):
     run_case("matrix_target.qmc", tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", str(tmp_path / "matrix_target.qmc"), TARGET]) == 0
+
+
+@pytest.mark.parametrize("name", ["matrix_target.qmc", "matrix_target_unmerged.qmc"])
+def test_stored_certificate_verifies_and_tampered_fails(name, tmp_path):
+    # matrix_target_unmerged.qmc is the older layout, one term per Bernstein
+    # coefficient, sigma square and LDL^T column of that coefficient, with
+    # value-equal vectors that QMCertificate.reconstruction folds once; no
+    # longer written, still read
+    text = (GOLDEN / name).read_text()
+    cert = deserialize(text)
+    # the reader shares repeated lines, so value-equal vectors are one object
+    vectors = [tuple(id(p) for row in t.matrix.entries for p in row) for t in cert.multipliers]
+    assert (len(set(vectors)) < len(vectors)) == (name == "matrix_target_unmerged.qmc")
+    cert.multipliers[0].scale = cert.multipliers[0].scale * 2
+    (tmp_path / "c.qmc").write_text(text)
+    (tmp_path / "tampered.qmc").write_text(serialize(cert))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(tmp_path / "c.qmc"), TARGET, "--mode", "exact"]) == 0
+        assert main(["verify", str(tmp_path / "tampered.qmc"), TARGET, "--mode", "exact"]) == 1
 
 
 if __name__ == "__main__":

@@ -12,14 +12,17 @@ variant's source tree and numpy's BLAS held to one thread
 (tools/harness.py).  The child calls `pmicert.cli.main` once untimed,
 counting `certify.verify_certificate` calls, and then --repeats times;
 cpu_s is the median of those calls' process CPU times (imports excluded).
-Each record also gives the sha256 of the standard output and of the
-written .qmc, so that byte-identical output across variants can be read
-off.
+Each record also gives the size of the written .qmc in bytes, its
+multiplier term count, and the sha256 of the standard output and of the
+.qmc, so that byte-identical output across variants can be read off (a
+change of certificate layout reads 0 there).  The summary repeats the
+totals per Polya degree t of the jobs (the `-t<t>-` of the job id).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import statistics
 import sys
 import tempfile
@@ -52,8 +55,11 @@ for _ in range(repeats):
     start = time.process_time()
     once()
     times.append(time.process_time() - start)
+terms = next(int(line.split()[1]) for line in qmc.decode().splitlines()
+             if line.startswith("multipliers "))
 print(json.dumps({"cpu_s": statistics.median(times), "exit": code,
-                  "verify_calls": verify_calls,
+                  "verify_calls": verify_calls, "qmc_bytes": len(qmc),
+                  "multiplier_terms": terms,
                   "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
                   "qmc_sha256": hashlib.sha256(qmc).hexdigest()}))
 """
@@ -64,6 +70,18 @@ def jobs(seed: int, workdir: str) -> list:
     manifest = workloads.generate("certify", seed, workdir)
     return [(job["id"], job["argv"], job["writes"]["out"]) for job in manifest["jobs"]
             if job["argv"][0] == "certify-simplex"]
+
+
+def totals(label: str, records: list) -> dict:
+    """Job count, CPU seconds, multiplier terms and .qmc bytes of label's records."""
+    return {
+        "jobs": len(records),
+        "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 4),
+        "cpu_s_median": round(statistics.median(r[label]["cpu_s"] for r in records), 6),
+        "multiplier_terms_per_job": round(
+            statistics.mean(r[label]["multiplier_terms"] for r in records), 2),
+        "qmc_bytes_total": sum(r[label]["qmc_bytes"] for r in records),
+    }
 
 
 def main() -> int:
@@ -86,19 +104,19 @@ def main() -> int:
             print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
                   file=sys.stderr)
     first = variants[0][0]
+    degrees = sorted({re.search(r"-t(\d+)-", r["job"]).group(1) for r in records}, key=int)
     summary = {}
     for label, _ in variants:
-        summary[label] = {
-            "jobs": len(records),
-            "exit_0": sum(r[label]["exit"] == 0 for r in records),
-            "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 4),
-            "cpu_s_median": round(statistics.median(r[label]["cpu_s"] for r in records), 6),
-            "verify_calls_per_job": statistics.mean(r[label]["verify_calls"] for r in records),
-            "stdout_as_" + first: sum(r[label]["stdout_sha256"] == r[first]["stdout_sha256"]
-                                      for r in records),
-            "qmc_as_" + first: sum(r[label]["qmc_sha256"] == r[first]["qmc_sha256"]
-                                   for r in records),
-        }
+        summary[label] = dict(
+            totals(label, records),
+            exit_0=sum(r[label]["exit"] == 0 for r in records),
+            verify_calls_per_job=statistics.mean(r[label]["verify_calls"] for r in records),
+            **{"stdout_as_" + first: sum(r[label]["stdout_sha256"] == r[first]["stdout_sha256"]
+                                         for r in records),
+               "qmc_as_" + first: sum(r[label]["qmc_sha256"] == r[first]["qmc_sha256"]
+                                      for r in records)},
+            by_degree={f"t{t}": totals(label, [r for r in records if f"-t{t}-" in r["job"]])
+                       for t in degrees})
     harness.write(args.out, args, variants, summary, records, repeats=args.repeats)
     return 0
 

@@ -8,7 +8,8 @@ trees of the program.
 Certificates: the outputs of the certify-simplex jobs of the benchmark's
 `certify` workload and the set-up builds of its `verify` workload (exact
 ones from certify-simplex, numeric ones from relax), at --seed
-(perfbench/workloads.py).  They are built once, by the first variant's CLI.
+(perfbench/workloads.py).  Each variant's CLI builds its own copy, in its
+own directory, so that a variant verifies the certificates it writes.
 Each certificate is then verified once per variant, the variants
 alternating, in a fresh process with PYTHONPATH set to the variant's source
 tree and numpy's BLAS held to one thread (tools/harness.py).  The child
@@ -17,13 +18,14 @@ loads the problem and the certificate, shifts F by gamma as `pmicert verify
 times; cpu_s is the median of those calls' process CPU times (parsing and
 imports excluded).  deserialize_s is the median CPU time of --repeats
 `deserialize` calls on the certificate's text (the file read once, before).
-Each record also gives the multiplier term count, the SOS Gram size and
-whether the certificate verified.
+Each record also gives the certificate's size in bytes, its multiplier
+term count, the SOS Gram size and whether it verified.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -59,6 +61,7 @@ for _ in range(int(repeats)):
     times.append(time.process_time() - start)
 print(json.dumps({"cpu_s": statistics.median(times),
                   "deserialize_s": statistics.median(parse_times), "ok": report.ok,
+                  "qmc_bytes": len(text.encode()),
                   "multiplier_terms": len(cert.multipliers),
                   "gram_dim": sum(b.size() for b in cert.sos_blocks)}))
 """
@@ -107,12 +110,16 @@ def main() -> int:
     args = ap.parse_args()
     variants = harness.variants(args)
     records = []
-    with tempfile.TemporaryDirectory() as workdir:
-        certs = certificates(args.seed, workdir, variants[0][1])
-        for i, (job, workload, problem, cert, mode, gamma) in enumerate(certs):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdirs = {label: os.path.join(tmp, label) for label, _ in variants}
+        built = {label: certificates(args.seed, workdirs[label], src) for label, src in variants}
+        for i, certs in enumerate(zip(*built.values())):
+            job, workload, _, _, mode, _ = certs[0]
             rec = {"job": job, "workload": workload, "mode": mode}
+            mine = dict(zip(built, certs))
             for label, src in harness.in_turn(variants, i):
-                rec[label] = run(src, workdir, problem, cert, mode, gamma,
+                _, _, problem, cert, _, gamma = mine[label]
+                rec[label] = run(src, workdirs[label], problem, cert, mode, gamma,
                                  workloads.VERIFY_TOL, args.repeats)
             records.append(rec)
             print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
@@ -129,6 +136,10 @@ def main() -> int:
                 "cpu_s_median": round(statistics.median(times), 6),
                 "deserialize_s_total": round(sum(parse), 4),
                 "deserialize_s_median": round(statistics.median(parse), 6),
+                "multiplier_terms_total": sum(r[label]["multiplier_terms"] for r in records
+                                              if r["workload"] == workload),
+                "qmc_bytes_total": sum(r[label]["qmc_bytes"] for r in records
+                                       if r["workload"] == workload),
             }
     harness.write(args.out, args, variants, summary, records, repeats=args.repeats)
     return 0
