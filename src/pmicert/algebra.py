@@ -30,7 +30,17 @@ nonzero.
 Matrices come in three flavours: general rectangular polynomial matrices
 (PolyMatrix), exactly-symmetric square ones (SymPolyMatrix) and constant
 symmetric matrices over the coefficient ring (RationalSymMatrix), which
-carry the exact positive-semidefiniteness test.
+carry the exact positive-semidefiniteness test.  A RationalSymMatrix is
+kept in integers too, as its form (ps, qs, r, L): entry (i, j), i <= j, is
+(ps[i][j - i] + qs[i][j - i] sqrt(r))/L over the least common denominator
+L and the one irrational radicand r (0 if none).  The constructor, the one
+route from ExtRational values (parsers, Bernstein conversion, evaluation),
+converts them once; degree elevation and certify's sums of matrices
+(_summed) make forms directly, and the elimination behind ldlt and
+psd_exact, the floats and certify's Kronecker operand (_entry_form) read
+them as they are.  The grid entries is a view, as Polynomial.terms is:
+the grid a matrix was built from, or made on first read.  Entries that
+mix two irrational radicands have no form (_f is None).
 """
 
 from __future__ import annotations
@@ -38,13 +48,13 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul, or_
 
 import numpy as np
 
-from .ring import (ExtRational, ZERO, ONE, _make, common_radicand, parse_ext_rational, parse_parts,
-                   quotient, sign_of)
+from .ring import (ExtRational, ZERO, ONE, RadicandMismatch, _make, common_radicand,
+                   parse_ext_rational, parse_parts, quotient, sign_of)
 
 _gcd = math.gcd
 _new = object.__new__
@@ -1044,20 +1054,25 @@ def congruence(P: PolyMatrix, G: SymPolyMatrix) -> SymPolyMatrix:
 
 
 class RationalSymMatrix:
-    __slots__ = ("size", "entries")
+    """A symmetric constant matrix over the coefficient ring, held as its
+    integer form _f (module docstring); entries is the ExtRational view."""
+
+    __slots__ = ("size", "_f", "_entries")
 
     def __init__(self, entries):
-        entries = [[ExtRational.coerce(v) for v in row] for row in entries]
-        size = len(entries)
-        for row in entries:
-            if len(row) != size:
+        grid = [[ExtRational.coerce(v) for v in row] for row in entries]
+        for row in grid:
+            if len(row) != len(grid):
                 raise ValueError("matrix must be square")
-        for i in range(size):
-            for j in range(i + 1, size):
-                if entries[i][j] != entries[j][i]:
+        for i, row in enumerate(grid):
+            for j in range(i + 1, len(grid)):
+                if row[j] != grid[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", entries)
+        try:
+            form = _grid_form(grid)
+        except RadicandMismatch:  # no form: read as values only
+            form = None
+        _init_sym(self, form, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSymMatrix is immutable")
@@ -1066,6 +1081,17 @@ class RationalSymMatrix:
     def identity(cls, size: int) -> "RationalSymMatrix":
         return cls([[ONE if i == j else ZERO for j in range(size)] for i in range(size)])
 
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            ps, qs, r, L = self._f
+            grid = [[None] * self.size for _ in ps]
+            for i, prow, qrow in zip(range(self.size), ps, qs):
+                for j, p, q in zip(range(i, self.size), prow, qrow):
+                    grid[i][j] = grid[j][i] = _make(p, q, L, r)
+            object.__setattr__(self, "_entries", grid)
+        return self._entries
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -1073,30 +1099,21 @@ class RationalSymMatrix:
     def __eq__(self, other):
         if not isinstance(other, RationalSymMatrix):
             return NotImplemented
-        return self.size == other.size and self.entries == other.entries
+        if self._f and other._f:
+            return self._f == other._f
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.entries))
-
-    def scale(self, c) -> "RationalSymMatrix":
-        c = ExtRational.coerce(c)
-        return RationalSymMatrix([[v * c for v in row] for row in self.entries])
-
-    def __add__(self, other):
-        return RationalSymMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ]
-        )
+        return hash(self._f or tuple(map(tuple, self.entries)))
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries])
-
-    def submatrix(self, idx) -> "RationalSymMatrix":
-        return RationalSymMatrix(
-            [[self.entries[i][j] for j in idx] for i in idx]
-        )
+        if self._f is None:
+            return np.array([[float(v) for v in row] for row in self.entries])
+        # p/L is p/d correctly rounded: the floats of the entries
+        ps, qs, r, L = self._f
+        root = math.sqrt(r)
+        up = [[p / L + q / L * root for p, q in zip(prow, qrow)] for prow, qrow in zip(ps, qs)]
+        return np.array([[up[j][i - j] for j in range(i)] + row for i, row in enumerate(up)])
 
     def determinant(self) -> ExtRational:
         """Exact determinant by Gaussian elimination in Q[sqrt(r)]."""
@@ -1122,6 +1139,68 @@ class RationalSymMatrix:
 
     def __repr__(self):
         return f"RationalSymMatrix({self.size}x{self.size})"
+
+
+def _init_sym(M: RationalSymMatrix, form, grid) -> RationalSymMatrix:
+    for name, value in (("size", len(grid or form[0])), ("_f", form), ("_entries", grid)):
+        object.__setattr__(M, name, value)
+    return M
+
+
+def _grid_form(grid: list) -> tuple:
+    """The form of a symmetric grid of ExtRationals; RadicandMismatch if it
+    holds two irrational radicands."""
+    parts = [[v.parts() for v in row[i:]] for i, row in enumerate(grid)]
+    L = math.lcm(*[d for row in parts for _, _, d, _ in row])
+    r = 0
+    for row in parts:
+        for _, q, _, x in row:
+            if q and x != r:
+                r = common_radicand(r, x)
+    return (tuple([tuple([p * (L // d) for p, _, d, _ in row]) for row in parts]),
+            tuple([tuple([q * (L // d) for _, q, d, _ in row]) for row in parts]), r, L)
+
+
+def _form(M: RationalSymMatrix) -> tuple:
+    """M's form; RadicandMismatch if M mixes two irrational radicands."""
+    return M._f or _grid_form(M.entries)
+
+
+def _sym_matrix(ps: list, qs: list, r: int, L: int) -> RationalSymMatrix:
+    """The matrix of upper rows ps, qs over L > 0 in Z[sqrt(r)], reduced."""
+    g = _gcd(L, *chain.from_iterable(ps), *chain.from_iterable(qs))
+    if g != 1:
+        ps = [[p // g for p in row] for row in ps]
+        qs = [[q // g for q in row] for row in qs]
+    form = (tuple(map(tuple, ps)), tuple(map(tuple, qs)), r if any(map(any, qs)) else 0, L // g)
+    return _init_sym(_new(RationalSymMatrix), form, None)
+
+
+def _entry_form(M: RationalSymMatrix, dim: int, lower: bool = False) -> tuple:
+    """(form, first): M's nonzero entries as an _accumulate form, (i, j) keyed
+    i dim + j, the upper triangle after the strictly lower entries when lower
+    is set, the first upper one at index first; form is None for M = 0."""
+    ps, qs, r, L = _form(M)
+    upper = [(i, j, p, q) for i in range(M.size)
+             for j, p, q in zip(range(i, M.size), ps[i], qs[i]) if p or q]
+    if not upper:
+        return None, 0
+    low = [(j * dim + i, p, q) for i, j, p, q in upper if j > i] if lower else []
+    keys, fp, fq = zip(*low, *[(i * dim + j, p, q) for i, j, p, q in upper])
+    return (keys, fp, fq, (r,) * len(keys), L) if r else (keys, fp, None, None, L), len(low)
+
+
+def _summed(n: int, acc: dict, D: int, rational: bool) -> RationalSymMatrix:
+    """The n x n matrix of an _accumulate result keyed i n + j for the
+    entries (i, j), i <= j, it reaches; the others are 0.  Two irrational
+    radicands raise RadicandMismatch."""
+    ps, qs, r = [[0] * (n - i) for i in range(n)], [[0] * (n - i) for i in range(n)], 0
+    for key, value in acc.items():
+        i, j = divmod(key, n)
+        ps[i][j - i], qs[i][j - i], x = (value, 0, 0) if rational else value
+        if qs[i][j - i] and x != r:
+            r = common_radicand(r, x)
+    return _sym_matrix(ps, qs, r, D)
 
 
 def psd_exact(M: RationalSymMatrix, strict: bool = False) -> bool:
@@ -1175,9 +1254,8 @@ def ldlt(M: RationalSymMatrix):
 
 def _eliminate(M: RationalSymMatrix) -> tuple:
     """(L, r, steps): the fraction-free symmetric elimination (Bareiss, Math.
-    Comp. 1968) of L M over Z[sqrt(r)], with L the lcm of the denominators
-    of M's entries and r their one irrational radicand (0 if none;
-    RadicandMismatch if there are two).
+    Comp. 1968) of L M over Z[sqrt(r)], read from M's form (ps, qs, r, L)
+    as it is (RadicandMismatch if M mixes two irrational radicands).
 
     An entry of L M is a pair (p, q) of ints, the value p + q sqrt(r).  The
     step at a kept pivot B = a_kk replaces each a_ij, k < i <= j, by
@@ -1196,13 +1274,8 @@ def _eliminate(M: RationalSymMatrix) -> tuple:
     on the j rows kept so far, k the last.
     """
     n = M.size
-    grid = [[v.parts() for v in row[i:]] for i, row in enumerate(M.entries)]
-    L = math.lcm(*[x[2] for row in grid for x in row])
-    r = 0
-    for x in {x[3] for row in grid for x in row if x[1]}:
-        r = common_radicand(r, x)
-    P = [[p * (L // d) for p, _, d, _ in row] for row in grid]
-    Q = [[q * (L // d) for _, q, d, _ in row] for row in grid]
+    P, Q, r, L = _form(M)
+    P, Q = list(P), list(Q)  # rows are replaced here
     steps = []
     sp, sq, norm = 1, 0, 1  # B' and its norm
     for k in range(n):
@@ -1220,6 +1293,9 @@ def _eliminate(M: RationalSymMatrix) -> tuple:
         for i in range(k + 1, n):
             off = i - k
             cp, cq = ps[off], qs[off]
+            if not r:  # every q is 0 and stays 0
+                P[i] = [(bp * ap - cp * dp) // sp for ap, dp in zip(P[i], ps[off:])]
+                continue
             cqr = cq * r
             xs, ys = [], []
             for ap, aq, dp, dq in zip(P[i], Q[i], ps[off:], qs[off:]):

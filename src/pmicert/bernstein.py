@@ -24,12 +24,14 @@ from operator import mul
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, _make, common_radicand
+from .ring import ExtRational, ZERO, common_radicand
 from .algebra import (
     LineReader,
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
+    _form,
+    _sym_matrix,
     lower_triangle_rows,
     monomials_upto,
     multinomial,
@@ -173,27 +175,25 @@ def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
 
     A step from degree t sets c'_alpha = ((t + 1 - |alpha|) c_alpha +
     sum_i alpha_i c_(alpha - e_i)) / (t + 1), the terms with |alpha| > t
-    or alpha_i = 0 left out.  It runs in integers: the upper triangles of
-    all coefficients over one common denominator D, numerators in Z[sqrt(r)]
-    laid out as the rational parts and then the sqrt(r) parts, so a step is
-    one integer combination per alpha with D (t + 1) as the new
-    denominator.  ExtRationals are built once, at the target degree; their
-    values are those of the step-by-step exact recurrence.  Two irrational
-    radicands raise RadicandMismatch.
+    or alpha_i = 0 left out.  It runs on the matrices' integer forms over
+    one common denominator D, per alpha the upper rows of the rational parts
+    and then of the sqrt(r) parts: a step is one integer combination per
+    alpha over D (t + 1), and the matrices are made at the target degree
+    only.  Two irrational radicands raise RadicandMismatch.
     """
     if target < e.degree:
         raise ValueError(f"cannot elevate from degree {e.degree} down to {target}")
     if target == e.degree:
         return e
     n, ell, t = e.nvars, e.ell, e.degree
-    upper = [(i, j) for i in range(ell) for j in range(i, ell)]
-    parts = {alpha: [mat[i, j].parts() for i, j in upper] for alpha, mat in e.items()}
-    D = math.lcm(*[d for values in parts.values() for _, _, d, _ in values])
+    forms = {alpha: _form(mat) for alpha, mat in e.items()}
+    D = math.lcm(*[L for _, _, _, L in forms.values()])
     r = 0
-    for x in {x for values in parts.values() for _, q, _, x in values if q}:
-        r = common_radicand(r, x)
-    num = {alpha: [p * (D // d) for p, _, d, _ in values] + [q * (D // d) for _, q, d, _ in values]
-           for alpha, values in parts.items()}
+    for _, _, x, _ in forms.values():
+        if x and x != r:
+            r = common_radicand(r, x)
+    num = {alpha: [v * (D // L) for v in itertools.chain(*ps, *qs)]
+           for alpha, (ps, qs, _, L) in forms.items()}
     while t < target:
         step = {}
         for alpha in monomials_upto(n, t + 1):
@@ -204,13 +204,12 @@ def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
             weights, rows = zip(*terms)
             step[alpha] = [sum(map(mul, weights, column)) for column in zip(*rows)]
         num, D, t = step, D * (t + 1), t + 1
-    size = len(upper)
     coeffs = {}
     for alpha, values in num.items():
-        grid = [[None] * ell for _ in range(ell)]
-        for (i, j), p, q in zip(upper, values[:size], values[size:]):
-            grid[i][j] = grid[j][i] = _make(p, q, D, r)
-        coeffs[alpha] = RationalSymMatrix(grid)
+        flat = iter(values)  # the upper rows of the ps, then of the qs
+        ps = [list(itertools.islice(flat, ell - i)) for i in range(ell)]
+        qs = [list(itertools.islice(flat, ell - i)) for i in range(ell)]
+        coeffs[alpha] = _sym_matrix(ps, qs, r, D)
     return BernsteinExpansion(n, t, ell, coeffs)
 
 

@@ -54,11 +54,14 @@ from .algebra import (
     _accumulate,
     _at,
     _build,
+    _constant_form,
+    _entry_form,
     _finish,
     _integer_coeffs,
     _pack,
     _unpack,
     _scaled,
+    _summed,
     _width,
     ldlt,
     min_eigenvalue_numeric,
@@ -496,14 +499,14 @@ def assemble_simplex_putinar(
         squares = [(c_alpha * w, q) for w, q in S]
         for w, q in sigma:
             squares += [(c_alpha * w * ws, bs * q) for ws, bs in bw_squares]
-            merged.setdefault(q, []).append((c_alpha * w, mat.entries))
-        expanded.append((mat.entries, squares))
+            merged.setdefault(q, []).append((c_alpha * w, mat))
+        expanded.append((mat, squares))
 
     out_mults = []
     for q, parts in merged.items():
-        N_q = RationalSymMatrix([[sum((c * M[i][j] for c, M in parts), ZERO) for j in range(ell)]
-                                 for i in range(ell)])
-        cols, pivots = ldlt(N_q)
+        # N_q: one sum of the products c M_alpha, each keyed by position
+        forms = [(_constant_form(c), _entry_form(M, ell)[0], None) for c, M in parts]
+        cols, pivots = ldlt(_summed(ell, *_accumulate(forms)))
         pqs = [(term.scale, [row[0] * q for row in term.matrix.entries]) for term in bw_mults]
         for col, piv in zip(cols, pivots):
             for s, pq in pqs:
@@ -516,13 +519,9 @@ def assemble_simplex_putinar(
     for M, squares in expanded:
         acc, D, rational = _gram_sums(((w, [q]) for w, q in squares), index, width, 1)
         # M_alpha's nonzero entries, the strictly lower ones first
-        entries = sorted((j >= i, i * dim + j, v) for i, row in enumerate(M)
-                         for j, v in enumerate(row) if v)
-        if not acc or not entries:
+        right, first_upper = _entry_form(M, dim, lower=True)
+        if not acc or right is None:
             continue
-        upper, mkeys, mvalues = zip(*entries)
-        right = (mkeys, *_integer_coeffs(mvalues))
-        first_upper = upper.index(True)
         keys, starts = [], []
         for key in acc:
             u, v = divmod(key, N)

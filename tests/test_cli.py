@@ -2,6 +2,7 @@ import json
 import math
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +281,28 @@ class TestExitCodes:
         assert main([
             "verify", str(tmp_path / "c.qmc"), str(problems["fx"]),
         ]) == 1
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_verify_gram_mixing_two_radicands_is_exit_one(self, tmp_path, capsys, json_flag):
+        # the last Gram row of the golden certificate set to mix sqrt(2) and
+        # sqrt(3): read as a matrix, decided not PSD, no traceback
+        golden = Path(__file__).resolve().parent / "golden"
+        lines = (golden / "matrix_target.qmc").read_text().splitlines()
+        row = lines.index("multipliers 2") - 1
+        lines[row] = "(1/2) (0/1) (1/1*sqrt(2)) (1/1*sqrt(3))"
+        cert = tmp_path / "mixed.qmc"
+        cert.write_text("\n".join(lines) + "\n")
+        target = golden.parent.parent / "samples" / "matrix_target.pmi"
+        capsys.readouterr()
+        assert main(["verify", str(cert), str(target), "--mode", "exact", *json_flag]) == 1
+        out = capsys.readouterr().out
+        if json_flag:
+            payload = json.loads(out)
+            assert payload["ok"] is False
+            assert "gram block 0 is not PSD" in payload["messages"]
+            assert len(payload["gram_margins"]) == 1
+        else:
+            assert out.startswith("FAIL: ") and "gram block 0 is not PSD" in out
 
     def test_bound_context_of_a_large_constraint(self, tmp_path, capsys):
         # G = diag(1 - x^2, 1, 1, 1, 1): its eta estimate is past the exact

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmicert.ring import ONE, ZERO, ExtRational, RadicandMismatch
@@ -21,6 +22,7 @@ from pmicert.algebra import (
     RationalSymMatrix,
     SymPolyMatrix,
     ldlt,
+    min_eigenvalue_numeric,
     monomials_upto,
     multinomial,
     psd_exact,
@@ -99,6 +101,17 @@ def oracle_margin(M: RationalSymMatrix):
     return margin
 
 
+def scaled(M: RationalSymMatrix, c) -> RationalSymMatrix:
+    """c M, one ExtRational product per entry."""
+    c = ExtRational.coerce(c)
+    return RationalSymMatrix([[v * c for v in row] for row in M.entries])
+
+
+def plus(A: RationalSymMatrix, B: RationalSymMatrix) -> RationalSymMatrix:
+    """A + B, one ExtRational sum per entry."""
+    return RationalSymMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A.entries, B.entries)])
+
+
 def oracle_elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
     """Degree elevation one unit step and one ExtRational matrix at a time."""
     out = e
@@ -108,13 +121,13 @@ def oracle_elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
         for alpha in monomials_upto(out.nvars, t + 1):
             acc = RationalSymMatrix([[ZERO] * ell for _ in range(ell)])
             if sum(alpha) <= t:
-                acc = acc + out[alpha].scale(t + 1 - sum(alpha))
+                acc = plus(acc, scaled(out[alpha], t + 1 - sum(alpha)))
             for i, ei in enumerate(alpha):
                 if ei:
                     lower = list(alpha)
                     lower[i] -= 1
-                    acc = acc + out[tuple(lower)].scale(ei)
-            coeffs[alpha] = acc.scale(ExtRational(Fraction(1, t + 1)))
+                    acc = plus(acc, scaled(out[tuple(lower)], ei))
+            coeffs[alpha] = scaled(acc, ExtRational(Fraction(1, t + 1)))
         out = BernsteinExpansion(out.nvars, t + 1, ell, coeffs)
     return out
 
@@ -452,3 +465,75 @@ class TestAssembly:
         F2 = SymPolyMatrix([[Polynomial.const(2, 2), x1 * root3], [x1 * root3, Polynomial.const(2, 2)]])
         with pytest.raises(RadicandMismatch):
             assemble_simplex_putinar(F2, *_witness(2, "ball"), 6)
+
+
+# ---------------------------------------------------------------------------
+# one integer state: the routes that make a matrix agree on equality and hash
+
+
+def _same(A, B):
+    """A and B are equal, hash equal and hold the same ExtRational entries."""
+    return A == B and B == A and hash(A) == hash(B) and A.entries == B.entries
+
+
+class TestOneState:
+    def test_values_and_sums_with_unreduced_denominators(self):
+        from pmicert.algebra import _summed
+
+        half, three_halves = ExtRational(Fraction(1, 2)), ExtRational(Fraction(3, 2))
+        plain = RationalSymMatrix([[half, three_halves], [three_halves, ExtRational(2)]])
+        assert _same(RationalSymMatrix([[Fraction(2, 4), "6/4"], ["3/2", 2]]), plain)
+        # numerators 2, 6, 8 over 4, and a sqrt(2) part that cancels
+        summed = _summed(2, {0: [2, 0, 0], 1: [6, 4, 2], 3: [8, 0, 0]}, 4, False)
+        assert summed.entries[0][1] == three_halves + ExtRational(0, 1, 2)
+        assert not _same(summed, plain)
+        summed = _summed(2, {0: [2, 2, 2], 1: [6, 0, 2], 3: [8, -2, 2]}, 4, False)
+        assert not _same(summed, plain)
+        assert _same(_summed(2, {0: 2, 1: 6, 3: 8}, 4, True), plain)
+        assert _same(_summed(2, {0: [2, 0, 0], 1: [6, 0, 2], 3: [8, 0, 3]}, 4, False), plain)
+        root = RationalSymMatrix([[ExtRational(Fraction(1, 2), Fraction(1, 2), 2), ZERO],
+                                  [ZERO, ONE]])
+        assert _same(_summed(2, {0: [2, 2, 2], 3: [4, 0, 0]}, 4, False), root)
+        assert len({plain, root, RationalSymMatrix([[Fraction(1, 2), Fraction(3, 2)],
+                                                    [Fraction(3, 2), 2]])}) == 2
+
+    @pytest.mark.parametrize("n, ell, degree", [(1, 2, 2), (2, 2, 2), (2, 3, 1)])
+    def test_elevated_matrices_equal_their_values(self, n, ell, degree):
+        rng = random.Random(5 * n + ell)
+        e = to_bernstein(random_sym_matrix(rng, ell, n, degree), degree)
+        got, expected = elevate(e, degree + 2), oracle_elevate(e, degree + 2)
+        for alpha, M in got.items():
+            assert M._entries is None  # elevation makes no ExtRational grid
+            assert _same(M, expected[alpha])
+            assert {expected[alpha]: alpha}[M] == alpha
+
+    @pytest.mark.parametrize("n, ell", [(1, 2), (2, 2), (2, 3)])
+    def test_sigma_sums_equal_their_values(self, n, ell, monkeypatch):
+        import pmicert.certify as certify
+
+        seen = []
+        monkeypatch.setattr(certify, "ldlt", lambda N: seen.append(N) or ldlt(N))
+        F = _target(n, ell, seed=3 * n + ell)
+        assemble_simplex_putinar(F, *_witness(n, "ball"), 6)
+        monkeypatch.undo()
+        expected = [_merged(terms, ell) for terms in _sigma_parts(F, 6).values()]
+        # the facet Grams are factored first, the N_q last
+        sums = seen[-len(expected):]
+        for N, M in zip(sums, expected):
+            assert N._entries is None and _same(N, M)
+        assert set(sums) == set(expected)
+
+    @pytest.mark.parametrize("grid", [[[1, 2]], [[1, 2], [2]], [[1, 2], [3, 4]],
+                                      [[ONE, ExtRational.sqrt(2)], [ExtRational.sqrt(3), ONE]]])
+    def test_bad_grids_raise(self, grid):
+        with pytest.raises(ValueError):
+            RationalSymMatrix(grid)
+
+    def test_mixed_radicands_are_kept_as_values(self):
+        s2, s3 = ExtRational.sqrt(2), ExtRational.sqrt(3)
+        grid = [[s2, ONE], [ONE, s3]]
+        M = RationalSymMatrix(grid)
+        assert _same(M, RationalSymMatrix(grid))
+        assert M.entries == grid and M != RationalSymMatrix([[s2, ONE], [ONE, s2]])
+        assert min_eigenvalue_numeric(M) == pytest.approx(
+            min(np.linalg.eigvalsh(np.array([[math.sqrt(2), 1], [1, math.sqrt(3)]]))))

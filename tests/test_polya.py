@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pmicert.ring import ExtRational
-from pmicert.algebra import Polynomial, SymPolyMatrix, congruence, psd_exact
+from pmicert.algebra import Polynomial, RationalSymMatrix, SymPolyMatrix, congruence, psd_exact
 from pmicert.bernstein import elevate, from_bernstein, to_bernstein
 from pmicert.polya import (
     NotPositiveDefiniteOnSimplex,
@@ -17,6 +17,11 @@ from pmicert.polya import (
     simplex_form,
 )
 from conftest import random_poly, random_sym_matrix
+
+
+def submatrix(M: RationalSymMatrix, idx) -> RationalSymMatrix:
+    """The principal submatrix of M on the rows and columns idx."""
+    return RationalSymMatrix([[M[i, j] for j in idx] for i in idx])
 
 
 def x(i=0, n=1):
@@ -70,7 +75,7 @@ class TestPolyaCertificate:
         cert = polya_certificate(F, 4)
         assert len(cert.pd_margins) == len(list(cert.expansion.items()))
         for alpha, mat in cert.expansion.items():
-            minors = [float(mat.submatrix(range(k)).determinant()) for k in range(1, ell + 1)]
+            minors = [float(submatrix(mat, range(k)).determinant()) for k in range(1, ell + 1)]
             assert cert.pd_margins[alpha] == min(minors)
 
     def test_identity_needs_degree_zero(self):

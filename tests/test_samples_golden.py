@@ -26,6 +26,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CONSTRAINT = str(SAMPLES / "matrix_constraint.pmi")
 TARGET = str(SAMPLES / "matrix_target.pmi")
+# n = ell = 2 on the ball, Polya degree 3 (one elevation), entries over
+# Q(sqrt 2): perfbench/families.simplex_target(random.Random("golden"), 2, 2, 3)
+SIMPLEX_N2 = str(GOLDEN / "simplex_n2.pmi")
 
 # golden file -> argv; "{out}" marks a command whose --out file is compared
 # instead of its stdout
@@ -36,7 +39,12 @@ CASES = {
     "scalarize_charpoly.json": ["scalarize", CONSTRAINT, "--charpoly", "--json"],
     "matrix_target.polya": ["polya", TARGET, "--max-degree", "10", "--out", "{out}"],
     "matrix_target.qmc": ["certify-simplex", TARGET, "--out", "{out}"],
+    "simplex_n2.qmc": ["certify-simplex", SIMPLEX_N2, "--out", "{out}"],
+    "simplex_n2_certify.json": ["certify-simplex", SIMPLEX_N2, "--json"],
+    "simplex_n2_refute.json": ["polya", SIMPLEX_N2, "--max-degree", "2", "--json"],
 }
+# cases that exit nonzero on purpose
+EXIT = {"simplex_n2_refute.json": 1}
 
 # exact `bound` evaluations with non-unit rational inputs (no libm values:
 # the rate and the past-budget floats are not stored)
@@ -61,7 +69,7 @@ def run_case(name: str, workdir: Path) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    assert code == 0, f"{argv} exited {code}"
+    assert code == EXIT.get(name, 0), f"{argv} exited {code}"
     return out.read_text() if "{out}" in CASES[name] else buf.getvalue()
 
 
@@ -74,6 +82,19 @@ def test_certificate_verifies(tmp_path):
     run_case("matrix_target.qmc", tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", str(tmp_path / "matrix_target.qmc"), TARGET]) == 0
+
+
+def test_n2_certificate_verifies_and_tampered_fails(tmp_path):
+    text = (GOLDEN / "simplex_n2.qmc").read_text()
+    assert "*sqrt(2)" in text
+    cert = deserialize(text)
+    cert.multipliers[0].scale = cert.multipliers[0].scale * 2
+    (tmp_path / "c.qmc").write_text(text)
+    (tmp_path / "tampered.qmc").write_text(serialize(cert))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(tmp_path / "c.qmc"), SIMPLEX_N2, "--mode", "exact"]) == 0
+        assert main(["verify", str(tmp_path / "tampered.qmc"), SIMPLEX_N2,
+                     "--mode", "exact"]) == 1
 
 
 @pytest.mark.parametrize("name", ["matrix_target.qmc", "matrix_target_unmerged.qmc"])

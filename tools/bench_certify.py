@@ -1,22 +1,24 @@
-"""CPU time and output digests of the certify-simplex jobs, for one or more
-source trees of the program.
+"""CPU time and output digests of the certify-simplex and polya jobs, for
+one or more source trees of the program.
 
     git archive <commit> | tar -x -C /tmp/parent
     python3 tools/bench_certify.py --variant parent=/tmp/parent/src \\
         --variant new=src --seed 7 --out BENCH_certify.json
 
-Jobs: the `certify-simplex` jobs of the benchmark's `certify` workload at
---seed (perfbench/workloads.py).  Each job runs once per variant, the
-variants alternating, in a fresh process with PYTHONPATH set to the
-variant's source tree and numpy's BLAS held to one thread
+Jobs: the `certify-simplex` jobs and the `polya` refutation jobs of the
+benchmark's `certify` workload at --seed (perfbench/workloads.py); the
+refutations run the longest elevation chains.  Each job runs once per
+variant, the variants alternating, in a fresh process with PYTHONPATH set
+to the variant's source tree and numpy's BLAS held to one thread
 (tools/harness.py).  The child calls `pmicert.cli.main` once untimed,
 counting `certify.verify_certificate` calls, and then --repeats times;
 cpu_s is the median of those calls' process CPU times (imports excluded).
-Each record also gives the size of the written .qmc in bytes, its
-multiplier term count, and the sha256 of the standard output and of the
-.qmc, so that byte-identical output across variants can be read off (a
-change of certificate layout reads 0 there).  The summary repeats the
-totals per Polya degree t of the jobs (the `-t<t>-` of the job id).
+Each record also gives the sha256 of the standard output and, for a
+certify-simplex job, the size of the written .qmc in bytes, its multiplier
+term count and the sha256 of the .qmc, so that byte-identical output
+across variants can be read off (a change of certificate layout reads 0
+there).  The summary repeats the totals per Polya degree t of the
+certify-simplex jobs (the `-t<t>-` of the job id) and for the refutations.
 """
 
 from __future__ import annotations
@@ -48,40 +50,45 @@ def once():
     return code, text.getvalue()
 code, stdout = once()
 verify_calls = calls[0]
-with open(out, "rb") as fh:
-    qmc = fh.read()
 times = []
 for _ in range(repeats):
     start = time.process_time()
     once()
     times.append(time.process_time() - start)
-terms = next(int(line.split()[1]) for line in qmc.decode().splitlines()
-             if line.startswith("multipliers "))
-print(json.dumps({"cpu_s": statistics.median(times), "exit": code,
-                  "verify_calls": verify_calls, "qmc_bytes": len(qmc),
-                  "multiplier_terms": terms,
-                  "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
-                  "qmc_sha256": hashlib.sha256(qmc).hexdigest()}))
+rec = {"cpu_s": statistics.median(times), "exit": code, "verify_calls": verify_calls,
+       "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
+if out:
+    with open(out, "rb") as fh:
+        qmc = fh.read()
+    rec.update(qmc_bytes=len(qmc), qmc_sha256=hashlib.sha256(qmc).hexdigest(),
+               multiplier_terms=next(int(line.split()[1]) for line in qmc.decode().splitlines()
+                                     if line.startswith("multipliers ")))
+print(json.dumps(rec))
 """
 
 
 def jobs(seed: int, workdir: str) -> list:
-    """(job id, command, .qmc path) of the certify workload's certify-simplex jobs."""
+    """(job id, command, .qmc path or "") of the certify workload's
+    certify-simplex and polya jobs."""
     manifest = workloads.generate("certify", seed, workdir)
-    return [(job["id"], job["argv"], job["writes"]["out"]) for job in manifest["jobs"]
-            if job["argv"][0] == "certify-simplex"]
+    return [(job["id"], job["argv"], job["writes"].get("out", "")) for job in manifest["jobs"]
+            if job["argv"][0] in ("certify-simplex", "polya")]
 
 
 def totals(label: str, records: list) -> dict:
-    """Job count, CPU seconds, multiplier terms and .qmc bytes of label's records."""
-    return {
+    """Job count and CPU seconds of label's records, and the multiplier
+    terms and .qmc bytes of those that wrote a certificate."""
+    certs = [r[label] for r in records if "qmc_bytes" in r[label]]
+    out = {
         "jobs": len(records),
         "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 4),
         "cpu_s_median": round(statistics.median(r[label]["cpu_s"] for r in records), 6),
-        "multiplier_terms_per_job": round(
-            statistics.mean(r[label]["multiplier_terms"] for r in records), 2),
-        "qmc_bytes_total": sum(r[label]["qmc_bytes"] for r in records),
     }
+    if certs:
+        out["multiplier_terms_per_job"] = round(
+            statistics.mean(c["multiplier_terms"] for c in certs), 2)
+        out["qmc_bytes_total"] = sum(c["qmc_bytes"] for c in certs)
+    return out
 
 
 def main() -> int:
@@ -104,7 +111,10 @@ def main() -> int:
             print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
                   file=sys.stderr)
     first = variants[0][0]
-    degrees = sorted({re.search(r"-t(\d+)-", r["job"]).group(1) for r in records}, key=int)
+    groups = {}
+    for r in records:
+        t = re.search(r"-t(\d+)-", r["job"])
+        groups.setdefault(f"t{t.group(1)}" if t else "refute", []).append(r)
     summary = {}
     for label, _ in variants:
         summary[label] = dict(
@@ -113,10 +123,10 @@ def main() -> int:
             verify_calls_per_job=statistics.mean(r[label]["verify_calls"] for r in records),
             **{"stdout_as_" + first: sum(r[label]["stdout_sha256"] == r[first]["stdout_sha256"]
                                          for r in records),
-               "qmc_as_" + first: sum(r[label]["qmc_sha256"] == r[first]["qmc_sha256"]
-                                      for r in records)},
-            by_degree={f"t{t}": totals(label, [r for r in records if f"-t{t}-" in r["job"]])
-                       for t in degrees})
+               "qmc_as_" + first: sum(r[label].get("qmc_sha256") == r[first].get("qmc_sha256")
+                                      for r in records if "qmc_sha256" in r[first])},
+            by_degree={g: totals(label, groups[g])
+                       for g in sorted(groups, key=lambda g: (g == "refute", len(g), g))})
     harness.write(args.out, args, variants, summary, records, repeats=args.repeats)
     return 0
 

@@ -19,7 +19,10 @@ times; cpu_s is the median of those calls' process CPU times (parsing and
 imports excluded).  deserialize_s is the median CPU time of --repeats
 `deserialize` calls on the certificate's text (the file read once, before).
 Each record also gives the certificate's size in bytes, its multiplier
-term count, the SOS Gram size and whether it verified.
+term count, the SOS Gram size, whether it verified, and the sha256 of the
+report (ok, the messages, and the repr of the residual norm and of each
+Gram margin); the summary counts the reports equal to the first
+variant's (report_as_<first>).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import harness  # puts perfbench/ on sys.path
 import workloads
 
 CHILD = """
-import json, statistics, sys, time
+import hashlib, json, statistics, sys, time
 from pmicert.algebra import SymPolyMatrix
 from pmicert.certify import deserialize, verify_certificate
 from pmicert.problemio import load_problem
@@ -59,7 +62,10 @@ for _ in range(int(repeats)):
     start = time.process_time()
     verify_certificate(F, prob.G, cert, mode=mode, tol=float(tol))
     times.append(time.process_time() - start)
+digest = json.dumps([report.ok, report.messages, repr(report.residual_norm),
+                     [repr(m) for m in report.gram_margins]])
 print(json.dumps({"cpu_s": statistics.median(times),
+                  "report_sha256": hashlib.sha256(digest.encode()).hexdigest(),
                   "deserialize_s": statistics.median(parse_times), "ok": report.ok,
                   "qmc_bytes": len(text.encode()),
                   "multiplier_terms": len(cert.multipliers),
@@ -125,7 +131,10 @@ def main() -> int:
             print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
                   file=sys.stderr)
     summary = {}
+    first = variants[0][0]
     for label, _ in variants:
+        summary.setdefault(label, {})["report_as_" + first] = sum(
+            r[label]["report_sha256"] == r[first]["report_sha256"] for r in records)
         for workload in ("certify", "verify"):
             times = [r[label]["cpu_s"] for r in records if r["workload"] == workload]
             parse = [r[label]["deserialize_s"] for r in records if r["workload"] == workload]
