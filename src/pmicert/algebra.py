@@ -31,16 +31,14 @@ Matrices come in three flavours: general rectangular polynomial matrices
 (PolyMatrix), exactly-symmetric square ones (SymPolyMatrix) and constant
 symmetric matrices over the coefficient ring (RationalSymMatrix), which
 carry the exact positive-semidefiniteness test.  A RationalSymMatrix is
-kept in integers too, as its form (ps, qs, r, L): entry (i, j), i <= j, is
-(ps[i][j - i] + qs[i][j - i] sqrt(r))/L over the least common denominator
-L and the one irrational radicand r (0 if none).  The constructor, the one
-route from ExtRational values (parsers, Bernstein conversion, evaluation),
-converts them once; degree elevation and certify's sums of matrices
-(_summed) make forms directly, and the elimination behind ldlt and
-psd_exact, the floats and certify's Kronecker operand (_entry_form) read
-them as they are.  The grid entries is a view, as Polynomial.terms is:
-the grid a matrix was built from, or made on first read.  Entries that
-mix two irrational radicands have no form (_f is None).
+held as its form (ps, qs, r, L): entry (i, j), i <= j, is (ps[i][j - i] +
+qs[i][j - i] sqrt(r))/L, L the least common denominator and r the one
+irrational radicand (0 if none).  The constructor, the one route from
+ExtRational values, converts them once; degree elevation and certify's sums
+of matrices (_summed) make forms directly, and the elimination behind ldlt
+and psd_exact and certify's Kronecker operand (_entry_form) read them.  The
+grid entries is a view, as Polynomial.terms is: the grid given, or made on
+first read.  A matrix mixing two irrational radicands has no form.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
 from operator import mul, or_
 
@@ -1072,7 +1071,8 @@ class RationalSymMatrix:
             form = _grid_form(grid)
         except RadicandMismatch:  # no form: read as values only
             form = None
-        _init_sym(self, form, grid)
+        for name, value in (("size", len(grid)), ("_f", form), ("_entries", grid)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSymMatrix is immutable")
@@ -1107,13 +1107,7 @@ class RationalSymMatrix:
         return hash(self._f or tuple(map(tuple, self.entries)))
 
     def to_numpy(self) -> np.ndarray:
-        if self._f is None:
-            return np.array([[float(v) for v in row] for row in self.entries])
-        # p/L is p/d correctly rounded: the floats of the entries
-        ps, qs, r, L = self._f
-        root = math.sqrt(r)
-        up = [[p / L + q / L * root for p, q in zip(prow, qrow)] for prow, qrow in zip(ps, qs)]
-        return np.array([[up[j][i - j] for j in range(i)] + row for i, row in enumerate(up)])
+        return np.array([[float(v) for v in row] for row in self.entries])
 
     def determinant(self) -> ExtRational:
         """Exact determinant by Gaussian elimination in Q[sqrt(r)]."""
@@ -1141,29 +1135,31 @@ class RationalSymMatrix:
         return f"RationalSymMatrix({self.size}x{self.size})"
 
 
-def _init_sym(M: RationalSymMatrix, form, grid) -> RationalSymMatrix:
-    for name, value in (("size", len(grid or form[0])), ("_f", form), ("_entries", grid)):
-        object.__setattr__(M, name, value)
-    return M
-
-
 def _grid_form(grid: list) -> tuple:
     """The form of a symmetric grid of ExtRationals; RadicandMismatch if it
     holds two irrational radicands."""
-    parts = [[v.parts() for v in row[i:]] for i, row in enumerate(grid)]
-    L = math.lcm(*[d for row in parts for _, _, d, _ in row])
-    r = 0
-    for row in parts:
-        for _, q, _, x in row:
-            if q and x != r:
-                r = common_radicand(r, x)
-    return (tuple([tuple([p * (L // d) for p, _, d, _ in row]) for row in parts]),
-            tuple([tuple([q * (L // d) for _, q, d, _ in row]) for row in parts]), r, L)
+    n = len(grid)
+    ps, qs, rs, L = _integer_coeffs([v for i, row in enumerate(grid) for v in row[i:]])
+    r = reduce(common_radicand, set(rs or ()), 0)
+    return _upper_rows(ps, n), _upper_rows(qs or (0,) * len(ps), n), r, L
+
+
+def _upper_rows(flat, n: int) -> tuple:
+    """The n upper-triangle rows (row i from column i) of the flat values."""
+    rows, start = [], 0
+    for k in range(n, 0, -1):
+        rows.append(flat[start:start + k])
+        start += k
+    return tuple(rows)
 
 
 def _form(M: RationalSymMatrix) -> tuple:
-    """M's form; RadicandMismatch if M mixes two irrational radicands."""
-    return M._f or _grid_form(M.entries)
+    """M's form; RadicandMismatch, naming the two least irrational radicands,
+    if M has none (it mixes two)."""
+    if M._f is None:
+        a, b = sorted({v.radicand for row in M.entries for v in row} - {0})[:2]
+        raise RadicandMismatch(f"cannot mix sqrt({a}) with sqrt({b})")
+    return M._f
 
 
 def _sym_matrix(ps: list, qs: list, r: int, L: int) -> RationalSymMatrix:
@@ -1173,7 +1169,10 @@ def _sym_matrix(ps: list, qs: list, r: int, L: int) -> RationalSymMatrix:
         ps = [[p // g for p in row] for row in ps]
         qs = [[q // g for q in row] for row in qs]
     form = (tuple(map(tuple, ps)), tuple(map(tuple, qs)), r if any(map(any, qs)) else 0, L // g)
-    return _init_sym(_new(RationalSymMatrix), form, None)
+    M = _new(RationalSymMatrix)
+    for name, value in (("size", len(ps)), ("_f", form), ("_entries", None)):
+        object.__setattr__(M, name, value)
+    return M
 
 
 def _entry_form(M: RationalSymMatrix, dim: int, lower: bool = False) -> tuple:

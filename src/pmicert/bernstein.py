@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 import numpy as np
@@ -32,6 +33,7 @@ from .algebra import (
     SymPolyMatrix,
     _form,
     _sym_matrix,
+    _upper_rows,
     lower_triangle_rows,
     monomials_upto,
     multinomial,
@@ -188,10 +190,7 @@ def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
     n, ell, t = e.nvars, e.ell, e.degree
     forms = {alpha: _form(mat) for alpha, mat in e.items()}
     D = math.lcm(*[L for _, _, _, L in forms.values()])
-    r = 0
-    for _, _, x, _ in forms.values():
-        if x and x != r:
-            r = common_radicand(r, x)
+    r = reduce(common_radicand, [x for _, _, x, _ in forms.values()], 0)
     num = {alpha: [v * (D // L) for v in itertools.chain(*ps, *qs)]
            for alpha, (ps, qs, _, L) in forms.items()}
     while t < target:
@@ -204,12 +203,9 @@ def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
             weights, rows = zip(*terms)
             step[alpha] = [sum(map(mul, weights, column)) for column in zip(*rows)]
         num, D, t = step, D * (t + 1), t + 1
-    coeffs = {}
-    for alpha, values in num.items():
-        flat = iter(values)  # the upper rows of the ps, then of the qs
-        ps = [list(itertools.islice(flat, ell - i)) for i in range(ell)]
-        qs = [list(itertools.islice(flat, ell - i)) for i in range(ell)]
-        coeffs[alpha] = _sym_matrix(ps, qs, r, D)
+    half = ell * (ell + 1) // 2  # the upper rows of the ps, then of the qs
+    coeffs = {alpha: _sym_matrix(_upper_rows(v[:half], ell), _upper_rows(v[half:], ell), r, D)
+              for alpha, v in num.items()}
     return BernsteinExpansion(n, t, ell, coeffs)
 
 

@@ -263,8 +263,10 @@ class TestIntegerLdlt:
         for entries in ([[s2, ZERO], [ZERO, s3]],
                         [[ONE, s2, ZERO], [s2, ExtRational(3), ONE], [ZERO, ONE, s3 + 2]]):
             M = RationalSymMatrix(entries)
-            with pytest.raises(RadicandMismatch):
+            with pytest.raises(RadicandMismatch, match=r"sqrt\(2\) with sqrt\(3\)"):
                 ldlt(M)
+            with pytest.raises(RadicandMismatch, match=r"sqrt\(2\) with sqrt\(3\)"):
+                elevate(BernsteinExpansion(1, 0, len(entries), {(0,): M}), 1)
             assert not psd_exact(M)
             assert _pd_margin(M) is None
 
