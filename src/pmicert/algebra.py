@@ -35,10 +35,12 @@ held as its form (ps, qs, r, L): entry (i, j), i <= j, is (ps[i][j - i] +
 qs[i][j - i] sqrt(r))/L, L the least common denominator and r the one
 irrational radicand (0 if none).  The constructor, the one route from
 ExtRational values, converts them once; degree elevation and certify's sums
-of matrices (_summed) make forms directly, and the elimination behind ldlt
-and psd_exact and certify's Kronecker operand (_entry_form) read them.  The
-grid entries is a view, as Polynomial.terms is: the grid given, or made on
-first read.  A matrix mixing two irrational radicands has no form.
+of matrices (_summed: the Gram blocks and the N_q) make forms directly, and
+the elimination behind ldlt and psd_exact, certify's Kronecker operand
+(_entry_form) and its collapse of Gram blocks read them.  The grid entries
+is a view, as Polynomial.terms is: the grid given, or made on first read.
+Every matrix has its form: the constructor raises RadicandMismatch, naming
+the two least, for a grid that mixes two irrational radicands.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, repeat
 from operator import mul, or_
 
@@ -1060,6 +1061,8 @@ class RationalSymMatrix:
 
     def __init__(self, entries):
         grid = [[ExtRational.coerce(v) for v in row] for row in entries]
+        if not grid:
+            raise ValueError("empty matrix")
         for row in grid:
             if len(row) != len(grid):
                 raise ValueError("matrix must be square")
@@ -1067,11 +1070,7 @@ class RationalSymMatrix:
             for j in range(i + 1, len(grid)):
                 if row[j] != grid[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        try:
-            form = _grid_form(grid)
-        except RadicandMismatch:  # no form: read as values only
-            form = None
-        for name, value in (("size", len(grid)), ("_f", form), ("_entries", grid)):
+        for name, value in (("size", len(grid)), ("_f", _grid_form(grid)), ("_entries", grid)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -1099,12 +1098,10 @@ class RationalSymMatrix:
     def __eq__(self, other):
         if not isinstance(other, RationalSymMatrix):
             return NotImplemented
-        if self._f and other._f:
-            return self._f == other._f
-        return self.entries == other.entries
+        return self._f == other._f
 
     def __hash__(self):
-        return hash(self._f or tuple(map(tuple, self.entries)))
+        return hash(self._f)
 
     def to_numpy(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
@@ -1136,12 +1133,14 @@ class RationalSymMatrix:
 
 
 def _grid_form(grid: list) -> tuple:
-    """The form of a symmetric grid of ExtRationals; RadicandMismatch if it
-    holds two irrational radicands."""
+    """The form of a nonempty symmetric grid of ExtRationals; RadicandMismatch,
+    naming the two least irrational radicands, if it holds two."""
     n = len(grid)
     ps, qs, rs, L = _integer_coeffs([v for i, row in enumerate(grid) for v in row[i:]])
-    r = reduce(common_radicand, set(rs or ()), 0)
-    return _upper_rows(ps, n), _upper_rows(qs or (0,) * len(ps), n), r, L
+    radicands = sorted(set(rs or ()) - {0}) or [0]
+    if len(radicands) > 1:
+        raise RadicandMismatch(f"cannot mix sqrt({radicands[0]}) with sqrt({radicands[1]})")
+    return _upper_rows(ps, n), _upper_rows(qs or (0,) * len(ps), n), radicands[0], L
 
 
 def _upper_rows(flat, n: int) -> tuple:
@@ -1151,15 +1150,6 @@ def _upper_rows(flat, n: int) -> tuple:
         rows.append(flat[start:start + k])
         start += k
     return tuple(rows)
-
-
-def _form(M: RationalSymMatrix) -> tuple:
-    """M's form; RadicandMismatch, naming the two least irrational radicands,
-    if M has none (it mixes two)."""
-    if M._f is None:
-        a, b = sorted({v.radicand for row in M.entries for v in row} - {0})[:2]
-        raise RadicandMismatch(f"cannot mix sqrt({a}) with sqrt({b})")
-    return M._f
 
 
 def _sym_matrix(ps: list, qs: list, r: int, L: int) -> RationalSymMatrix:
@@ -1179,7 +1169,7 @@ def _entry_form(M: RationalSymMatrix, dim: int, lower: bool = False) -> tuple:
     """(form, first): M's nonzero entries as an _accumulate form, (i, j) keyed
     i dim + j, the upper triangle after the strictly lower entries when lower
     is set, the first upper one at index first; form is None for M = 0."""
-    ps, qs, r, L = _form(M)
+    ps, qs, r, L = M._f
     upper = [(i, j, p, q) for i in range(M.size)
              for j, p, q in zip(range(i, M.size), ps[i], qs[i]) if p or q]
     if not upper:
@@ -1208,9 +1198,7 @@ def psd_exact(M: RationalSymMatrix, strict: bool = False) -> bool:
     ExtRational.
 
     PSD: no negative pivot and every zero pivot has a zero row.  PD: in
-    addition all M.size pivots are positive.  A matrix that mixes two
-    irrational radicands is not decided PSD (_eliminate raises
-    RadicandMismatch, a ValueError).
+    addition all M.size pivots are positive.
     """
     try:
         _, _, steps = _eliminate(M)
@@ -1231,8 +1219,7 @@ def ldlt(M: RationalSymMatrix):
     Symmetric elimination without row exchanges; a zero pivot whose row is
     zero is skipped, so len(pivots) == M.size exactly when M is PD.  Raises
     ValueError if a negative pivot or a zero pivot with a nonzero row is met
-    (i.e. the matrix is not PSD), RadicandMismatch if M mixes two irrational
-    radicands.
+    (i.e. the matrix is not PSD).
 
     The elimination is _eliminate's, in integers; the ExtRationals are built
     from its kept steps only: step k with pivot minor B_k, after the kept
@@ -1254,7 +1241,7 @@ def ldlt(M: RationalSymMatrix):
 def _eliminate(M: RationalSymMatrix) -> tuple:
     """(L, r, steps): the fraction-free symmetric elimination (Bareiss, Math.
     Comp. 1968) of L M over Z[sqrt(r)], read from M's form (ps, qs, r, L)
-    as it is (RadicandMismatch if M mixes two irrational radicands).
+    as it is.
 
     An entry of L M is a pair (p, q) of ints, the value p + q sqrt(r).  The
     step at a kept pivot B = a_kk replaces each a_ij, k < i <= j, by
@@ -1273,7 +1260,7 @@ def _eliminate(M: RationalSymMatrix) -> tuple:
     on the j rows kept so far, k the last.
     """
     n = M.size
-    P, Q, r, L = _form(M)
+    P, Q, r, L = M._f
     P, Q = list(P), list(Q)  # rows are replaced here
     steps = []
     sp, sq, norm = 1, 0, 1  # B' and its norm

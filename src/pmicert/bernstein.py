@@ -31,7 +31,6 @@ from .algebra import (
     Polynomial,
     RationalSymMatrix,
     SymPolyMatrix,
-    _form,
     _sym_matrix,
     _upper_rows,
     lower_triangle_rows,
@@ -188,7 +187,7 @@ def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
     if target == e.degree:
         return e
     n, ell, t = e.nvars, e.ell, e.degree
-    forms = {alpha: _form(mat) for alpha, mat in e.items()}
+    forms = {alpha: mat._f for alpha, mat in e.items()}
     D = math.lcm(*[L for _, _, _, L in forms.values()])
     r = reduce(common_radicand, [x for _, _, x, _ in forms.values()], 0)
     num = {alpha: [v * (D // L) for v in itertools.chain(*ps, *qs)]

@@ -2,11 +2,12 @@
 exact/numeric verification and text serialization.
 
 A certificate for "F is in the quadratic module of G" consists of SOS blocks
-(a monomial basis plus a PSD Gram matrix; for an l x l target the Gram acts
-on basis (x) kron R^l) and multiplier terms scale * P^T G P with scale >= 0.
-The scale generalizes the plain P^T G P form: positive constants such as
-sqrt(n)/2 that the facet identities need are not sums of squares in
-Q[sqrt(n)], so they ride along as explicit nonnegative weights.
+(a monomial basis plus a PSD Gram matrix, an algebra.RationalSymMatrix; for
+an l x l target the Gram acts on basis (x) kron R^l) and multiplier terms
+scale * P^T G P with scale >= 0.  The scale generalizes the plain P^T G P
+form: positive constants such as sqrt(n)/2 that the facet identities need
+are not sums of squares in Q[sqrt(n)], so they ride along as explicit
+nonnegative weights.
 
 SOS parts and multiplier parts reconstruct through one Gram shape.  The
 multiplier terms fold into one PSD form W = sum scale vec(P) vec(P)^T over
@@ -28,7 +29,9 @@ assemble_simplex_putinar) are sums of algebra's one accumulator,
 _accumulate: a fold slot sums the products scale v[p] v[q] of its squares
 (the upper triangle of the square when p = q), a Gram the upper triangles
 of its squares keyed by position, and a reconstructed entry the collapsed
-blocks and the products G_ab S[(a,i),(b,j)] at once.
+blocks and the products G_ab S[(a,i),(b,j)] at once.  A Gram is made from
+its sum by algebra._summed and stays in integers: the collapse reads its
+integer form, and the exact check and the LDL^T take it as it is.
 
 All payloads are stored exactly (floats entering from numeric solvers are
 dyadic rationals, hence exact); the mode flag only selects the verification
@@ -44,7 +47,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .ring import ExtRational, ZERO, ONE, _make, common_radicand
+from .ring import ExtRational, ONE, common_radicand
 from .algebra import (
     LineReader,
     PolyMatrix,
@@ -57,7 +60,6 @@ from .algebra import (
     _constant_form,
     _entry_form,
     _finish,
-    _integer_coeffs,
     _pack,
     _unpack,
     _scaled,
@@ -92,14 +94,11 @@ def ball_constraint(n: int) -> SymPolyMatrix:
 
 @dataclass
 class SOSBlock:
-    basis: list        # exponent tuples
-    gram: list         # (N*ell) x (N*ell) grid of ExtRational, symmetric
+    basis: list               # exponent tuples
+    gram: RationalSymMatrix   # (N*ell) x (N*ell), on basis (x) R^ell
 
     def size(self) -> int:
-        return len(self.gram)
-
-    def matrix(self) -> RationalSymMatrix:
-        return RationalSymMatrix(self.gram)
+        return self.gram.size
 
     def to_sym_poly(self, nvars: int, ell: int) -> SymPolyMatrix:
         width = _width(max(map(sum, self.basis), default=0))
@@ -182,26 +181,30 @@ class QMCertificate:
         return SymPolyMatrix.from_upper(ell, out, n)
 
 
-def _collapse(basis, gram, w: int, width: int) -> dict:
-    """{(i, j): the integer form of sum_{u,v} gram[u w + i][v w + j]
+def _collapse(basis, gram: RationalSymMatrix, w: int, width: int) -> dict:
+    """{(i, j): the integer form of sum_{u,v} gram[u w + i, v w + j]
     x^(basis[u] + basis[v])}, i <= j < w, for the (i, j) with a nonzero
-    entry: a monomial packed at width (no narrower than the basis degree
-    needs) once per (u, v), so one may repeat; the sum is left to
-    _accumulate."""
+    entry, over gram's denominator: a monomial packed at width (no narrower
+    than the basis degree needs) once per (u, v), so one may repeat; the
+    sum is left to _accumulate.  The entries are read from gram's upper
+    rows in the order (u, v, i, j)."""
+    ps, qs, r, L = gram._f
     keys = [_pack(b, width) for b in basis]
     found = {}
     for u, ku in enumerate(keys):
-        rows = gram[u * w:(u + 1) * w]
         for v, kv in enumerate(keys):
-            base = v * w
-            for i, row in enumerate(rows):
+            for i in range(w):
                 for j in range(i, w):
-                    c = row[base + j]
-                    if c:
-                        mons, coeffs = found.setdefault((i, j), ([], []))
+                    a, b = u * w + i, v * w + j
+                    lo, hi = (a, b) if a <= b else (b, a)
+                    p, q = ps[lo][hi - lo], qs[lo][hi - lo]
+                    if p or q:
+                        mons, fp, fq = found.setdefault((i, j), ([], [], []))
                         mons.append(ku + kv)
-                        coeffs.append(c)
-    return {ij: (mons,) + _integer_coeffs(coeffs) for ij, (mons, coeffs) in found.items()}
+                        fp.append(p)
+                        fq.append(q)
+    return {ij: (mons, fp, fq, (r,) * len(fq), L) if any(fq) else (mons, fp, None, None, L)
+            for ij, (mons, fp, fq) in found.items()}
 
 
 def _fold_squares(squares, w: int) -> dict:
@@ -304,29 +307,17 @@ def _gram_sums(squares, index: dict, width: int, ell: int) -> tuple:
     return _accumulate(items)
 
 
-def _gram_grid(dim: int, acc: dict, D: int, rational: bool) -> list:
-    """The symmetric dim x dim grid of ExtRationals of an _accumulate result
-    keyed a dim + b for the entries (a, b) of its upper triangle; an entry no
-    key reaches is ZERO."""
-    gram = [[ZERO] * dim for _ in range(dim)]
-    for key, value in acc.items():
-        p, q, r = (value, 0, 0) if rational else value
-        a, b = divmod(key, dim)
-        gram[a][b] = gram[b][a] = _make(p, q, D, r)
-    return gram
-
-
 def gram_from_squares(squares, nvars: int, ell: int) -> SOSBlock:
     """Assemble sum_r w_r v_r v_r^T (w_r >= 0, v_r polynomial columns of
     length ell) into a single PSD Gram block.  Each square fills the upper
-    triangle, entry (a, b) at key a dim + b of _gram_sums; the lower
-    triangle is mirrored."""
+    triangle, entry (a, b) at key a dim + b of _gram_sums, and _summed
+    makes the matrix."""
     squares = [(ExtRational.coerce(w), col) for w, col in squares]
     if any(w.sign() < 0 for w, _ in squares):
         raise ValueError("square weights must be nonnegative")
     basis, index, width = _grlex_basis((p for _, col in squares for p in col), nvars)
     dim = len(basis) * ell
-    return SOSBlock(basis, _gram_grid(dim, *_gram_sums(squares, index, width, ell)))
+    return SOSBlock(basis, _summed(dim, *_gram_sums(squares, index, width, ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +387,7 @@ def blocks_to_vector_squares(cert: QMCertificate):
     squares = []
     ell = cert.ell
     for block in cert.sos_blocks:
-        cols, pivots = ldlt(block.matrix())
+        cols, pivots = ldlt(block.gram)
         N = len(block.basis)
         for col, piv in zip(cols, pivots):
             vec = []
@@ -529,7 +520,7 @@ def assemble_simplex_putinar(
             starts.append(first_upper if u == v else 0)
         values = (tuple(acc.values()), None, None) if rational else tuple(zip(*acc.values()))
         items.append(((keys, *values, D), right, starts))
-    block = SOSBlock(basis, _gram_grid(dim, *_accumulate(items)))
+    block = SOSBlock(basis, _summed(dim, *_accumulate(items)))
 
     d_G = max(G.degree, 0)
     k = block.degree()
@@ -627,7 +618,7 @@ def verify_certificate(
             rnorm = math.inf
             unnormed = (f"residual of degree {t} needs {steps} Bernstein conversion steps, "
                         f"past the budget of {budget}; its norm is not computed")
-    grams = [block.matrix() for block in cert.sos_blocks]
+    grams = [block.gram for block in cert.sos_blocks]
     margins = [min_eigenvalue_numeric(M) for M in grams]
 
     if mode == "exact":
@@ -671,7 +662,7 @@ def serialize(cert: QMCertificate) -> str:
         for beta in block.basis:
             lines.append(" ".join(str(e) for e in beta))
         lines.append("gram")
-        lines.extend(lower_triangle_rows(block.gram))
+        lines.extend(lower_triangle_rows(block.gram.entries))
     lines.append(f"multipliers {len(cert.multipliers)}")
     for mi, term in enumerate(cert.multipliers):
         lines.append(
@@ -712,7 +703,7 @@ def _read_certificate(r: LineReader) -> QMCertificate:
         count = r.field(f"block {bi} basis ", r.lines_left())
         basis = [r.exponents(r.line("basis exponents"), nvars) for _ in range(count)]
         r.literal("gram")
-        blocks.append(SOSBlock(basis, r.grid(count * ell, "gram")))
+        blocks.append(SOSBlock(basis, RationalSymMatrix(r.grid(count * ell, "gram"))))
     mults = []
     for mi in range(r.field("multipliers ")):
         toks = r.rest(f"multiplier {mi} scale ").split()

@@ -33,6 +33,7 @@ from .ring import ExtRational, ZERO, from_parts
 from .algebra import (
     PolyMatrix,
     Polynomial,
+    RationalSymMatrix,
     SymPolyMatrix,
     min_eigenvalue_numeric,
     monomials_upto,
@@ -407,7 +408,7 @@ def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
         row = X0[i]
         for j in range(i, N0):
             gram[i][j] = gram[j][i] = _dyadic(row[j])
-    block = SOSBlock(list(p.basis0), gram)
+    block = SOSBlock(list(p.basis0), RationalSymMatrix(gram))
     mults = []
     w, U = np.linalg.eigh(0.5 * (result.X1 + result.X1.T))
     for weight, vec in zip(w.tolist(), U.T.tolist()):

@@ -15,6 +15,7 @@ from pmicert.ring import ExtRational
 from pmicert.algebra import (
     PolyMatrix,
     Polynomial,
+    RationalSymMatrix,
     SymPolyMatrix,
     congruence,
     psd_exact,
@@ -31,6 +32,7 @@ from pmicert.bounds import BoundInputs, convergence_rate, putinar_matrix_bound, 
 from pmicert.certify import (
     MultiplierTerm,
     QMCertificate,
+    SOSBlock,
     assemble_simplex_putinar,
     ball_constraint,
     deserialize,
@@ -366,7 +368,8 @@ def test_criterion_9_verifier_soundness_and_serialization():
             entry = tampered.multipliers[0].matrix.entries[0][0]
             tampered.multipliers[0].matrix.entries[0][0] = entry + 1
         elif kind == 1:
-            gram = tampered.sos_blocks[0].gram
+            block = tampered.sos_blocks[0]
+            gram = [row[:] for row in block.gram.entries]
             done = False
             for r in range(len(gram)):
                 for c in range(r + 1):
@@ -378,7 +381,8 @@ def test_criterion_9_verifier_soundness_and_serialization():
                 if done:
                     break
             if not done:
-                tampered.sos_blocks[0].gram[0][0] = ExtRational(-1)
+                gram[0][0] = ExtRational(-1)
+            tampered.sos_blocks[0] = SOSBlock(block.basis, RationalSymMatrix(gram))
         else:
             if tampered.multipliers and not congruence(
                 tampered.multipliers[-1].matrix, G

@@ -10,6 +10,7 @@ from pmicert.ring import ExtRational, RadicandMismatch
 from pmicert.algebra import (
     PolyMatrix,
     Polynomial,
+    RationalSymMatrix,
     SymPolyMatrix,
     congruence,
     ldlt,
@@ -239,7 +240,8 @@ class TestVerifier:
                         continue
                     cert.multipliers[0].matrix.entries[0][0] = entry + 1
                 elif kind == "gram":
-                    gram = cert.sos_blocks[0].gram
+                    block = cert.sos_blocks[0]
+                    gram = [row[:] for row in block.gram.entries]
                     flipped = False
                     for r in range(len(gram)):
                         for c in range(r + 1):
@@ -252,6 +254,7 @@ class TestVerifier:
                             break
                     if not flipped:
                         continue
+                    cert.sos_blocks[0] = SOSBlock(block.basis, RationalSymMatrix(gram))
                 else:
                     if congruence_is_zero(cert, G):
                         continue
@@ -299,7 +302,7 @@ def _oracle_reconstruction(cert, G, sphere):
         for (u, bu), (v, bv) in product(enumerate(block.basis), repeat=2):
             mono = tuple(a + b for a, b in zip(bu, bv))
             for i, j in product(range(ell), repeat=2):
-                grid[i][j] = grid[i][j] + Polynomial(n, {mono: block.gram[u * ell + i][v * ell + j]})
+                grid[i][j] = grid[i][j] + Polynomial(n, {mono: block.gram[u * ell + i, v * ell + j]})
         out = out + PolyMatrix(grid)
     for term in cert.multipliers:
         out = out + congruence(term.matrix, G).scale(term.scale)
@@ -365,7 +368,7 @@ class TestOneGramShape:
             for r in range(dim):
                 for c in range(r + 1):
                     gram[r][c] = gram[c][r] = self._coeff(rng, numeric)
-            blocks.append(SOSBlock(basis, gram))
+            blocks.append(SOSBlock(basis, RationalSymMatrix(gram)))
         mults = []
         if feature != 1:
             for _ in range(rng.randint(1, 4)):
@@ -449,9 +452,9 @@ class TestOneGramShape:
                                 for _ in range(ell)]))
         block = gram_from_squares(squares, n, ell)
         basis, gram = _full_gram_from_squares(squares, n, ell)
-        assert block.basis == basis and block.gram == gram
-        dim = len(block.gram)
-        assert all(block.gram[a][b] == block.gram[b][a]
+        assert block.basis == basis and block.gram.entries == gram
+        dim = block.gram.size
+        assert all(block.gram[a, b] == block.gram[b, a]
                    for a in range(dim) for b in range(dim))
 
 
@@ -530,7 +533,7 @@ class TestIntegerKernels:
         n, ell = rng.randint(1, 4), rng.randint(1, 3)
         squares = self._squares(rng, n, ell, surd, rng.randint(0, 8))
         block = gram_from_squares(squares, n, ell)
-        assert (block.basis, block.gram) == _full_gram_from_squares(squares, n, ell)
+        assert (block.basis, block.gram.entries) == _full_gram_from_squares(squares, n, ell)
 
     @pytest.mark.parametrize("top", [0, 127, 128, 32767, 32768])
     def test_fold_packing_boundaries(self, top):
@@ -692,8 +695,10 @@ class TestKroneckerAssembly:
 
         def corrupted(kind, n, index=0):
             target, cert = real(kind, n, index)
-            gram = cert.sos_blocks[0].gram
+            block = cert.sos_blocks[0]
+            gram = [row[:] for row in block.gram.entries]
             gram[0][0] = gram[0][0] * 2  # still PSD, no longer the facet
+            cert.sos_blocks[0] = SOSBlock(block.basis, RationalSymMatrix(gram))
             return target, cert
 
         monkeypatch.setattr(certify, "facet_certificate", corrupted)

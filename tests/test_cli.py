@@ -282,27 +282,44 @@ class TestExitCodes:
             "verify", str(tmp_path / "c.qmc"), str(problems["fx"]),
         ]) == 1
 
-    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-    def test_verify_gram_mixing_two_radicands_is_exit_one(self, tmp_path, capsys, json_flag):
-        # the last Gram row of the golden certificate set to mix sqrt(2) and
-        # sqrt(3): read as a matrix, decided not PSD, no traceback
+    @staticmethod
+    def _golden_with(tmp_path, edit):
+        """The golden matrix_target certificate, its lines changed by edit,
+        written to a file, and the problem it answers."""
         golden = Path(__file__).resolve().parent / "golden"
         lines = (golden / "matrix_target.qmc").read_text().splitlines()
-        row = lines.index("multipliers 2") - 1
-        lines[row] = "(1/2) (0/1) (1/1*sqrt(2)) (1/1*sqrt(3))"
-        cert = tmp_path / "mixed.qmc"
+        edit(lines)
+        cert = tmp_path / "edited.qmc"
         cert.write_text("\n".join(lines) + "\n")
-        target = golden.parent.parent / "samples" / "matrix_target.pmi"
+        return cert, golden.parent.parent / "samples" / "matrix_target.pmi"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_verify_gram_mixing_two_radicands_is_exit_two(self, tmp_path, capsys, json_flag):
+        # the last Gram row of the golden certificate set to mix sqrt(2) and
+        # sqrt(3): the reader rejects it at that row, no traceback
+        def mix(lines):
+            lines[lines.index("multipliers 2") - 1] = "(1/2) (0/1) (1/1*sqrt(2)) (1/1*sqrt(3))"
+
+        cert, target = self._golden_with(tmp_path, mix)
+        row = cert.read_text().splitlines().index("multipliers 2")  # 1-based, the row before
         capsys.readouterr()
-        assert main(["verify", str(cert), str(target), "--mode", "exact", *json_flag]) == 1
-        out = capsys.readouterr().out
-        if json_flag:
-            payload = json.loads(out)
-            assert payload["ok"] is False
-            assert "gram block 0 is not PSD" in payload["messages"]
-            assert len(payload["gram_margins"]) == 1
-        else:
-            assert out.startswith("FAIL: ") and "gram block 0 is not PSD" in out
+        assert main(["verify", str(cert), str(target), "--mode", "exact", *json_flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: line {row}: cannot mix sqrt(2) with sqrt(3)\n"
+
+    def test_verify_empty_gram_block_is_exit_two(self, tmp_path, capsys):
+        # block 0 with no basis: a 0x0 Gram, rejected by the reader at its
+        # 'gram' line, no traceback
+        def empty(lines):
+            start = next(i for i, line in enumerate(lines) if line.startswith("block 0 basis "))
+            lines[start:lines.index("multipliers 2")] = ["block 0 basis 0", "gram"]
+
+        cert, target = self._golden_with(tmp_path, empty)
+        line = cert.read_text().splitlines().index("gram") + 1
+        capsys.readouterr()
+        assert main(["verify", str(cert), str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: line {line}: empty matrix\n"
 
     def test_bound_context_of_a_large_constraint(self, tmp_path, capsys):
         # G = diag(1 - x^2, 1, 1, 1, 1): its eta estimate is past the exact

@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pmicert.ring import ONE, ZERO, ExtRational, RadicandMismatch
@@ -22,7 +21,6 @@ from pmicert.algebra import (
     RationalSymMatrix,
     SymPolyMatrix,
     ldlt,
-    min_eigenvalue_numeric,
     monomials_upto,
     multinomial,
     psd_exact,
@@ -36,6 +34,7 @@ from pmicert.certify import (
     _product_membership,
     assemble_simplex_putinar,
     ball_constraint,
+    deserialize,
     gram_from_squares,
     serialize,
     trivial_ball_witness,
@@ -259,16 +258,17 @@ class TestIntegerLdlt:
         assert _pd_margin(M) == oracle_margin(M)
 
     def test_mixed_radicands_raise(self):
+        # no matrix mixes two radicands, so ldlt, psd_exact and _pd_margin
+        # never see one; matrices of one radicand each meet in an elevation
         s2, s3 = ExtRational.sqrt(2), ExtRational.sqrt(3)
         for entries in ([[s2, ZERO], [ZERO, s3]],
                         [[ONE, s2, ZERO], [s2, ExtRational(3), ONE], [ZERO, ONE, s3 + 2]]):
-            M = RationalSymMatrix(entries)
             with pytest.raises(RadicandMismatch, match=r"sqrt\(2\) with sqrt\(3\)"):
-                ldlt(M)
-            with pytest.raises(RadicandMismatch, match=r"sqrt\(2\) with sqrt\(3\)"):
-                elevate(BernsteinExpansion(1, 0, len(entries), {(0,): M}), 1)
-            assert not psd_exact(M)
-            assert _pd_margin(M) is None
+                RationalSymMatrix(entries)
+        coeffs = {(0,): RationalSymMatrix([[s2, ZERO], [ZERO, ONE]]),
+                  (1,): RationalSymMatrix([[ONE, ZERO], [ZERO, s3]])}
+        with pytest.raises(RadicandMismatch, match=r"sqrt\(2\) with sqrt\(3\)"):
+            elevate(BernsteinExpansion(1, 1, 2, coeffs), 2)
 
     def test_radicand_in_one_entry_only(self):
         M = RationalSymMatrix([[ExtRational(2), ONE], [ONE, ExtRational.sqrt(5)]])
@@ -391,7 +391,7 @@ def oracle_kronecker_gram(F, witness, max_degree, basis):
                 for i in range(ell):
                     for j in range(ell):
                         a, b = place[tuple(bu)] * ell + i, place[tuple(bv)] * ell + j
-                        gram[a][b] = gram[a][b] + A.gram[u][v] * M[i, j]
+                        gram[a][b] = gram[a][b] + A.gram[u, v] * M[i, j]
     return gram
 
 
@@ -402,7 +402,7 @@ class TestAssembly:
         F = _target(n, ell, seed=10 * n + ell)
         G, W = _witness(n, witness)
         block = assemble_simplex_putinar(F, G, W, 6).sos_blocks[0]
-        assert block.gram == oracle_kronecker_gram(F, W, 6, block.basis)
+        assert block.gram.entries == oracle_kronecker_gram(F, W, 6, block.basis)
 
     @pytest.mark.parametrize("witness", ["ball", "arrow"])
     @pytest.mark.parametrize("n, ell", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -526,16 +526,47 @@ class TestOneState:
         assert set(sums) == set(expected)
 
     @pytest.mark.parametrize("grid", [[[1, 2]], [[1, 2], [2]], [[1, 2], [3, 4]],
-                                      [[ONE, ExtRational.sqrt(2)], [ExtRational.sqrt(3), ONE]]])
+                                      [[ONE, ExtRational.sqrt(2)], [ExtRational.sqrt(3), ONE]],
+                                      []])
     def test_bad_grids_raise(self, grid):
         with pytest.raises(ValueError):
             RationalSymMatrix(grid)
 
-    def test_mixed_radicands_are_kept_as_values(self):
-        s2, s3 = ExtRational.sqrt(2), ExtRational.sqrt(3)
-        grid = [[s2, ONE], [ONE, s3]]
-        M = RationalSymMatrix(grid)
-        assert _same(M, RationalSymMatrix(grid))
-        assert M.entries == grid and M != RationalSymMatrix([[s2, ONE], [ONE, s2]])
-        assert min_eigenvalue_numeric(M) == pytest.approx(
-            min(np.linalg.eigvalsh(np.array([[math.sqrt(2), 1], [1, math.sqrt(3)]]))))
+    def test_mixed_radicands_are_rejected(self):
+        # every matrix has its form: a grid of two or more irrational
+        # radicands is refused, naming the two least whatever their places
+        s2, s3, s5 = ExtRational.sqrt(2), ExtRational.sqrt(3), ExtRational.sqrt(5)
+        for diagonal in ([s2, s3], [s3, s2], [s5, s3, s2], [s3, s5, s2], [s2, s5, s3]):
+            grid = [[v if i == j else ONE for j, _ in enumerate(diagonal)]
+                    for i, v in enumerate(diagonal)]
+            with pytest.raises(RadicandMismatch, match=r"^cannot mix sqrt\(2\) with sqrt\(3\)$"):
+                RationalSymMatrix(grid)
+        with pytest.raises(RadicandMismatch, match=r"sqrt\(2\) with sqrt\(3\)"):
+            RationalSymMatrix([[s3 + 1, s2], [s2, ONE]])
+
+    def test_gram_from_squares_makes_no_grid(self):
+        x = Polynomial.variable(1, 0)
+        block = gram_from_squares([(ExtRational(Fraction(1, 3)), [x + 1]),
+                                   (ExtRational.sqrt(2), [x * x - x])], 1, 1)
+        assert block.gram._entries is None  # a sum makes no ExtRational grid
+        assert block.gram.entries[0][1] == ExtRational(Fraction(1, 3))
+        assert block.gram._entries is not None
+
+    @pytest.mark.parametrize("n, ell", [(1, 2), (2, 2)])
+    def test_verification_converts_no_gram(self, n, ell, monkeypatch):
+        # the Gram an assembly makes, and one read from text, reach the exact
+        # check as they are: no grid of values goes back to integers
+        import pmicert.algebra as algebra
+
+        G, W = _witness(n, "ball")
+        F = _target(n, ell, seed=n + ell)
+        cert = assemble_simplex_putinar(F, G, W, 6)
+        real, calls = algebra._grid_form, []
+        monkeypatch.setattr(algebra, "_grid_form", lambda grid: calls.append(grid) or real(grid))
+        assert verify_certificate(F, G, cert, mode="exact").ok
+        assert calls == []
+        parsed = deserialize(serialize(cert))
+        assert len(calls) == len(parsed.sos_blocks) == 1  # the reader's, once
+        del calls[:]
+        assert verify_certificate(F, G, parsed, mode="exact").ok
+        assert calls == []

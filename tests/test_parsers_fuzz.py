@@ -80,6 +80,27 @@ def mutate(rnd, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("parse, error, text, line, message", [
+    (deserialize, CertificateParseError,
+     "qmcert-v1\nmode exact\nnvars 1\nsize 1\nconstraint-size 1\ndegree 2\nsos-blocks 1\n"
+     "block 0 basis 0\ngram\nmultipliers 0\nsphere-multiplier none\nend\n", 9, "empty matrix"),
+    (deserialize, CertificateParseError,
+     "qmcert-v1\nmode exact\nnvars 1\nsize 1\nconstraint-size 1\ndegree 2\nsos-blocks 1\n"
+     "block 0 basis 2\n0\n1\ngram\n(1/1*sqrt(5))\n(0/1) (1/1*sqrt(3))\n"
+     "multipliers 0\nsphere-multiplier none\nend\n", 13, r"cannot mix sqrt\(3\) with sqrt\(5\)"),
+    (parse_expansion, ExpansionParseError,
+     "bexp-v1\nnvars 1\ndegree 0\nsize 0\nrecords 1\nalpha 0\nend\n", 6, "empty matrix"),
+    (parse_expansion, ExpansionParseError,
+     "bexp-v1\nnvars 1\ndegree 0\nsize 2\nrecords 1\nalpha 0\n(1/1*sqrt(3))\n"
+     "(1/1) (1/1*sqrt(2))\nend\n", 8, r"cannot mix sqrt\(2\) with sqrt\(3\)"),
+], ids=["qmc-empty", "qmc-mixed", "bexp-empty", "bexp-mixed"])
+def test_unrepresentable_matrix_is_a_format_error(parse, error, text, line, message):
+    # a 0x0 matrix, or one that mixes two irrational radicands, is rejected
+    # at the line that completes it
+    with pytest.raises(error, match=rf"^line {line}: {message}$"):
+        parse(text)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_round_trip_byte_identical(name):
     text, parse, write, _ = CASES[name]

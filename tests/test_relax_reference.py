@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from pmicert import relax
-from pmicert.algebra import PolyMatrix, Polynomial, SymPolyMatrix, min_eigenvalue_numeric
+from pmicert.algebra import (PolyMatrix, Polynomial, RationalSymMatrix, SymPolyMatrix,
+                             min_eigenvalue_numeric)
 from pmicert.certify import MultiplierTerm, QMCertificate, SOSBlock, ball_constraint, serialize
 from pmicert.problemio import load_problem
 from pmicert.relax import (
@@ -175,8 +176,8 @@ def ref_extract(result, p):
                     terms[p.basis1[u]] = ExtRational(Fraction(val))
             entries.append([Polynomial(p.n, terms)])
         mults.append(MultiplierTerm(ExtRational(Fraction(float(w[idx]))), PolyMatrix(entries)))
-    return QMCertificate(p.n, 1, p.m, 2 * p.k, "numeric", [SOSBlock(list(p.basis0), gram)],
-                         mults)
+    block = SOSBlock(list(p.basis0), RationalSymMatrix(gram))
+    return QMCertificate(p.n, 1, p.m, 2 * p.k, "numeric", [block], mults)
 
 
 # -- instances ----------------------------------------------------------------

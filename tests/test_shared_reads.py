@@ -159,7 +159,7 @@ class TestLineMemo:
         assert polys[0] is polys[1] is polys[3] and polys[2] is not polys[0]
         scales = [t.scale for t in cert.multipliers]
         assert scales[0] is scales[1] is scales[3]
-        gram = cert.sos_blocks[0].gram
+        gram = cert.sos_blocks[0].gram.entries
         assert gram[0][0] is gram[1][0] is gram[1][1] is scales[2]
 
     def test_memo_keeps_one_entry_per_distinct_line(self):

@@ -1,6 +1,6 @@
-"""Iterations, process CPU time and exit of `pmicert relax --json` per instance,
-and the in-process CPU time of the solver, for one or more source trees of
-the program.
+"""Iterations, process CPU time, exit and output digests of `pmicert relax
+--json` per instance, and the in-process CPU time of the solver, for one or
+more source trees of the program.
 
     git archive <commit> | tar -x -C /tmp/parent
     python3 tools/bench_relax.py --variant parent=/tmp/parent/src \\
@@ -14,16 +14,21 @@ draws of tests/test_relax.py.  Each instance runs once per variant, the
 variants alternating, in a fresh process with PYTHONPATH set to the
 variant's source tree and numpy's BLAS held to one thread (tools/harness.py);
 CPU time is the child's user plus system time, interpreter start-up and
-imports included.  A second fresh process per instance and variant builds
-the relaxation and times --repeats calls of solve_sdp on it after one
-untimed call: solve_s is their median process CPU time and eval_us that
-median over the evaluation count, so start-up and parsing drop out.  An
-instance whose gamma or iteration count differs between variants is listed
-under "differs" in the summary.
+imports included.  The run also writes the numeric certificate
+(--emit-certificate) and the SDPA file (--export-sdpa), and the record gives
+the sha256 of each (None if it was not written), so that byte-identical
+output across variants can be read off: the summary counts them as
+qmc_as_<first variant> and sdpa_as_<first variant>.  A second fresh process
+per instance and variant builds the relaxation and times --repeats calls of
+solve_sdp on it after one untimed call: solve_s is their median process CPU
+time and eval_us that median over the evaluation count, so start-up and
+parsing drop out.  An instance whose gamma or iteration count differs
+between variants is listed under "differs" in the summary.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -90,10 +95,21 @@ def solve_time(src: str, path: str, k: int, repeats: int) -> dict:
             "eval_us": round(timed["solve_s"] / timed["evaluations"] * 1e6, 2)}
 
 
+def digest(path: str) -> str | None:
+    """sha256 of the file at path, which is then removed; None if there is none."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    os.remove(path)
+    return hashlib.sha256(data).hexdigest()
+
+
 def run(src: str, path: str, k: int) -> dict:
+    qmc, sdpa = path + ".qmc", path + ".sdpa"
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = harness.run_python(src, ["-c", harness.CLI, "relax", path, "--order", str(k),
-                                    "--json"])
+                                    "--json", "--emit-certificate", qmc, "--export-sdpa", sdpa])
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     payload = json.loads(proc.stdout) if proc.stdout.startswith("{") else {}
@@ -103,7 +119,8 @@ def run(src: str, path: str, k: int) -> dict:
     if budget:
         iterations = int(budget.group(1))
     return {"iterations": iterations, "cpu_s": round(cpu, 4), "exit": exit_,
-            "gamma": payload.get("gamma")}
+            "gamma": payload.get("gamma"), "qmc_sha256": digest(qmc),
+            "sdpa_sha256": digest(sdpa)}
 
 
 def main() -> int:
@@ -122,6 +139,7 @@ def main() -> int:
             records.append(rec)
             print(job, *(f"{label}={rec[label]['iterations']}" for label, _ in variants),
                   file=sys.stderr)
+    first = variants[0][0]
     summary = {}
     for label, _ in variants:
         its = [r[label]["iterations"] for r in records if r[label]["iterations"] is not None]
@@ -131,6 +149,9 @@ def main() -> int:
             "iterations_median": statistics.median(its) if its else None,
             "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 3),
             "solve_s_total": round(sum(r[label]["solve_s"] or 0.0 for r in records), 4),
+            **{f"{kind}_as_{first}": sum(r[label][f"{kind}_sha256"] == r[first][f"{kind}_sha256"]
+                                         for r in records if r[first][f"{kind}_sha256"])
+               for kind in ("qmc", "sdpa")},
         }
     summary["differs"] = [
         r["job"] for r in records
