@@ -13,7 +13,8 @@ into the next.  A result whose degree needs another width is repacked, so
 equal polynomials have equal packings.  ExtRational coefficients are built
 only where a coefficient is read: the terms view {exponent tuple:
 ExtRational}, made on first use and kept with the polynomial, and through
-it coeff, evaluate and evaluate_float.  Printing reads the integers.
+it coeff, evaluate and evaluate_float.  Printing reads the integers, and
+every coefficient text is ring.format_parts.
 
 Every exact sum is one accumulator, _accumulate, keyed by packed monomials
 over one common denominator, the lcm of those of its items: a sum of
@@ -33,14 +34,15 @@ symmetric matrices over the coefficient ring (RationalSymMatrix), which
 carry the exact positive-semidefiniteness test.  A RationalSymMatrix is
 held as its form (ps, qs, r, L): entry (i, j), i <= j, is (ps[i][j - i] +
 qs[i][j - i] sqrt(r))/L, L the least common denominator and r the one
-irrational radicand (0 if none).  The constructor, the one route from
-ExtRational values, converts them once; degree elevation and certify's sums
-of matrices (_summed: the Gram blocks and the N_q) make forms directly, and
-the elimination behind ldlt and psd_exact, certify's Kronecker operand
-(_entry_form) and its collapse of Gram blocks read them.  The grid entries
-is a view, as Polynomial.terms is: the grid given, or made on first read.
-Every matrix has its form: the constructor raises RadicandMismatch, naming
-the two least, for a grid that mixes two irrational radicands.
+irrational radicand (0 if none).  One converter, _parts_matrix, makes it
+from the integers (p, q, d, r) of the upper triangle for the constructor
+(the route from ExtRational values only), LineReader.sym_matrix and relax's
+float Grams; degree elevation and certify's sums (_summed: the Gram blocks
+and the N_q) make forms directly.  The elimination behind ldlt and
+psd_exact, certify's Kronecker operand (_entry_form) and Gram collapse, and
+the printer lower_triangle_rows read them.  The grid entries is a view, as
+Polynomial.terms is: the grid given, or made on first read.  Two irrational
+radicands in one grid raise RadicandMismatch, naming the two least.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from operator import mul, or_
 import numpy as np
 
 from .ring import (ExtRational, ZERO, ONE, RadicandMismatch, _make, common_radicand,
-                   parse_ext_rational, parse_parts, quotient, sign_of)
+                   format_parts, parse_parts, quotient, sign_of)
 
 _gcd = math.gcd
 _new = object.__new__
@@ -125,7 +127,8 @@ class Polynomial:
             _init(self, nvars, 8, _ZERO_FORM, terms)
             return
         w, mons = _packed(terms, nvars)
-        _init(self, nvars, w, (mons,) + _integer_coeffs(terms.values()), terms)
+        _init(self, nvars, w, (mons,) + _over_lcm(*zip(*map(ExtRational.parts, terms.values()))),
+              terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -347,17 +350,12 @@ class Polynomial:
         # one {} per exponent; packed keys order as graded-lex
         mono = "*".join([f"x{i}^{{}}" for i in range(1, n + 1)]) or "1"
         low = (1 << w * n) - 1
+        if qs is None:
+            qs = rs = (0,) * len(mons)
         parts = []
         for k in sorted(range(len(mons)), key=mons.__getitem__, reverse=True):
-            p = ps[k]
-            g = _gcd(p, den)
-            coeff = f"{p // g}/{den // g}"
-            q = qs and qs[k]
-            if q:
-                g = _gcd(q, den)
-                coeff += f"{'+' if q > 0 else '-'}{abs(q) // g}/{den // g}*sqrt({rs[k]})"
             exps = (mons[k] & low).to_bytes(n, "big") if w == 8 else _unpack(mons[k], n, w)
-            parts.append(f"({coeff}) * {mono.format(*exps)}")
+            parts.append(f"({format_parts(ps[k], qs[k], den, rs[k])}) * {mono.format(*exps)}")
         return " + ".join(parts)
 
     def __str__(self):
@@ -398,13 +396,6 @@ def _packed(alphas, nvars: int) -> tuple:
         return 8, mons
     w = _width(top)
     return w, tuple([_pack(a, w) for a in alphas])
-
-
-def _integer_coeffs(coeffs) -> tuple:
-    """(ps, qs, rs, L) of a nonempty sequence of ExtRationals: coefficient k
-    is (ps[k] + qs[k] sqrt(rs[k]))/L, L the lcm of their denominators; qs
-    and rs are None when every coefficient is rational."""
-    return _over_lcm(*zip(*map(ExtRational.parts, coeffs)))
 
 
 def _over_lcm(ps, qs, ds, rs) -> tuple:
@@ -687,10 +678,12 @@ def polynomial_from_parts(nvars: int, alphas: list, parts: list) -> Polynomial:
     return _finish(nvars, w, *_accumulate([((mons, ps, qs, rs, L), None, None)]))
 
 
-def lower_triangle_rows(grid) -> list:
-    """Row r of a symmetric grid as its first r + 1 entries, each a '(coeff)'
-    token: the lines LineReader.grid reads back."""
-    return [" ".join(f"({v})" for v in row[: r + 1]) for r, row in enumerate(grid)]
+def lower_triangle_rows(M: RationalSymMatrix) -> list:
+    """Row i of M as its first i + 1 entries, each a '(coeff)' token printed
+    from the form: the lines LineReader.sym_matrix reads back."""
+    ps, qs, r, L = M._f
+    return [" ".join([f"({format_parts(ps[j][i - j], qs[j][i - j], L, r)})" for j in range(i + 1)])
+            for i in range(M.size)]
 
 
 class LineReader:
@@ -700,20 +693,20 @@ class LineReader:
     N the 1-based number of the line being read.  A declared size is checked
     against the text that remains before anything of that size is built.
 
-    One memo per reader maps each polynomial line (with its nvars) and each
-    coefficient token already parsed to the immutable value parsed from it,
-    so a repeated line or token is parsed once and every repeat is the same
-    object.  A second one keeps the integers of each coefficient text read
-    inside a polynomial line.  Only parses that succeeded are kept, so a
-    malformed line fails at its first occurrence; each memo holds at most
-    one entry per line or token of the text.
+    memo maps each polynomial line (with its nvars) already parsed to its
+    Polynomial, so a repeated line is parsed once and is the same object.
+    coefficients maps each coefficient text read, inside '(...)', in a
+    polynomial line, a matrix row or a multiplier scale, to its parse_parts
+    integers.  Only parses that succeeded are kept, so a malformed line or
+    token fails at its first occurrence; each memo holds at most one entry
+    per line or token of the text.
     """
 
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0  # lines consumed; the last one read is line self.pos
         self.memo = {}
-        self.coefficients = {}  # for parse_polynomial
+        self.coefficients = {}
 
     def parse(self, read, error: type):
         """read(self), with each ValueError re-raised as error('line N: ...')."""
@@ -765,12 +758,14 @@ class LineReader:
             raise ValueError(f"expected {nvars} exponents, got {len(alpha)}")
         return alpha
 
-    def coeff(self, token: str) -> ExtRational:
-        value = self.memo.get(token)
+    def _parts(self, token: str) -> tuple:
+        """The parse_parts integers of a '(coeff)' token."""
+        if not (token.startswith("(") and token.endswith(")")):
+            raise ValueError(f"malformed coefficient {token!r}")
+        text = token[1:-1]
+        value = self.coefficients.get(text)
         if value is None:
-            if not (token.startswith("(") and token.endswith(")")):
-                raise ValueError(f"malformed coefficient {token!r}")
-            value = self.memo[token] = parse_ext_rational(token[1:-1])
+            value = self.coefficients[text] = parse_parts(text)
         return value
 
     def polynomial(self, nvars: int) -> Polynomial:
@@ -786,9 +781,10 @@ class LineReader:
             value = self.memo[key] = parse_polynomial(line, nvars, self.coefficients)
         return value
 
-    def grid(self, dim: int, what: str) -> list:
-        """A symmetric dim x dim grid of '(coeff)' tokens written as its lower
-        triangle, row r on one line of r + 1 tokens."""
+    def sym_matrix(self, dim: int, what: str) -> RationalSymMatrix:
+        """A symmetric dim x dim matrix of '(coeff)' tokens written as its
+        lower triangle, row r on one line of r + 1 tokens, made from the
+        tokens' integers: upper row i is token i of rows i, i + 1, ..."""
         if dim > self.lines_left():
             raise ValueError(f"{what} size {dim} is too large for the rest of the file")
         rows = []
@@ -796,8 +792,8 @@ class LineReader:
             toks = self.line(f"{what} row").split()
             if len(toks) != r + 1:
                 raise ValueError(f"{what} row {r} has {len(toks)} entries, expected {r + 1}")
-            rows.append([self.coeff(tok) for tok in toks])
-        return [rows[i] + [rows[j][i] for j in range(i + 1, dim)] for i in range(dim)]
+            rows.append([self._parts(tok) for tok in toks])
+        return _parts_matrix(dim, [rows[j][i] for i in range(dim) for j in range(i, dim)])
 
 
 def multinomial(total: int, parts) -> int:
@@ -1059,10 +1055,8 @@ class RationalSymMatrix:
 
     __slots__ = ("size", "_f", "_entries")
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         grid = [[ExtRational.coerce(v) for v in row] for row in entries]
-        if not grid:
-            raise ValueError("empty matrix")
         for row in grid:
             if len(row) != len(grid):
                 raise ValueError("matrix must be square")
@@ -1070,8 +1064,9 @@ class RationalSymMatrix:
             for j in range(i + 1, len(grid)):
                 if row[j] != grid[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        for name, value in (("size", len(grid)), ("_f", _grid_form(grid)), ("_entries", grid)):
-            object.__setattr__(self, name, value)
+        M = _parts_matrix(len(grid), [v.parts() for i, row in enumerate(grid) for v in row[i:]])
+        object.__setattr__(M, "_entries", grid)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSymMatrix is immutable")
@@ -1132,15 +1127,18 @@ class RationalSymMatrix:
         return f"RationalSymMatrix({self.size}x{self.size})"
 
 
-def _grid_form(grid: list) -> tuple:
-    """The form of a nonempty symmetric grid of ExtRationals; RadicandMismatch,
-    naming the two least irrational radicands, if it holds two."""
-    n = len(grid)
-    ps, qs, rs, L = _integer_coeffs([v for i, row in enumerate(grid) for v in row[i:]])
+def _parts_matrix(n: int, parts: list) -> RationalSymMatrix:
+    """The n x n matrix of upper rows (row i from column i) of the values
+    (p + q sqrt(r))/d in parts, in any terms (r = 0 where q = 0).  n = 0
+    raises ValueError, two irrational radicands RadicandMismatch naming the
+    two least."""
+    if not n:
+        raise ValueError("empty matrix")
+    ps, qs, rs, L = _over_lcm(*zip(*parts))
     radicands = sorted(set(rs or ()) - {0}) or [0]
     if len(radicands) > 1:
         raise RadicandMismatch(f"cannot mix sqrt({radicands[0]}) with sqrt({radicands[1]})")
-    return _upper_rows(ps, n), _upper_rows(qs or (0,) * len(ps), n), radicands[0], L
+    return _sym_matrix(_upper_rows(ps, n), _upper_rows(qs or (0,) * len(ps), n), radicands[0], L)
 
 
 def _upper_rows(flat, n: int) -> tuple:

@@ -317,7 +317,7 @@ def serialize_expansion(e: BernsteinExpansion) -> str:
     ]
     for alpha in monomials_upto(e.nvars, e.degree):
         lines.append("alpha " + " ".join(str(v) for v in alpha))
-        lines.extend(lower_triangle_rows(e.coeffs[alpha].entries))
+        lines.extend(lower_triangle_rows(e.coeffs[alpha]))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -354,6 +354,6 @@ def read_expansion(r: LineReader) -> BernsteinExpansion:
         alpha = r.exponents(r.rest("alpha "), nvars)
         if sum(alpha) > degree or alpha in coeffs:
             raise ValueError(f"alpha {alpha} repeated or above degree {degree}")
-        coeffs[alpha] = RationalSymMatrix(r.grid(ell, "matrix"))
+        coeffs[alpha] = r.sym_matrix(ell, "matrix")
     r.literal("end")
     return BernsteinExpansion(nvars, degree, ell, coeffs)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .ring import ExtRational, ONE, common_radicand
+from .ring import ExtRational, ONE, _make, common_radicand
 from .algebra import (
     LineReader,
     PolyMatrix,
@@ -662,7 +662,7 @@ def serialize(cert: QMCertificate) -> str:
         for beta in block.basis:
             lines.append(" ".join(str(e) for e in beta))
         lines.append("gram")
-        lines.extend(lower_triangle_rows(block.gram.entries))
+        lines.extend(lower_triangle_rows(block.gram))
     lines.append(f"multipliers {len(cert.multipliers)}")
     for mi, term in enumerate(cert.multipliers):
         lines.append(
@@ -703,13 +703,13 @@ def _read_certificate(r: LineReader) -> QMCertificate:
         count = r.field(f"block {bi} basis ", r.lines_left())
         basis = [r.exponents(r.line("basis exponents"), nvars) for _ in range(count)]
         r.literal("gram")
-        blocks.append(SOSBlock(basis, RationalSymMatrix(r.grid(count * ell, "gram"))))
+        blocks.append(SOSBlock(basis, r.sym_matrix(count * ell, "gram")))
     mults = []
     for mi in range(r.field("multipliers ")):
         toks = r.rest(f"multiplier {mi} scale ").split()
         if len(toks) != 5 or toks[1::2] != ["rows", "cols"]:
             raise ValueError("expected '(scale) rows R cols C'")
-        scale = r.coeff(toks[0])
+        scale = _make(*r._parts(toks[0]))
         rows = r.natural(toks[2], "multiplier rows", r.lines_left())
         cols = r.natural(toks[4], "multiplier cols", r.lines_left())
         if rows * cols > r.lines_left():

@@ -267,8 +267,19 @@ def _read_polya(r: LineReader) -> PolyaCertificate:
     margins = {}
     for _ in range(r.field("margins ")):
         head, _, value = r.rest("alpha ").partition(" margin ")
-        margins[r.exponents(head)] = float(value)
-    return PolyaCertificate(degree, read_expansion(r), margins)
+        alpha, margin = r.exponents(head), float(value)
+        if alpha in margins:
+            raise ValueError(f"alpha {alpha} repeated")
+        if not margin >= 0:  # NaN too; _pd_margin writes inf or 0.0 past the float range
+            raise ValueError(f"margin {value} of alpha {alpha} is not a float >= 0")
+        margins[alpha] = margin
+    expansion = read_expansion(r)
+    if degree != expansion.degree:
+        raise ValueError(f"degree {degree}, but the expansion has degree {expansion.degree}")
+    unmatched = sorted(margins.keys() ^ expansion.coeffs.keys())
+    if unmatched:
+        raise ValueError(f"alpha {unmatched[0]} has a margin or a record, not both")
+    return PolyaCertificate(degree, expansion, margins)
 
 
 def simplex_form(e: BernsteinExpansion) -> SymPolyMatrix:

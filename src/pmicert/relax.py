@@ -29,14 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, from_parts
+from .ring import ExtRational
 from .algebra import (
     PolyMatrix,
     Polynomial,
-    RationalSymMatrix,
     SymPolyMatrix,
+    _parts_matrix,
     min_eigenvalue_numeric,
     monomials_upto,
+    polynomial_from_parts,
 )
 from .certify import MultiplierTerm, QMCertificate, SOSBlock
 
@@ -387,12 +388,6 @@ def hierarchy(
     return values
 
 
-def _dyadic(x: float) -> ExtRational:
-    """The float x as the exact rational it is."""
-    num, den = x.as_integer_ratio()
-    return from_parts(num, 0, den, 0)
-
-
 def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
     """Numeric certificate for f - gamma from the solved Gram blocks.
 
@@ -403,12 +398,9 @@ def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
     N0 = len(p.basis0)
     N1 = len(p.basis1)
     X0 = _psd_project(result.X0).tolist()
-    gram = [[ZERO] * N0 for _ in range(N0)]
-    for i in range(N0):
-        row = X0[i]
-        for j in range(i, N0):
-            gram[i][j] = gram[j][i] = _dyadic(row[j])
-    block = SOSBlock(list(p.basis0), RationalSymMatrix(gram))
+    gram = _parts_matrix(N0, [(num, 0, den, 0) for i, row in enumerate(X0)
+                              for num, den in map(float.as_integer_ratio, row[i:])])
+    block = SOSBlock(list(p.basis0), gram)
     mults = []
     w, U = np.linalg.eigh(0.5 * (result.X1 + result.X1.T))
     for weight, vec in zip(w.tolist(), U.T.tolist()):
@@ -416,17 +408,14 @@ def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
             continue
         entries = []
         for a in range(p.m):
-            terms = {}
-            for u in range(N1):
-                val = vec[a * N1 + u]
-                if val != 0.0:
-                    terms[p.basis1[u]] = _dyadic(val)
-            entries.append([Polynomial(p.n, terms)])
-        mults.append(MultiplierTerm(_dyadic(weight), PolyMatrix(entries)))
+            terms = [(beta, v.as_integer_ratio()) for beta, v in zip(p.basis1, vec[a * N1:]) if v]
+            entries.append([polynomial_from_parts(p.n, [beta for beta, _ in terms],
+                                                  [(num, 0, den, 0) for _, (num, den) in terms])])
+        mults.append(MultiplierTerm(ExtRational(weight), PolyMatrix(entries)))
     return QMCertificate(p.n, 1, p.m, 2 * p.k, "numeric", [block], mults)
 
 
 def certificate_target(p: SDPProblem, gamma: float) -> SymPolyMatrix:
     """The scalar matrix [f - gamma] the extracted certificate represents."""
     f = _poly_from_rhs(p)
-    return SymPolyMatrix.scalar(f - _dyadic(gamma))
+    return SymPolyMatrix.scalar(f - ExtRational(gamma))

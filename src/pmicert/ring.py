@@ -59,12 +59,6 @@ def _folded(p: int, q: int, d: int, r: int) -> tuple:
     return p, 0, d, 0
 
 
-def from_parts(p: int, q: int, d: int, r: int) -> "ExtRational":
-    """(p + q*sqrt(r))/d in canonical form, for any d != 0 and r >= 0: a
-    perfect-square radicand folds into the rational part."""
-    return _make(*_folded(p, q, d, r))
-
-
 def sign_of(p: int, q: int, r: int) -> int:
     """Exact sign in {-1, 0, 1} of p + q*sqrt(r), r not a perfect square
     when q != 0."""
@@ -105,9 +99,8 @@ class ExtRational:
         if r < 0:
             raise ValueError("radicand must be nonnegative")
         d = math.lcm(a.denominator, b.denominator)
-        return from_parts(
-            a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d, r
-        )
+        return _make(*_folded(a.numerator * (d // a.denominator),
+                              b.numerator * (d // b.denominator), d, r))
 
     @property
     def a(self) -> Fraction:
@@ -303,16 +296,21 @@ class ExtRational:
     # -- text form --------------------------------------------------------
 
     def __str__(self):
-        p, q, d = self._p, self._q, self._d
-        g = _gcd(p, d)
-        a = f"{p // g}/{d // g}"
-        if not q:
-            return a
-        g = _gcd(q, d)
-        return f"{a}{'+' if q > 0 else '-'}{abs(q) // g}/{d // g}*sqrt({self._r})"
+        return format_parts(self._p, self._q, self._d, self._r)
 
     def __repr__(self):
         return f"ExtRational({self})"
+
+
+def format_parts(p: int, q: int, d: int, r: int) -> str:
+    """The text of (p + q*sqrt(r))/d, d > 0, that every text format writes and
+    parse_parts reads: 'a/b' or 'a/b+c/e*sqrt(r)', each fraction reduced."""
+    g = _gcd(p, d)
+    a = f"{p // g}/{d // g}"
+    if not q:
+        return a
+    g = _gcd(q, d)
+    return f"{a}{'+' if q > 0 else '-'}{abs(q) // g}/{d // g}*sqrt({r})"
 
 
 _RATIONAL = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?|([0-9]*)\.([0-9]*))")

@@ -7,20 +7,26 @@ Bernstein elevation."""
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pmicert.ring import ONE, ZERO, ExtRational, RadicandMismatch
+from pmicert.ring import (ONE, ZERO, ExtRational, RadicandMismatch, _make, format_parts,
+                          parse_parts)
 from pmicert.algebra import (
+    LineReader,
     Polynomial,
     PolyMatrix,
     RationalSymMatrix,
     SymPolyMatrix,
+    _sym_matrix,
     ldlt,
+    lower_triangle_rows,
     monomials_upto,
     multinomial,
     psd_exact,
@@ -561,8 +567,9 @@ class TestOneState:
         G, W = _witness(n, "ball")
         F = _target(n, ell, seed=n + ell)
         cert = assemble_simplex_putinar(F, G, W, 6)
-        real, calls = algebra._grid_form, []
-        monkeypatch.setattr(algebra, "_grid_form", lambda grid: calls.append(grid) or real(grid))
+        real, calls = algebra._parts_matrix, []
+        monkeypatch.setattr(algebra, "_parts_matrix",
+                            lambda n, parts: calls.append(parts) or real(n, parts))
         assert verify_certificate(F, G, cert, mode="exact").ok
         assert calls == []
         parsed = deserialize(serialize(cert))
@@ -570,3 +577,41 @@ class TestOneState:
         del calls[:]
         assert verify_certificate(F, G, parsed, mode="exact").ok
         assert calls == []
+
+
+class TestOnePrinter:
+    """The coefficient text of every exact text format is ring.format_parts:
+    an ExtRational, a Polynomial over its common denominator and a matrix
+    printed from its form give the same text, and parse_parts reads it
+    back."""
+
+    @given(data=st.data())
+    def test_printers_agree_and_round_trip(self, data):
+        r = data.draw(st.sampled_from([0, 2, 3]), "radicand")
+        n = data.draw(st.integers(1, 4), "size")
+        # numerators 2a and 3b over 6k share a factor with the denominator
+        # but not with each other; a or b 0 gives zeros
+        den = 6 * data.draw(st.integers(1, 10), "k")
+        small = st.integers(-12, 12)
+        upper = [[(data.draw(st.sampled_from([1, 2, 3])) * data.draw(small),
+                   data.draw(st.sampled_from([1, 2, 3])) * data.draw(small) if r else 0)
+                  for _ in range(i, n)] for i in range(n)]
+        M = _sym_matrix([[p for p, _ in row] for row in upper],
+                        [[q for _, q in row] for row in upper], r, den)
+        ps, qs, mr, L = M._f
+        texts = [[format_parts(p, q, L, mr) for p, q in zip(prow, qrow)]
+                 for prow, qrow in zip(ps, qs)]
+        values = [_make(p, q, den, r) for row in upper for p, q in row]
+        flat = [t for row in texts for t in row]
+        for value, text in zip(values, flat):
+            assert str(value) == text
+            assert _make(*parse_parts(text)) == value
+            assert all(math.gcd(int(a), int(b)) == 1 for a, b in re.findall(r"(\d+)/(\d+)", text))
+        assert [str(v) for i, row in enumerate(M.entries) for v in row[i:]] == flat
+        poly = Polynomial(1, {(k,): v for k, v in enumerate(values)})
+        terms = [f"({t}) * x1^{k}" for k, t in enumerate(flat) if values[k]]
+        assert poly.to_text() == (" + ".join(reversed(terms)) or "(0/1) * x1^0")
+        rows = lower_triangle_rows(M)
+        assert rows == [" ".join(f"({texts[j][i - j]})" for j in range(i + 1))
+                        for i in range(n)]
+        assert LineReader("\n".join(rows)).sym_matrix(n, "matrix") == M

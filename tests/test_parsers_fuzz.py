@@ -9,14 +9,16 @@ escape.  Each unmutated text must round-trip parse -> serialize byte for byte.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmicert.algebra import Polynomial, SymPolyMatrix
+from pmicert.algebra import Polynomial, RationalSymMatrix, SymPolyMatrix
 from pmicert.bernstein import ExpansionParseError, parse_expansion, serialize_expansion, to_bernstein
-from pmicert.certify import CertificateParseError, ball_constraint, deserialize, serialize
+from pmicert.certify import (CertificateParseError, QMCertificate, SOSBlock, ball_constraint,
+                             deserialize, serialize)
 from pmicert.polya import parse_polya, serialize_polya
 from pmicert.problemio import ProblemFormatError, dump_problem, parse_problem
 from pmicert.relax import build_relaxation
@@ -33,6 +35,15 @@ def _expansion_text() -> str:
     return serialize_expansion(to_bernstein(F, 2))
 
 
+def _sqrt2_gram_text() -> str:
+    """A .qmc whose SOS Gram lies in Q(sqrt 2): the golden certificates'
+    Grams are rational."""
+    s = ExtRational.sqrt(2)
+    gram = RationalSymMatrix([[s + 3, s / 4, ExtRational(0)], [s / 4, ExtRational(2), -s / 6],
+                              [ExtRational(0), -s / 6, ExtRational(Fraction(5, 3))]])
+    return serialize(QMCertificate(1, 1, 1, 4, "exact", [SOSBlock([(0,), (1,), (2,)], gram)]))
+
+
 def _sdpa_text() -> str:
     return export_sdpa(build_relaxation(Polynomial.variable(1, 0), ball_constraint(1), 2))
 
@@ -41,6 +52,9 @@ def _sdpa_text() -> str:
 CASES = {
     "qmc": ((ROOT / "tests/golden/matrix_target.qmc").read_text(), deserialize, serialize,
             CertificateParseError),
+    "qmc-simplex": ((ROOT / "tests/golden/simplex_n2.qmc").read_text(), deserialize, serialize,
+                    CertificateParseError),
+    "qmc-sqrt2-gram": (_sqrt2_gram_text(), deserialize, serialize, CertificateParseError),
     "polya": ((ROOT / "tests/golden/matrix_target.polya").read_text(), parse_polya,
               serialize_polya, ExpansionParseError),
     "bexp": (_expansion_text(), parse_expansion, serialize_expansion, ExpansionParseError),

@@ -229,10 +229,22 @@ class TestPolyaSerialization:
             (lambda lines: lines[:4] + ["alpha 0 margin x"] + lines[5:], 5),
             (lambda lines: lines[:4] + ["alpha z margin 1.0"] + lines[5:], 5),
             (lambda lines: lines[:4] + [""] + lines[5:], 5),
+            # margins that do not match the expansion: at their own line, or
+            # at the expansion's end, where the check runs
+            (lambda lines: lines[:3] + ["margins 2", lines[4], "alpha 0 margin 2.0"] + lines[5:],
+             6),
+            (lambda lines: lines[:4] + ["alpha 0 margin nan"] + lines[5:], 5),
+            (lambda lines: lines[:4] + ["alpha 0 margin -1.0"] + lines[5:], 5),
+            (lambda lines: lines[:4] + ["alpha 0 margin -inf"] + lines[5:], 5),
+            (lambda lines: lines[:1] + ["degree 7"] + lines[2:], 14),
+            (lambda lines: lines[:4] + ["alpha 0 0 0 9 margin 1.0"] + lines[5:], 14),
+            (lambda lines: lines[:3] + ["margins 0"] + lines[5:], 13),
         ],
         ids=["header-only", "no-margins", "degree-not-int", "negative-count", "count-not-int",
              "missing-records", "margin-without-value", "margin-not-float", "alpha-not-int",
-             "empty-record"],
+             "empty-record", "repeated-alpha", "nan-margin", "negative-margin",
+             "minus-inf-margin", "degree-mismatch", "alpha-outside-index-set",
+             "alpha-without-margin"],
     )
     def test_rejects_malformed_header_with_line(self, edit, line):
         from pmicert.bernstein import ExpansionParseError
@@ -242,6 +254,16 @@ class TestPolyaSerialization:
         assert lines[3:5] == ["margins 1", "alpha 0 margin 1.0"]
         with pytest.raises(ExpansionParseError, match=f"^line {line}: "):
             parse_polya("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize("margin", ["inf", "0.0"])
+    def test_keeps_margins_past_the_float_range(self, margin):
+        # _pd_margin writes inf for a minor above the float range and 0.0 for
+        # one below it
+        from pmicert.polya import parse_polya, serialize_polya
+
+        text = serialize_polya(polya_certificate(SymPolyMatrix.identity(2, 1), 3))
+        text = text.replace("alpha 0 margin 1.0", f"alpha 0 margin {margin}")
+        assert parse_polya(text).pd_margins == {(0,): float(margin)}
 
     @pytest.mark.parametrize("coeff", ["1/0", "1e999999999", "1_000", "1/2*sqrt(-2)"])
     def test_bad_matrix_entry_names_its_line(self, coeff):

@@ -1,5 +1,5 @@
 """A certificate reader parses each distinct polynomial line and coefficient
-token once, and the reconstruction folds each distinct multiplier vector
+text once, and the reconstruction folds each distinct multiplier vector
 once; both must give exactly what the line-by-line, term-by-term reading
 gives."""
 
@@ -17,10 +17,12 @@ from pmicert.algebra import (
     LineReader,
     PolyMatrix,
     Polynomial,
+    RationalSymMatrix,
     SymPolyMatrix,
     congruence,
     parse_polynomial,
 )
+import pmicert.algebra as algebra
 import pmicert.certify as certify
 from pmicert.certify import (
     CertificateParseError,
@@ -40,12 +42,29 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class _OracleReader(LineReader):
-    """The reader without a memo: every line and token parsed where it is read."""
+    """The reader without a memo: every line and token parsed where it is
+    read, and every matrix built by the public constructor from values."""
 
-    def coeff(self, token):
+    @staticmethod
+    def _value(token):
         if not (token.startswith("(") and token.endswith(")")):
             raise ValueError(f"malformed coefficient {token!r}")
         return parse_ext_rational(token[1:-1])
+
+    def _parts(self, token):
+        return self._value(token).parts()
+
+    def sym_matrix(self, dim, what):
+        if dim > self.lines_left():
+            raise ValueError(f"{what} size {dim} is too large for the rest of the file")
+        rows = []
+        for r in range(dim):
+            toks = self.line(f"{what} row").split()
+            if len(toks) != r + 1:
+                raise ValueError(f"{what} row {r} has {len(toks)} entries, expected {r + 1}")
+            rows.append([self._value(tok) for tok in toks])
+        return RationalSymMatrix([rows[i] + [rows[j][i] for j in range(i + 1, dim)]
+                                  for i in range(dim)])
 
     def polynomial(self, nvars):
         line = self.line("a polynomial")
@@ -148,19 +167,27 @@ def _text(nvars, mults, blocks=""):
 
 
 class TestLineMemo:
-    def test_repeated_lines_and_tokens_are_one_object(self):
+    def test_repeated_lines_and_coefficient_texts_are_parsed_once(self, monkeypatch):
         line = "(1/2) * x1^2*x2^0 + (-1/3) * x1^0*x2^1"
         blocks = "sos-blocks 1\nblock 0 basis 2\n0 0\n1 0\ngram\n(0/1)\n(0/1) (0/1)"
         text = _text(2, [("(1/2)", line), ("(1/2)", line), ("(0/1)", "(1/1) * x1^0*x2^0"),
                          ("(1/2)", line)], blocks)
-        cert = deserialize(text)
+        parsed, real = [], algebra.parse_parts
+        monkeypatch.setattr(algebra, "parse_parts", lambda t: parsed.append(t) or real(t))
+        r = LineReader(text)
+        cert = r.parse(_read_certificate, CertificateParseError)
+        # one memo entry per distinct line, one per distinct coefficient text,
+        # and each text parsed once: the Gram tokens, the scales and the
+        # coefficients of the polynomial lines share one memo
+        assert sorted(parsed) == sorted(r.coefficients) == ["-1/3", "0/1", "1/1", "1/2"]
+        assert len(r.memo) == 2
         _assert_same_certificate(cert, _oracle_parse(text))
         polys = [t.matrix[0, 0] for t in cert.multipliers]
         assert polys[0] is polys[1] is polys[3] and polys[2] is not polys[0]
+        assert r.coefficients["1/2"] == (1, 0, 2, 0)
         scales = [t.scale for t in cert.multipliers]
-        assert scales[0] is scales[1] is scales[3]
-        gram = cert.sos_blocks[0].gram.entries
-        assert gram[0][0] is gram[1][0] is gram[1][1] is scales[2]
+        assert scales[0] == scales[1] == scales[3] == ExtRational(Fraction(1, 2))
+        assert cert.sos_blocks[0].gram._f == (((0, 0), (0,)), ((0, 0), (0,)), 0, 1)
 
     def test_memo_keeps_one_entry_per_distinct_line(self):
         r = LineReader("(1/1) * x1^2\n" * 10_000)
@@ -174,7 +201,8 @@ class TestLineMemo:
                        "sphere-multiplier none\nend\n")
         cert = r.parse(_read_certificate, CertificateParseError)
         assert len(cert.multipliers) == 5_000
-        assert len(r.memo) == 2  # the line and the scale token
+        assert len(r.memo) == 1  # the line
+        assert len(r.coefficients) == 1  # the scale and the line's coefficient
 
     def test_key_holds_nvars(self):
         r = LineReader("(1/1) * x1^1*x2^1\n(1/1) * x1^1*x2^1\n")

@@ -1,6 +1,6 @@
 """Iterations, process CPU time, exit and output digests of `pmicert relax
---json` per instance, and the in-process CPU time of the solver, for one or
-more source trees of the program.
+--json` per instance, and the in-process CPU time of the solver and of the
+certificate extraction, for one or more source trees of the program.
 
     git archive <commit> | tar -x -C /tmp/parent
     python3 tools/bench_relax.py --variant parent=/tmp/parent/src \\
@@ -22,7 +22,9 @@ qmc_as_<first variant> and sdpa_as_<first variant>.  A second fresh process
 per instance and variant builds the relaxation and times --repeats calls of
 solve_sdp on it after one untimed call: solve_s is their median process CPU
 time and eval_us that median over the evaluation count, so start-up and
-parsing drop out.  An instance whose gamma or iteration count differs
+parsing drop out.  extract_s is the median process CPU time of --repeats
+calls of extract_certificate on the solved result (None when the solver
+reports the relaxation infeasible).  An instance whose gamma or iteration count differs
 between variants is listed under "differs" in the summary.
 """
 
@@ -47,16 +49,24 @@ from refmath import write_problem
 SOLVE_TIMER = """
 import json, statistics, sys, time
 from pmicert.problemio import load_problem
-from pmicert.relax import build_relaxation, solve_sdp
+from pmicert.relax import RelaxResult, build_relaxation, extract_certificate, solve_sdp
 prob = load_problem(sys.argv[1])
 p = build_relaxation(prob.F[0, 0], prob.G, int(sys.argv[2]))
 result = solve_sdp(p)
-times = []
-for _ in range(int(sys.argv[3])):
-    start = time.process_time()
-    solve_sdp(p)
-    times.append(time.process_time() - start)
-print(json.dumps({"solve_s": statistics.median(times), "evaluations": result.iterations}))
+
+def median_cpu(call):
+    times = []
+    for _ in range(int(sys.argv[3])):
+        start = time.process_time()
+        call()
+        times.append(time.process_time() - start)
+    return statistics.median(times)
+
+solve_s = median_cpu(lambda: solve_sdp(p))
+extract_s = (median_cpu(lambda: extract_certificate(result, p))
+             if isinstance(result, RelaxResult) else None)
+print(json.dumps({"solve_s": solve_s, "extract_s": extract_s,
+                  "evaluations": result.iterations}))
 """
 
 DEGENERATE_BOXES = [("box-opt-9", [4, -3], [-8, -2]), ("box-opt-2.25", [1, 2], [1, 4])]
@@ -85,14 +95,16 @@ def instances(seed: int, workdir: str):
 
 
 def solve_time(src: str, path: str, k: int, repeats: int) -> dict:
-    """Median in-process CPU seconds of solve_sdp, and per evaluation in µs;
-    None for both when the solver raises."""
+    """Median in-process CPU seconds of solve_sdp, and per evaluation in µs,
+    and of extract_certificate; None for all when the solver raises."""
     proc = harness.run_python(src, ["-c", SOLVE_TIMER, path, str(k), str(repeats)])
     if proc.returncode != 0:
-        return {"solve_s": None, "eval_us": None}
+        return {"solve_s": None, "eval_us": None, "extract_s": None}
     timed = json.loads(proc.stdout)
+    extract = timed["extract_s"]
     return {"solve_s": round(timed["solve_s"], 6),
-            "eval_us": round(timed["solve_s"] / timed["evaluations"] * 1e6, 2)}
+            "eval_us": round(timed["solve_s"] / timed["evaluations"] * 1e6, 2),
+            "extract_s": None if extract is None else round(extract, 7)}
 
 
 def digest(path: str) -> str | None:
@@ -126,7 +138,8 @@ def run(src: str, path: str, k: int) -> dict:
 def main() -> int:
     ap = harness.parser(__doc__.split("\n\n")[0], "BENCH_relax.json")
     ap.add_argument("--repeats", type=int, default=21,
-                    help="timed solve_sdp calls per instance and variant")
+                    help="timed solve_sdp and extract_certificate calls per instance and "
+                         "variant")
     args = ap.parse_args()
     variants = harness.variants(args)
     records = []
@@ -149,6 +162,7 @@ def main() -> int:
             "iterations_median": statistics.median(its) if its else None,
             "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 3),
             "solve_s_total": round(sum(r[label]["solve_s"] or 0.0 for r in records), 4),
+            "extract_s_total": round(sum(r[label]["extract_s"] or 0.0 for r in records), 5),
             **{f"{kind}_as_{first}": sum(r[label][f"{kind}_sha256"] == r[first][f"{kind}_sha256"]
                                          for r in records if r[first][f"{kind}_sha256"])
                for kind in ("qmc", "sdpa")},
