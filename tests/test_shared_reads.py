@@ -167,7 +167,7 @@ def _text(nvars, mults, blocks=""):
 
 
 class TestLineMemo:
-    def test_repeated_lines_and_coefficient_texts_are_parsed_once(self, monkeypatch):
+    def test_repeated_lines_and_tokens_are_one_object(self, monkeypatch):
         line = "(1/2) * x1^2*x2^0 + (-1/3) * x1^0*x2^1"
         blocks = "sos-blocks 1\nblock 0 basis 2\n0 0\n1 0\ngram\n(0/1)\n(0/1) (0/1)"
         text = _text(2, [("(1/2)", line), ("(1/2)", line), ("(0/1)", "(1/1) * x1^0*x2^0"),
