@@ -40,9 +40,9 @@ from the integers (p, q, d, r) of the upper triangle for the constructor
 float Grams; degree elevation and certify's sums (_summed: the Gram blocks
 and the N_q) make forms directly.  The elimination behind ldlt and
 psd_exact, certify's Kronecker operand (_entry_form) and Gram collapse, and
-the printer lower_triangle_rows read them.  The grid entries is a view, as
-Polynomial.terms is: the grid given, or made on first read.  Two irrational
-radicands in one grid raise RadicandMismatch, naming the two least.
+the printer lower_triangle_rows read them.  The form is the only state:
+M[i, j], the grid entries and each float of to_numpy are made from it on each
+read.  Two irrational radicands raise RadicandMismatch, naming the two least.
 """
 
 from __future__ import annotations
@@ -1051,9 +1051,9 @@ def congruence(P: PolyMatrix, G: SymPolyMatrix) -> SymPolyMatrix:
 
 class RationalSymMatrix:
     """A symmetric constant matrix over the coefficient ring, held as its
-    integer form _f (module docstring); entries is the ExtRational view."""
+    integer form _f alone (module docstring)."""
 
-    __slots__ = ("size", "_f", "_entries")
+    __slots__ = ("size", "_f")
 
     def __new__(cls, entries):
         grid = [[ExtRational.coerce(v) for v in row] for row in entries]
@@ -1064,9 +1064,7 @@ class RationalSymMatrix:
             for j in range(i + 1, len(grid)):
                 if row[j] != grid[j][i]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        M = _parts_matrix(len(grid), [v.parts() for i, row in enumerate(grid) for v in row[i:]])
-        object.__setattr__(M, "_entries", grid)
-        return M
+        return _parts_matrix(len(grid), [v.parts() for i, row in enumerate(grid) for v in row[i:]])
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSymMatrix is immutable")
@@ -1077,18 +1075,13 @@ class RationalSymMatrix:
 
     @property
     def entries(self) -> list:
-        if self._entries is None:
-            ps, qs, r, L = self._f
-            grid = [[None] * self.size for _ in ps]
-            for i, prow, qrow in zip(range(self.size), ps, qs):
-                for j, p, q in zip(range(i, self.size), prow, qrow):
-                    grid[i][j] = grid[j][i] = _make(p, q, L, r)
-            object.__setattr__(self, "_entries", grid)
-        return self._entries
+        return [[self[i, j] for j in range(self.size)] for i in range(self.size)]
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+        # indices count as a list's: from the end when negative
+        i, j = sorted(range(self.size)[k] for k in ij)
+        ps, qs, r, L = self._f
+        return _make(ps[i][j - i], qs[i][j - i], L, r)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSymMatrix):
@@ -1099,7 +1092,14 @@ class RationalSymMatrix:
         return hash(self._f)
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries])
+        """float() of each entry (p + q sqrt(r))/L: p/L + q/L sqrt(r) rounds
+        as over the reduced denominator.  Past the float range: OverflowError."""
+        ps, qs, r, L = self._f
+        root = math.sqrt(r)
+        arr = np.empty((self.size, self.size))
+        for i, prow, qrow in zip(range(self.size), ps, qs):
+            arr[i, i:] = arr[i:, i] = [p / L + q / L * root for p, q in zip(prow, qrow)]
+        return arr
 
     def determinant(self) -> ExtRational:
         """Exact determinant by Gaussian elimination in Q[sqrt(r)]."""
@@ -1158,7 +1158,7 @@ def _sym_matrix(ps: list, qs: list, r: int, L: int) -> RationalSymMatrix:
         qs = [[q // g for q in row] for row in qs]
     form = (tuple(map(tuple, ps)), tuple(map(tuple, qs)), r if any(map(any, qs)) else 0, L // g)
     M = _new(RationalSymMatrix)
-    for name, value in (("size", len(ps)), ("_f", form), ("_entries", None)):
+    for name, value in (("size", len(ps)), ("_f", form)):
         object.__setattr__(M, name, value)
     return M
 
@@ -1314,14 +1314,14 @@ def min_eigenvalue_numeric(M, tol: float = 1e-12):
 
 
 def _scaled_min_eigenvalue(M: RationalSymMatrix) -> float:
-    """min_eigenvalue_numeric of M / 2^s, times 2^s, with 2^s putting the
-    largest entry bound near 2^1000: (p + q sqrt(r))/d is below
-    2^(bits p - bits d + 1) + 2^(bits q + bits r / 2 - bits d + 1)."""
-    parts = [v.parts() for row in M.entries for v in row]
-    s = max(max(abs(p).bit_length(), abs(q).bit_length() + (r.bit_length() + 1) // 2)
-            - d.bit_length() for p, q, d, r in parts) - 1000
-    arr = np.array([p / (d << s) + q / (d << s) * math.sqrt(r) for p, q, d, r in parts])
-    low = min_eigenvalue_numeric(arr.reshape(M.size, M.size))
+    """min_eigenvalue_numeric of M / 2^s, the form over 2^s L, times 2^s,
+    with 2^s putting the largest entry bound near 2^1000: (p + q sqrt(r))/L
+    is below 2^(bits p - bits L + 1) + 2^(bits q + bits r / 2 - bits L + 1)."""
+    ps, qs, r, L = M._f
+    bound = max(max(map(abs, chain(*ps))).bit_length(),
+                max(map(abs, chain(*qs))).bit_length() + (r.bit_length() + 1) // 2)
+    s = bound - L.bit_length() - 1000
+    low = min_eigenvalue_numeric(_sym_matrix(ps, qs, r, L << s).to_numpy())
     try:
         return math.ldexp(low, s)
     except OverflowError:

@@ -156,19 +156,21 @@ def to_bernstein(F: SymPolyMatrix, t: int) -> BernsteinExpansion:
 
 def from_bernstein(e: BernsteinExpansion) -> SymPolyMatrix:
     """Exact reconstruction sum_alpha coeffs[alpha] * B_alpha."""
-    ell = e.ell
-    grid = [[Polynomial.zero(e.nvars) for _ in range(ell)] for _ in range(ell)]
+    return _basis_sum(e, e.nvars, lambda alpha: basis_poly(alpha, e.degree, e.nvars))
+
+
+def _basis_sum(e: BernsteinExpansion, nvars: int, basis) -> SymPolyMatrix:
+    """sum_alpha basis(alpha) * coeffs[alpha], basis(alpha) a polynomial in
+    nvars variables."""
+    upper = {}
     for alpha, mat in e.items():
-        b = basis_poly(alpha, e.degree, e.nvars)
-        for i in range(ell):
-            for j in range(i, ell):
-                if mat[i, j].is_zero():
-                    continue
-                term = b * mat[i, j]
-                grid[i][j] = grid[i][j] + term
-                if i != j:
-                    grid[j][i] = grid[j][i] + term
-    return SymPolyMatrix(grid)
+        b = basis(alpha)
+        for i in range(e.ell):
+            for j in range(i, e.ell):
+                c = mat[i, j]
+                if not c.is_zero():
+                    upper[i, j] = upper.get((i, j), Polynomial.zero(nvars)) + b * c
+    return SymPolyMatrix.from_upper(e.ell, upper, nvars)
 
 
 def elevate(e: BernsteinExpansion, target: int) -> BernsteinExpansion:
@@ -219,8 +221,7 @@ def bernstein_norm(F: SymPolyMatrix, t: int | None = None) -> float:
     """Max spectral norm of the degree-t coefficient matrices (default t = deg F)."""
     if t is None:
         t = max(F.degree, 0)
-    e = to_bernstein(F, t)
-    return max(_spectral_norm(m.to_numpy()) for m in e.coeffs.values())
+    return norm_of_expansion(to_bernstein(F, t))
 
 
 def norm_of_expansion(e: BernsteinExpansion) -> float:

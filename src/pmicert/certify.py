@@ -578,7 +578,10 @@ def verify_certificate(
     margins >= -tol.  Failed checks are reported, never raised.
     A residual whose conversion is past the norm budget (NORM_BUDGET_FLOOR)
     gets the norm inf uncomputed: numeric mode then fails naming its degree.
+    A tol not finite and >= 0 raises ValueError; 0 is a strict numeric check.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     messages = []
     if F.size != cert.ell:
         messages.append(f"target size {F.size} != certificate size {cert.ell}")

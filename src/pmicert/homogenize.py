@@ -129,6 +129,8 @@ def estimate_homogenized_min(
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
+    if refine_iters < 0:
+        raise ValueError("refine_iters must be at least 0")
     dim = prob.n + 1
     count = min(grid * grid, 20000) if dim <= 3 else min(grid**2, 8192)
     pts = _sphere_samples(dim, count)

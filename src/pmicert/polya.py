@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ring import ExtRational, _make
+from .ring import ExtRational
 from .algebra import (
     LineReader,
     Polynomial,
@@ -31,6 +31,7 @@ from .algebra import (
 from .bernstein import (
     BernsteinExpansion,
     ExpansionParseError,
+    _basis_sum,
     elevate,
     lattice_resolution_for,
     norm_of_expansion,
@@ -92,9 +93,9 @@ def _pd_margin(mat: RationalSymMatrix) -> float | None:
     its smallest leading principal minor as a float.
 
     The fraction-free elimination of L mat (algebra._eliminate) has the
-    k-th leading principal minor of L mat as its k-th pivot B_k, so the
-    k-th minor of mat is B_k / L^k, exact before rounding.  A minor past the
-    float range is positive, so its float is inf.
+    k-th leading principal minor of L mat as its k-th pivot B_k = p + q
+    sqrt(r); the k-th minor of mat is B_k / L^k, whose float() is p/L^k +
+    q/L^k sqrt(r).  A minor past the float range is positive: its float is inf.
     """
     try:
         L, r, steps = _eliminate(mat)
@@ -102,11 +103,11 @@ def _pd_margin(mat: RationalSymMatrix) -> float | None:
         return None
     if len(steps) < mat.size:
         return None
-    margin, scale = math.inf, 1
+    margin, scale, root = math.inf, 1, math.sqrt(r)
     for _, ps, qs in steps:
         scale *= L
         try:
-            margin = min(margin, float(_make(ps[0], qs[0], scale, r)))
+            margin = min(margin, ps[0] / scale + qs[0] / scale * root)
         except OverflowError:
             pass
     return margin
@@ -286,16 +287,7 @@ def simplex_form(e: BernsteinExpansion) -> SymPolyMatrix:
     """Homogeneous matrix on the standard simplex whose scaled-basis
     coefficients are the Bernstein coefficients of e (the substitution link
     between the two bases)."""
-    n, t, ell = e.nvars, e.degree, e.ell
-    grid = [[Polynomial.zero(n + 1) for _ in range(ell)] for _ in range(ell)]
-    for alpha, mat in e.items():
-        mono = alpha + (t - sum(alpha),)
-        mult = multinomial(t, mono)
-        for i in range(ell):
-            for j in range(ell):
-                if mat[i, j].is_zero():
-                    continue
-                grid[i][j] = grid[i][j] + Polynomial(
-                    n + 1, {mono: mat[i, j] * mult}
-                )
-    return SymPolyMatrix(grid)
+    def scaled_monomial(alpha):
+        mono = alpha + (e.degree - sum(alpha),)
+        return Polynomial(e.nvars + 1, {mono: multinomial(e.degree, mono)})
+    return _basis_sum(e, e.nvars + 1, scaled_monomial)

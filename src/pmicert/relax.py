@@ -269,6 +269,8 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     with per-block projections into fresh arrays, so the iterates and the
     evaluation count are bit-identical to that form.
     """
+    if not (math.isfinite(tol) and tol > 0 and max_iter >= 1):
+        raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
     if sum(p.block_sizes) > MAX_TOTAL_BLOCK_SIZE:
         raise ValueError(
             f"total block size {sum(p.block_sizes)} exceeds {MAX_TOTAL_BLOCK_SIZE}"

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -511,7 +512,6 @@ class TestOneState:
         e = to_bernstein(random_sym_matrix(rng, ell, n, degree), degree)
         got, expected = elevate(e, degree + 2), oracle_elevate(e, degree + 2)
         for alpha, M in got.items():
-            assert M._entries is None  # elevation makes no ExtRational grid
             assert _same(M, expected[alpha])
             assert {expected[alpha]: alpha}[M] == alpha
 
@@ -528,7 +528,7 @@ class TestOneState:
         # the facet Grams are factored first, the N_q last
         sums = seen[-len(expected):]
         for N, M in zip(sums, expected):
-            assert N._entries is None and _same(N, M)
+            assert _same(N, M)
         assert set(sums) == set(expected)
 
     @pytest.mark.parametrize("grid", [[[1, 2]], [[1, 2], [2]], [[1, 2], [3, 4]],
@@ -554,9 +554,7 @@ class TestOneState:
         x = Polynomial.variable(1, 0)
         block = gram_from_squares([(ExtRational(Fraction(1, 3)), [x + 1]),
                                    (ExtRational.sqrt(2), [x * x - x])], 1, 1)
-        assert block.gram._entries is None  # a sum makes no ExtRational grid
         assert block.gram.entries[0][1] == ExtRational(Fraction(1, 3))
-        assert block.gram._entries is not None
 
     @pytest.mark.parametrize("n, ell", [(1, 2), (2, 2)])
     def test_verification_converts_no_gram(self, n, ell, monkeypatch):
@@ -577,6 +575,82 @@ class TestOneState:
         del calls[:]
         assert verify_certificate(F, G, parsed, mode="exact").ok
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# one float reader: to_numpy and M[i, j] read the form, whatever route made it
+
+
+def _wide(rng, surd):
+    """A value over Q (surd 0) or Q(sqrt surd) whose numerator or
+    denominator may be past 2^53, its sqrt part zero, negative or positive."""
+    def part():
+        big = rng.choice([1, 2**53 + 1, 3**40, 10**30])
+        return Fraction(rng.randint(-9, 9) * rng.choice([1, big]),
+                        rng.randint(1, 9) * rng.choice([1, big + 2]))
+    q = part() if surd and rng.random() < 0.7 else 0
+    return ExtRational(part(), q, surd) if q else ExtRational(part())
+
+
+def _wide_grid(rng, n, surd):
+    upper = [[_wide(rng, surd) for _ in range(n)] for _ in range(n)]
+    return [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _routes(rng, n, surd):
+    """(route, matrix) of each route that makes a RationalSymMatrix."""
+    from pmicert.algebra import _summed
+
+    made = RationalSymMatrix(_wide_grid(rng, n, surd))
+    yield "constructor", made
+    yield "reader", LineReader("\n".join(lower_triangle_rows(made))).sym_matrix(n, "matrix")
+    D = rng.choice([7, 2**60 + 3])
+    acc = {i * n + j: [rng.randint(-2**70, 2**70), rng.choice([0, -1, 1]) * rng.randint(1, 2**60),
+                       surd] for i in range(n) for j in range(i, n) if rng.random() < 0.8}
+    if surd:
+        yield "summed", _summed(n, acc, D, False)
+    yield "summed-rational", _summed(n, {key: value[0] for key, value in acc.items()}, D, True)
+    other = RationalSymMatrix(_wide_grid(rng, n, surd))
+    e = BernsteinExpansion(1, 1, n, {(0,): made, (1,): other})
+    for alpha, M in elevate(e, 3).items():
+        yield f"elevate{alpha}", M
+
+
+def _floats_of_values(M):
+    n = M.size
+    return np.array([[float(M[i, j]) for j in range(n)] for i in range(n)])
+
+
+class TestOneFloatReader:
+    @pytest.mark.parametrize("surd", [0, 2, 3])
+    def test_floats_and_indices_from_every_route(self, surd):
+        rng = random.Random(11 + surd)
+        for n in (1, 2, 3, 5):
+            for route, M in _routes(rng, n, surd):
+                # bit for bit, signed zeros included
+                assert M.to_numpy().tobytes() == _floats_of_values(M).tobytes(), (route, n)
+                grid = M.entries
+                for i in range(n):
+                    for j in range(n):
+                        assert M[i, j] == M[j, i] == grid[i][j]
+                        assert M[i - n, j] == M[i, j - n] == M[i - n, j - n] == M[i, j]
+                for bad in [(n, 0), (0, n), (-n - 1, 0), (0, -n - 1)]:
+                    with pytest.raises(IndexError):
+                        M[bad]
+
+    def test_relax_certificate_gram(self):
+        # the Gram of extract_certificate comes from each float's exact ratio:
+        # denominators past 2^53 from small entries, and those of the solver
+        from dataclasses import replace
+        from pmicert.relax import build_relaxation, extract_certificate, solve_sdp
+
+        p = build_relaxation(Polynomial.variable(1, 0), ball_constraint(1), 2)
+        result = solve_sdp(p)
+        crafted = np.array([[3e20, -1e-30, 0.1], [-1e-30, 2.5, -7e-17], [0.1, -7e-17, 1e-300]])
+        for X0 in (result.X0, crafted):
+            gram = extract_certificate(replace(result, X0=X0), p).sos_blocks[0].gram
+            assert gram.to_numpy().tobytes() == _floats_of_values(gram).tobytes()
+            assert max(gram[i, j].parts()[2] for i in range(3) for j in range(3)) > 2**53
 
 
 class TestOnePrinter:

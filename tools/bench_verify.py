@@ -16,7 +16,10 @@ tree and numpy's BLAS held to one thread (tools/harness.py).  The child
 loads the problem and the certificate, shifts F by gamma as `pmicert verify
 --gamma` does, calls `verify_certificate` once untimed and then --repeats
 times; cpu_s is the median of those calls' process CPU times (parsing and
-imports excluded).  deserialize_s is the median CPU time of --repeats
+imports excluded).  Those calls reuse whatever the certificate kept from
+the first call; first_s is the median CPU time of --repeats calls that
+each verify a certificate freshly deserialized from the text, the cost
+`pmicert verify` pays.  deserialize_s is the median CPU time of --repeats
 `deserialize` calls on the certificate's text (the file read once, before).
 Each record also gives the certificate's size in bytes, its multiplier
 term count, the SOS Gram size, whether it verified, and the sha256 of the
@@ -57,6 +60,12 @@ g = parse_ext_rational(gamma)
 F = SymPolyMatrix([[prob.F[i, j] - g if i == j else prob.F[i, j] for j in range(prob.ell)]
                    for i in range(prob.ell)])
 report = verify_certificate(F, prob.G, cert, mode=mode, tol=float(tol))
+first_times = []
+for _ in range(int(repeats)):
+    fresh = deserialize(text)
+    start = time.process_time()
+    verify_certificate(F, prob.G, fresh, mode=mode, tol=float(tol))
+    first_times.append(time.process_time() - start)
 times = []
 for _ in range(int(repeats)):
     start = time.process_time()
@@ -64,7 +73,7 @@ for _ in range(int(repeats)):
     times.append(time.process_time() - start)
 digest = json.dumps([report.ok, report.messages, repr(report.residual_norm),
                      [repr(m) for m in report.gram_margins]])
-print(json.dumps({"cpu_s": statistics.median(times),
+print(json.dumps({"cpu_s": statistics.median(times), "first_s": statistics.median(first_times),
                   "report_sha256": hashlib.sha256(digest.encode()).hexdigest(),
                   "deserialize_s": statistics.median(parse_times), "ok": report.ok,
                   "qmc_bytes": len(text.encode()),
@@ -105,8 +114,8 @@ def run(src: str, workdir: str, problem: str, cert: str, mode: str, gamma: str,
     if proc.returncode != 0:
         raise SystemExit(f"verify of {cert} exited {proc.returncode}: {proc.stderr}")
     rec = json.loads(proc.stdout)
-    rec["cpu_s"] = round(rec["cpu_s"], 6)
-    rec["deserialize_s"] = round(rec["deserialize_s"], 6)
+    for key in ("cpu_s", "first_s", "deserialize_s"):
+        rec[key] = round(rec[key], 6)
     return rec
 
 
@@ -137,12 +146,15 @@ def main() -> int:
             r[label]["report_sha256"] == r[first]["report_sha256"] for r in records)
         for workload in ("certify", "verify"):
             times = [r[label]["cpu_s"] for r in records if r["workload"] == workload]
+            fresh = [r[label]["first_s"] for r in records if r["workload"] == workload]
             parse = [r[label]["deserialize_s"] for r in records if r["workload"] == workload]
             summary.setdefault(label, {})[workload] = {
                 "certificates": len(times),
                 "ok": sum(r[label]["ok"] for r in records if r["workload"] == workload),
                 "cpu_s_total": round(sum(times), 4),
                 "cpu_s_median": round(statistics.median(times), 6),
+                "first_s_total": round(sum(fresh), 4),
+                "first_s_median": round(statistics.median(fresh), 6),
                 "deserialize_s_total": round(sum(parse), 4),
                 "deserialize_s_median": round(statistics.median(parse), 6),
                 "multiplier_terms_total": sum(r[label]["multiplier_terms"] for r in records
