@@ -10,11 +10,11 @@ sum of its factors'.  The field width w is the least 8 2^j with
 d < 2^(w-1) for the polynomial's degree d (_width): the exponents of a
 product of two polynomials of one width stay below 2^w, so no field carries
 into the next.  A result whose degree needs another width is repacked, so
-equal polynomials have equal packings.  ExtRational coefficients are built
-only where a coefficient is read: the terms view {exponent tuple:
-ExtRational}, made on first use and kept with the polynomial, and through
-it coeff, evaluate and evaluate_float.  Printing reads the integers, and
-every coefficient text is ring.format_parts.
+equal polynomials have equal packings.  The form is the only state: the
+terms view {exponent tuple: ExtRational}, and through it coeff and
+evaluate, is made from it on each read; evaluate_float, printing (through
+ring.format_parts) and the public constructor (through
+polynomial_from_parts) read the integers.
 
 Every exact sum is one accumulator, _accumulate, keyed by packed monomials
 over one common denominator, the lcm of those of its items: a sum of
@@ -107,28 +107,20 @@ _ZERO_FORM = ((), (), None, None, 1)
 
 
 class Polynomial:
-    # nvars, the field width _w and the integer form _f are the state;
-    # _terms is the ExtRational view, filled on first use
-    __slots__ = ("nvars", "_w", "_f", "_terms")
+    # nvars, the field width _w and the integer form _f are the state
+    __slots__ = ("nvars", "_w", "_f")
 
-    def __init__(self, nvars: int, terms: dict | None = None):
-        clean = {}
+    def __new__(cls, nvars: int, terms: dict | None = None):
+        alphas, parts = [], []
         for alpha, coeff in (terms or {}).items():
             alpha = tuple(map(int, alpha))
             if len(alpha) != nvars:
                 raise ValueError(f"exponent {alpha} has wrong length for nvars={nvars}")
             if alpha and min(alpha) < 0:
                 raise ValueError(f"negative exponent in {alpha}")
-            coeff = ExtRational.coerce(coeff)
-            prev = clean.get(alpha)
-            clean[alpha] = coeff if prev is None else prev + coeff
-        terms = {a: c for a, c in clean.items() if c}
-        if not terms:
-            _init(self, nvars, 8, _ZERO_FORM, terms)
-            return
-        w, mons = _packed(terms, nvars)
-        _init(self, nvars, w, (mons,) + _over_lcm(*zip(*map(ExtRational.parts, terms.values()))),
-              terms)
+            alphas.append(alpha)
+            parts.append(ExtRational.coerce(coeff).parts())
+        return polynomial_from_parts(nvars, alphas, parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -141,8 +133,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, nvars: int, value) -> "Polynomial":
-        c = ExtRational.coerce(value)
-        return _poly(nvars, 8, _constant_form(c), {(0,) * nvars: c} if c else {})
+        return _poly(nvars, 8, _constant_form(ExtRational.coerce(value)))
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -150,24 +141,19 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[index] = 1
-        exp = tuple(exp)
-        return _poly(nvars, 8, ((_pack(exp, 8),), (1,), None, None, 1), {exp: ONE})
+        return _poly(nvars, 8, ((_pack(exp, 8),), (1,), None, None, 1))
 
     # -- queries ----------------------------------------------------------
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: ExtRational} in term order, built on first use."""
-        terms = self._terms
-        if terms is None:
-            mons, ps, qs, rs, den = self._f
-            n, w = self.nvars, self._w
-            if qs is None:
-                qs = rs = repeat(0)
-            terms = {_unpack(k, n, w): _make(p, q, den, r)
-                     for k, p, q, r in zip(mons, ps, qs, rs)}
-            _set_terms(self, terms)
-        return terms
+        """{exponent tuple: ExtRational} in term order, built on each read."""
+        mons, ps, qs, rs, den = self._f
+        n, w = self.nvars, self._w
+        if qs is None:
+            qs = rs = repeat(0)
+        return {_unpack(k, n, w): _make(p, q, den, r)
+                for k, p, q, r in zip(mons, ps, qs, rs)}
 
     @property
     def degree(self) -> int:
@@ -211,17 +197,17 @@ class Polynomial:
         scalar."""
         if isinstance(other, Polynomial):
             self._check(other)
-            g, gw, terms = other._f, other._w, other._terms
+            g, gw = other._f, other._w
         else:
-            g, gw, terms = _constant_form(ExtRational.coerce(other)), 8, None
+            g, gw = _constant_form(ExtRational.coerce(other)), 8
         if negate:
-            g, terms = _negated(g), None
+            g = _negated(g)
         n, w = self.nvars, max(self._w, gw)
         # a zero operand: the other one, as a new polynomial
         if not g[0]:
-            return _poly(n, self._w, self._f, self._terms)
+            return _poly(n, self._w, self._f)
         if not self._f[0]:
-            return _poly(n, gw, g, terms)
+            return _poly(n, gw, g)
         f = self._f if self._w == w else _repacked(self._f, n, self._w, w)
         if gw != w:
             g = _repacked(g, n, gw, w)
@@ -369,19 +355,14 @@ class Polynomial:
 _set_nvars = Polynomial.nvars.__set__
 _set_w = Polynomial._w.__set__
 _set_f = Polynomial._f.__set__
-_set_terms = Polynomial._terms.__set__
 
 
-def _init(poly: Polynomial, nvars: int, w: int, form: tuple, terms: dict | None) -> Polynomial:
+def _poly(nvars: int, w: int, form: tuple) -> Polynomial:
+    poly = _new(Polynomial)
     _set_nvars(poly, nvars)
     _set_w(poly, w)
     _set_f(poly, form)
-    _set_terms(poly, terms)
     return poly
-
-
-def _poly(nvars: int, w: int, form: tuple, terms: dict | None = None) -> Polynomial:
-    return _init(_new(Polynomial), nvars, w, form, terms)
 
 
 def _packed(alphas, nvars: int) -> tuple:
@@ -417,14 +398,14 @@ def _over_lcm(ps, qs, ds, rs) -> tuple:
 
 def _canonical(nvars: int, w: int, form: tuple) -> Polynomial:
     """The Polynomial of a reduced form packed at width w, repacked if its
-    degree calls for another width."""
+    degree calls for another width; the zero polynomial at width 8."""
     mons = form[0]
     if mons:
         top = max(mons) >> w * nvars
         if top >> (w - 1) or (w > 8 and not top >> (w // 2 - 1)):
             width = _width(top)
             return _poly(nvars, width, _repacked(form, nvars, w, width))
-    return _poly(nvars, w, form)
+    return _poly(nvars, w if mons else 8, form)
 
 
 def _build(nvars: int, w: int, mons, ps, qs, rs, den: int) -> Polynomial:
@@ -602,18 +583,29 @@ def _sum_of_products(nvars: int, pairs) -> Polynomial:
 
 def _float_values(poly: Polynomial, batch: np.ndarray, monomials: dict) -> np.ndarray:
     """The values of poly at the rows of batch, its terms summed in term
-    order.  The values of a monomial are read from monomials, or made there
-    on first use by repeated multiplication: numpy's power may take a SIMD
-    or a scalar pow by array layout, and the two differ in the last bit."""
+    order, each coefficient the float() of (p + q sqrt(r))/L, read as p/L +
+    q/L sqrt(r) (RationalSymMatrix.to_numpy).  monomials maps each width to
+    a table of monomial values by packed key, made there on first use by
+    repeated multiplication: numpy's power may take a SIMD or a scalar pow
+    by array layout, and the two differ in the last bit."""
+    mons, ps, qs, rs, den = poly._f
+    n, w = poly.nvars, poly._w
+    low = (1 << w * n) - 1
+    table = monomials.setdefault(w, {})
+    if qs is None:
+        coeffs = [p / den for p in ps]
+    else:
+        coeffs = [p / den + q / den * math.sqrt(r) for p, q, r in zip(ps, qs, rs)]
     total = np.zeros(len(batch))
-    for alpha, c in poly.terms.items():
-        mono = monomials.get(alpha)
+    for key, c in zip(mons, coeffs):
+        mono = table.get(key)
         if mono is None:
-            mono = monomials[alpha] = np.ones(len(batch))
-            for i, e in enumerate(alpha):
+            mono = table[key] = np.ones(len(batch))
+            exps = (key & low).to_bytes(n, "big") if w == 8 else _unpack(key, n, w)
+            for i, e in enumerate(exps):
                 for _ in range(e):
                     mono *= batch[:, i]
-        total += mono * float(c)
+        total += mono * c
     return total
 
 
@@ -1004,11 +996,9 @@ class SymPolyMatrix(PolyMatrix):
         return SymPolyMatrix([[p.dehomogenize() for p in row] for row in self.entries])
 
     def is_homogeneous_of(self, degree: int) -> bool:
-        for row in self.entries:
-            for p in row:
-                if any(sum(a) != degree for a in p.terms):
-                    return False
-        return True
+        # a packed key holds its degree above the nvars exponent fields
+        return all(k >> p._w * self.nvars == degree
+                   for row in self.entries for p in row for k in p._f[0])
 
 
 def scale_argument(p: Polynomial, r) -> Polynomial:
@@ -1295,7 +1285,7 @@ def _eliminate(M: RationalSymMatrix) -> tuple:
     return L, r, steps
 
 
-def min_eigenvalue_numeric(M, tol: float = 1e-12):
+def min_eigenvalue_numeric(M):
     """Numeric smallest eigenvalue of a symmetric matrix (a float), or of
     each matrix of a (P, ell, ell) stack (an array of P floats).  An exact
     matrix with an entry past the float range is scaled by a power of two

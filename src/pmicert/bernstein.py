@@ -10,7 +10,7 @@ with |alpha| <= t is
 an exact polynomial over Q[sqrt(n)].  Monomial -> Bernstein conversion is the
 closed form on a simplex (Farouki, "The Bernstein polynomial basis: a
 centennial retrospective", CAGD 2012), straight to any degree t >= deg F,
-exact or in floats, with no linear solve and no table kept between calls.
+exact, with no linear solve and no table kept between calls.
 Degree elevation uses the standard convex-combination recurrence.  Spectral
 norms of coefficient matrices are numeric.
 """
@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from .ring import ExtRational, ZERO, common_radicand
+from .ring import ExtRational, ONE, ZERO, common_radicand
 from .algebra import (
     LineReader,
     Polynomial,
@@ -60,12 +60,12 @@ def basis_poly(alpha, t: int, n: int) -> Polynomial:
     return out
 
 
-def _monomial_to_bernstein(entries, ell: int, n: int, t: int, c, zero) -> dict:
-    """Degree-t Bernstein coefficients {alpha: ell x ell grid} of a symmetric
-    grid of {exponent: coefficient} maps on n variables.
+def _monomial_to_bernstein(upper: dict, ell: int, n: int, t: int) -> dict:
+    """Degree-t Bernstein coefficients {alpha: ell x ell grid} of the
+    symmetric matrix whose entries (i, j), i <= j, are the {exponent:
+    coefficient} maps upper[i, j] on n variables, each read once.
 
-    c = n + sqrt(n) and zero are exact or float; the coefficients meet only
-    c, ints and each other.  Substituting x_i = c*lambda_i - 1, with
+    With c = n + sqrt(n), substituting x_i = c*lambda_i - 1, with
     lambda_i = (1 + x_i)/c, turns a_gamma x^gamma into sum_{beta <= gamma}
     C(gamma, beta) (-1)^|gamma - beta| c^|beta| a_gamma lambda^beta, and on
     the simplex lambda^beta = sum_{alpha >= beta} C(alpha, beta) /
@@ -73,8 +73,7 @@ def _monomial_to_bernstein(entries, ell: int, n: int, t: int, c, zero) -> dict:
     coordinate binomials.  (-1)^|gamma| goes on the input and (-1)^|beta|
     into the weight, so both steps use one table.
     """
-    upper = [(i, j) for i in range(ell) for j in range(i, ell)]
-    d = max((sum(g) for i, j in upper for g in entries[i][j]), default=0)
+    d = max((sum(g) for terms in upper.values() for g in terms), default=0)
     if t < d:
         raise ValueError(f"target degree {t} below matrix degree {d}")
     alphas = monomials_upto(n, t)
@@ -87,17 +86,18 @@ def _monomial_to_bernstein(entries, ell: int, n: int, t: int, c, zero) -> dict:
         ]
         for alpha in alphas
     }
-    powers = [c**0]  # (-c)^k in the ring of c
+    c = ExtRational(n, 1, n)
+    powers = [ONE]  # (-c)^k
     for _ in range(d):
         powers.append(powers[-1] * -c)
     weight = {
         beta: powers[sum(beta)] / multinomial(t, beta + (t - sum(beta),))
         for beta in monomials_upto(n, d)
     }
-    grids = {alpha: [[zero] * ell for _ in range(ell)] for alpha in alphas}
-    for i, j in upper:
+    grids = {alpha: [[ZERO] * ell for _ in range(ell)] for alpha in alphas}
+    for (i, j), terms in upper.items():
         shifted = {}
-        for gamma, a in entries[i][j].items():
+        for gamma, a in terms.items():
             if sum(gamma) & 1:
                 a = -a
             for beta, k in below[gamma]:
@@ -149,8 +149,8 @@ class BernsteinExpansion:
 def to_bernstein(F: SymPolyMatrix, t: int) -> BernsteinExpansion:
     """Exact Bernstein expansion of F at degree t >= deg F."""
     n = F.nvars
-    entries = [[p.terms for p in row] for row in F.entries]
-    grids = _monomial_to_bernstein(entries, F.size, n, t, ExtRational(n, 1, n), ZERO)
+    upper = {(i, j): F[i, j].terms for i in range(F.size) for j in range(i, F.size)}
+    grids = _monomial_to_bernstein(upper, F.size, n, t)
     return BernsteinExpansion(n, t, F.size, {a: RationalSymMatrix(g) for a, g in grids.items()})
 
 
@@ -229,13 +229,13 @@ def norm_of_expansion(e: BernsteinExpansion) -> float:
 
 
 def bernstein_norm_float(entry_dicts, nvars: int, ell: int, t: int) -> float:
-    """Bernstein norm of a float-coefficient symmetric matrix.
-
-    entry_dicts is an ell x ell grid of {exponent tuple: float} maps; the
-    matrix degree must be <= t.
+    """Bernstein norm of a float-coefficient symmetric matrix, converted
+    exactly: entry_dicts is an ell x ell grid of {exponent tuple: float}
+    maps, each float a dyadic rational, of degree <= t.
     """
-    grids = _monomial_to_bernstein(entry_dicts, ell, nvars, t, nvars + math.sqrt(nvars), 0.0)
-    return max(_spectral_norm(np.array(g)) for g in grids.values())
+    upper = {(i, j): Polynomial(nvars, {a: Fraction(v) for a, v in entry_dicts[i][j].items()})
+             for i in range(ell) for j in range(i, ell)}
+    return bernstein_norm(SymPolyMatrix.from_upper(ell, upper, nvars), t)
 
 
 # ---------------------------------------------------------------------------

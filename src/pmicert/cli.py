@@ -33,6 +33,7 @@ from .relax import (
     MaxIterationsError,
     SolverError,
     build_relaxation,
+    check_solvable,
     extract_certificate,
     solve_sdp,
 )
@@ -271,6 +272,7 @@ def _cmd_relax(args) -> int:
         print("error: relax expects a scalar objective (ell = 1)", file=sys.stderr)
         return 2
     p = build_relaxation(prob.F[0, 0], prob.G, args.order)
+    check_solvable(p, args.tol, args.max_iter)  # a refused run writes no file
     if args.export_sdpa:
         with open(args.export_sdpa, "w", encoding="utf-8") as fh:
             fh.write(export_sdpa(p))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ring import ExtRational
+from .ring import ExtRational, ZERO
 from .algebra import (
     LineReader,
     Polynomial,
@@ -228,15 +228,13 @@ def scherer_hol_step(Fh: SymPolyMatrix, k: int) -> dict:
         ones = ones + Polynomial.variable(N, i)
     scaled = Fh.scale_poly(ones**k) if k else Fh
     total = deg + k
+    views = [[p.terms for p in row] for row in scaled.entries]
     out = {}
     for beta in monomials_upto(N, total):
         if sum(beta) != total:
             continue
         inv = ExtRational(Fraction(1, multinomial(total, beta)))
-        grid = [
-            [scaled.entries[i][j].coeff(beta) * inv for j in range(Fh.size)]
-            for i in range(Fh.size)
-        ]
+        grid = [[terms.get(beta, ZERO) * inv for terms in row] for row in views]
         out[beta] = RationalSymMatrix(grid)
     return out
 

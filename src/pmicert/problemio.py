@@ -115,8 +115,8 @@ def _matrix_entries(M: SymPolyMatrix) -> list:
             if p.is_zero():
                 continue
             terms = []
-            for alpha in sorted(p.terms, key=lambda a: (sum(a), a), reverse=True):
-                terms.append([list(alpha), str(p.terms[alpha])])
+            for alpha, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+                terms.append([list(alpha), str(c)])
             out.append({"row": i, "col": j, "terms": terms})
     return out
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import ExtRational
+from .ring import ExtRational, ZERO
 from .algebra import (
     PolyMatrix,
     Polynomial,
@@ -131,7 +131,8 @@ def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
                         key = (index[g], iu, iv)
                         slots1[key] = slots1[key] + coeff if key in slots1 else coeff
 
-    rhs = [f.coeff(g) for g in monomials]
+    terms = f.terms
+    rhs = [terms.get(g, ZERO) for g in monomials]
     const_index = index[(0,) * n]
     return SDPProblem(
         n, k, kprime, m, basis0, basis1, monomials,
@@ -235,6 +236,17 @@ AA_REG = 1e-10
 AA_SAFEGUARD = 1.0
 
 
+def check_solvable(p: SDPProblem, tol: float, max_iter: int) -> None:
+    """The ValueError of a run solve_sdp refuses before it starts: tol not
+    finite and > 0, max_iter below 1, or blocks past MAX_TOTAL_BLOCK_SIZE."""
+    if not (math.isfinite(tol) and tol > 0 and max_iter >= 1):
+        raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
+    if sum(p.block_sizes) > MAX_TOTAL_BLOCK_SIZE:
+        raise ValueError(
+            f"total block size {sum(p.block_sizes)} exceeds {MAX_TOTAL_BLOCK_SIZE}"
+        )
+
+
 def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     """Maximize gamma with one Douglas-Rachford loop, Anderson-accelerated.
 
@@ -269,12 +281,7 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     with per-block projections into fresh arrays, so the iterates and the
     evaluation count are bit-identical to that form.
     """
-    if not (math.isfinite(tol) and tol > 0 and max_iter >= 1):
-        raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
-    if sum(p.block_sizes) > MAX_TOTAL_BLOCK_SIZE:
-        raise ValueError(
-            f"total block size {sum(p.block_sizes)} exceeds {MAX_TOTAL_BLOCK_SIZE}"
-        )
+    check_solvable(p, tol, max_iter)
     N0, M1 = p.block_sizes
     s0 = N0 * N0
     s1 = s0 + M1 * M1

@@ -322,11 +322,14 @@ class TestExitCodes:
         assert out == "" and err == f"error: line {line}: empty matrix\n"
 
     @pytest.mark.parametrize("argv", [
-        ["relax", "{problem}", "--order", "2", "--tol", "nan", "--max-iter", "200"],
-        ["relax", "{problem}", "--order", "2", "--tol", "-1", "--max-iter", "200"],
-        ["relax", "{problem}", "--order", "2", "--tol", "0", "--max-iter", "200"],
-        ["relax", "{problem}", "--order", "2", "--tol", "inf"],
-        ["relax", "{problem}", "--order", "2", "--max-iter", "0"],
+        ["relax", "{problem}", "--order", "2", "--tol", "nan", "--max-iter", "200",
+         "--export-sdpa", "{out}"],
+        ["relax", "{problem}", "--order", "2", "--tol", "-1", "--max-iter", "200",
+         "--export-sdpa", "{out}"],
+        ["relax", "{problem}", "--order", "2", "--tol", "0", "--max-iter", "200",
+         "--export-sdpa", "{out}"],
+        ["relax", "{problem}", "--order", "2", "--tol", "inf", "--export-sdpa", "{out}"],
+        ["relax", "{problem}", "--order", "2", "--max-iter", "0", "--export-sdpa", "{out}"],
         ["verify", "{cert}", "{problem}", "--mode", "numeric", "--gamma=5", "--tol", "inf"],
         ["verify", "{cert}", "{problem}", "--mode", "numeric", "--gamma=5", "--tol", "-1"],
         ["verify", "{cert}", "{problem}", "--mode", "numeric", "--gamma=5", "--tol", "nan"],
@@ -336,16 +339,18 @@ class TestExitCodes:
             "homogenize-refine-negative"])
     def test_meaningless_tolerance_or_budget_is_exit_two(self, tmp_path, capsys, argv):
         # no run meets these or they accept anything: refused before the work,
-        # where verify --tol inf would pass a residual norm of 6 at gamma 5
+        # where verify --tol inf would pass a residual norm of 6 at gamma 5,
+        # and before relax writes its SDPA file
         problem = Path(__file__).resolve().parent.parent / "samples" / "interval_min_x.pmi"
-        cert = tmp_path / "c.qmc"
+        cert, out = tmp_path / "c.qmc", tmp_path / "x.dat-s"
         if argv[0] == "verify":
             assert main(["relax", str(problem), "--order", "2",
                          "--emit-certificate", str(cert)]) == 0
         capsys.readouterr()
-        assert main([a.format(problem=problem, cert=cert) for a in argv]) == 2
+        assert main([a.format(problem=problem, cert=cert, out=out) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bound_context_of_a_large_constraint(self, tmp_path, capsys):
         # G = diag(1 - x^2, 1, 1, 1, 1): its eta estimate is past the exact

@@ -252,6 +252,14 @@ class TestPacking:
         low = (sq + x1) - sq
         assert low == x1 and low._w == 8 and low._f == x1._f
 
+    def test_homogeneity_from_the_packed_keys(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        M = SymPolyMatrix([[x ** 200, x * y], [x * y, Polynomial.zero(2)]])
+        assert not M.is_homogeneous_of(200) and not M.is_homogeneous_of(2)
+        N = SymPolyMatrix([[x ** 200, y ** 200], [y ** 200, x ** 100 * y ** 100]])
+        assert N.is_homogeneous_of(200) and not N.is_homogeneous_of(199)
+        assert SymPolyMatrix.zero(2, 2).is_homogeneous_of(5)
+
     def test_width_grows_with_degree(self):
         assert [algebra._width(d) for d in (0, 127, 128, 32767, 32768, 2**31 - 1, 2**31)] == \
             [8, 8, 16, 16, 32, 32, 64]
@@ -280,8 +288,80 @@ class TestNoCoefficientRead:
         assert hash(results[2]) == hash(expected[2])
         text = results[0][0, 0].to_text()
         assert text and results[0][0, 0].degree >= 0
-        polys = [p for r in results for p in (r.entries[0] if isinstance(r, PolyMatrix) else [r])]
-        assert all(p._terms is None for p in polys)
+
+
+class TestFloatsFromIntegers:
+    """evaluate_float reads each coefficient (p + q sqrt(r))/L as p/L +
+    q/L sqrt(r): no ExtRational is built, and each value is the float() of
+    the coefficient, summed term by term, bit for bit."""
+
+    BIG = 2 ** 60 + 7  # numerators past 2^53: rounded, not exact, as floats
+
+    def entries(self, rng, surd):
+        n = 2
+        monos = pool(rng, n)
+        out = []
+        for _ in range(3):
+            terms = {}
+            for mu in rng.sample(monos, 4):
+                a = Fraction(rng.randint(-self.BIG, self.BIG), rng.choice([3, 7, 2 ** 61 + 1]))
+                b = Fraction(rng.randint(-self.BIG, self.BIG), 5) if surd else 0
+                terms[mu] = ExtRational(a, b, surd)
+            # a product: its terms are the integer form's, never seen as ExtRationals
+            out.append(Polynomial(n, terms) * (Polynomial.variable(n, 0) + 1))
+        return out
+
+    @pytest.mark.parametrize("surd", [0, 2, 3])
+    def test_no_ext_rational_and_bit_equal(self, surd, monkeypatch):
+        rng = random.Random(surd)
+        batch = np.array([[rng.uniform(-2, 2) for _ in range(2)] for _ in range(5)])
+        # the oracle reads the terms of equal polynomials made apart
+        want = [oracle_float(p, batch) for p in self.entries(random.Random(surd), surd)]
+        f, g, h = self.entries(random.Random(surd), surd)
+        M = SymPolyMatrix.from_upper(2, {(0, 0): f, (0, 1): g, (1, 1): h}, 2)
+
+        def refuse(*args):
+            raise AssertionError("an ExtRational coefficient was built")
+
+        monkeypatch.setattr(algebra, "_make", refuse)
+        for p, values in zip((f, g, h), want):
+            assert np.array_equal(p.evaluate_float(batch), values)
+            assert p.evaluate_float(batch[2]) == values[2]
+        stack = M.evaluate_float(batch)
+        assert np.array_equal(stack[:, 0, 0], want[0]) and np.array_equal(stack[:, 1, 1], want[2])
+        assert np.array_equal(stack[:, 0, 1], want[1]) and np.array_equal(stack[:, 1, 0], want[1])
+        assert np.array_equal(M.evaluate_float(batch[3]), stack[3])
+
+
+class TestPublicConstructor:
+    """Polynomial(nvars, terms) goes through polynomial_from_parts."""
+
+    def test_repeated_exponents_are_summed_in_term_order(self):
+        # ("1", "0") and (1, 0) are one exponent after int()
+        p = Polynomial(2, {("1", "0"): 1, (0, 1): 2, (1, 0): Fraction(1, 2), (0, 0): 0})
+        assert list(p.terms.items()) == [((1, 0), Fraction(3, 2)), ((0, 1), 2)]
+        q = Polynomial(1, {("2",): 1, (0,): 5, (2,): -1})
+        assert list(q.terms.items()) == [((0,), 5)] and q._w == 8
+
+    def test_zero_keeps_width_8(self):
+        x = Polynomial.variable(1, 0)
+        for zero in (Polynomial(1, {(200,): 0}), Polynomial(1, {(200,): 1, ("200",): -1}),
+                     x ** 200 - x ** 200):
+            assert zero.is_zero() and zero._w == 8 and zero._f == Polynomial.zero(1)._f
+
+    def test_radicands_meet_only_in_one_monomial(self):
+        r2, r3 = ExtRational.sqrt(2), ExtRational.sqrt(3)
+        with pytest.raises(RadicandMismatch):
+            Polynomial(1, {("1",): r2, (1,): r3})
+        p = Polynomial(1, {(1,): r2, (0,): r3})
+        assert p.terms == {(1,): r2, (0,): r3}
+        # a sqrt(2) part summed to zero leaves sqrt(3) alone, as ExtRational does
+        assert Polynomial(1, {("1",): r2, (1,): -r2, ("01",): r3}).terms == {(1,): r3}
+
+    def test_terms_are_equal_across_reads(self):
+        p = Polynomial(2, {(1, 0): ExtRational(1, 2, 3), (0, 2): Fraction(-1, 4)}) * 3
+        first, second = p.terms, p.terms
+        assert first == second and list(first) == list(second) and first is not second
 
 
 class TestPowerSquarings:

@@ -17,9 +17,11 @@ excluded).  Each record also gives a digest of the standard output, so that
 byte-identical output across variants can be read off.
 
 Constrained suite: the 60 instances of tests/constrained_suite.py, each
-estimated by `estimate_homogenized_min` at its defaults in one child per
-variant; gap is the estimate minus the SLSQP reference, which this process
-computes without pmicert.
+estimated by `estimate_homogenized_min` at its defaults, in blocks of
+SUITE_BLOCK instances: one child per block and variant, the variants
+alternating from block to block as they do from job to job; gap is the
+estimate minus the SLSQP reference, which this process computes without
+pmicert.
 """
 
 from __future__ import annotations
@@ -70,13 +72,15 @@ sys.path.insert(0, sys.argv[1])
 import constrained_suite
 from pmicert.homogenize import estimate_homogenized_min, lift_problem
 out = []
-for inst in constrained_suite.instances():
+for inst in constrained_suite.instances()[int(sys.argv[2]):int(sys.argv[3])]:
     F, G = constrained_suite.problem(inst)
     start = time.process_time()
     est = estimate_homogenized_min(lift_problem(F, G))
     out.append({"estimate": est.value, "cpu_s": time.process_time() - start})
 print(json.dumps(out))
 """
+
+SUITE_BLOCK = 10
 
 
 def jobs(seed: int, workdir: str) -> list:
@@ -112,8 +116,11 @@ def main() -> int:
 
     references = [constrained_suite.reference_min(inst)
                   for inst in constrained_suite.instances()]
-    suite = {label: child(src, ["-c", SUITE_CHILD, os.path.join(harness.ROOT, "tests")])
-             for label, src in variants}
+    suite = {label: [] for label, _ in variants}
+    for i, start in enumerate(range(0, len(references), SUITE_BLOCK)):
+        block = [os.path.join(harness.ROOT, "tests"), str(start), str(start + SUITE_BLOCK)]
+        for label, src in harness.in_turn(variants, i):
+            suite[label] += child(src, ["-c", SUITE_CHILD, *block])
     constrained = []
     for k, ref in enumerate(references):
         rec = {"instance": k, "reference": ref}
