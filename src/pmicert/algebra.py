@@ -12,9 +12,17 @@ product of two polynomials of one width stay below 2^w, so no field carries
 into the next.  A result whose degree needs another width is repacked, so
 equal polynomials have equal packings.  The form is the only state: the
 terms view {exponent tuple: ExtRational}, and through it coeff and
-evaluate, is made from it on each read; evaluate_float, printing (through
+evaluate, is made from it on each read; FloatEvaluator, printing (through
 ring.format_parts) and the public constructor (through
 polynomial_from_parts) read the integers.
+
+Every float value of polynomials comes from one evaluator, FloatEvaluator,
+compiled once from a list of polynomials: the union of their monomials and
+each coefficient as a float.  A call evaluates them all at a batch of
+points, each value by the same IEEE operations in the same order whatever
+batch its point sits in.  Polynomial.evaluate_float and
+SymPolyMatrix.evaluate_float (over the upper triangle) compile one per
+call; homogenize's sphere estimate keeps one for G^ and F~ together.
 
 Every exact sum is one accumulator, _accumulate, keyed by packed monomials
 over one common denominator, the lcm of those of its items: a sum of
@@ -47,10 +55,11 @@ read.  Two irrational radicands raise RadicandMismatch, naming the two least.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat, zip_longest
 from operator import mul, or_
 
 import numpy as np
@@ -290,7 +299,7 @@ class Polynomial:
         """Float value at one point (n,), or an array of values at each row of
         a (P, n) batch of points."""
         pts = np.asarray(point, dtype=float)
-        total = _float_values(self, np.atleast_2d(pts), {})
+        total = FloatEvaluator(self.nvars, [self])(np.atleast_2d(pts))[0]
         return float(total[0]) if pts.ndim == 1 else total
 
     def homogenize(self, target_degree: int) -> "Polynomial":
@@ -581,32 +590,92 @@ def _sum_of_products(nvars: int, pairs) -> Polynomial:
     return _finish(nvars, w, *_accumulate([(_at(f, w), _at(g, w), None) for f, g in pairs]))
 
 
-def _float_values(poly: Polynomial, batch: np.ndarray, monomials: dict) -> np.ndarray:
-    """The values of poly at the rows of batch, its terms summed in term
-    order, each coefficient the float() of (p + q sqrt(r))/L, read as p/L +
-    q/L sqrt(r) (RationalSymMatrix.to_numpy).  monomials maps each width to
-    a table of monomial values by packed key, made there on first use by
-    repeated multiplication: numpy's power may take a SIMD or a scalar pow
-    by array layout, and the two differ in the last bit."""
-    mons, ps, qs, rs, den = poly._f
-    n, w = poly.nvars, poly._w
-    low = (1 << w * n) - 1
-    table = monomials.setdefault(w, {})
-    if qs is None:
-        coeffs = [p / den for p in ps]
-    else:
-        coeffs = [p / den + q / den * math.sqrt(r) for p, q, r in zip(ps, qs, rs)]
-    total = np.zeros(len(batch))
-    for key, c in zip(mons, coeffs):
-        mono = table.get(key)
-        if mono is None:
-            mono = table[key] = np.ones(len(batch))
-            exps = (key & low).to_bytes(n, "big") if w == 8 else _unpack(key, n, w)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    mono *= batch[:, i]
-        total += mono * c
-    return total
+class FloatEvaluator:
+    """The float values of polynomials in nvars variables at the rows of a
+    batch of points, compiled once: the union of their monomials closed
+    under dropping the last factor, and each coefficient the float() of
+    (p + q sqrt(r))/L, read as p/L + q/L sqrt(r) (RationalSymMatrix.to_numpy).
+
+    A call makes the monomial values degree by degree along a leading axis,
+    each its parent's value (the monomial less one factor of its last
+    variable) times that variable, from 1.0 at degree 0: so each is 1.0
+    times its variables in order, each repeated by its exponent.  (numpy's
+    power may take a SIMD or a scalar pow by array layout, and the two
+    differ in the last bit.)  The polynomials are summed term slot by term
+    slot in term order from 0.0; one with fewer terms adds the zero row,
+    which leaves a sum begun at +0.0 unchanged.  A reduction over the slot
+    axis would reorder the sum by batch size.  So each value is the same
+    IEEE operations in the same order whatever batch its point sits in."""
+
+    __slots__ = ("_count", "_rows", "_levels", "_slots")
+
+    def __init__(self, nvars: int, polys):
+        terms = []  # per polynomial: [(exponents, coefficient)] in term order
+        parents = {(0,) * nvars: None}  # monomial: (its parent, the variable)
+        for poly in polys:
+            mons, ps, qs, rs, den = poly._f
+            if qs is None:
+                coeffs = [p / den for p in ps]
+            else:
+                coeffs = [p / den + q / den * math.sqrt(r) for p, q, r in zip(ps, qs, rs)]
+            exps = [_unpack(key, nvars, poly._w) for key in mons]
+            terms.append(list(zip(exps, coeffs)))
+            for alpha in exps:
+                while alpha not in parents:
+                    last = max(i for i, e in enumerate(alpha) if e)
+                    parent = alpha[:last] + (alpha[last] - 1,) + alpha[last + 1:]
+                    parents[alpha] = parent, last
+                    alpha = parent
+        order = sorted(parents, key=sum)  # a degree is one slice after its parents
+        index = {alpha: row for row, alpha in enumerate(order)}
+        index[None] = len(order)  # the zero row
+        self._count = len(terms)
+        self._rows = len(order) + 1
+        self._levels = []  # (first row, row past the last, parent rows, variables)
+        lo = 1
+        for _, level in groupby(order[1:], key=sum):
+            level = [parents[alpha] for alpha in level]
+            self._levels.append((lo, lo + len(level), np.array([index[p] for p, _ in level]),
+                                 np.array([i for _, i in level])))
+            lo += len(level)
+        self._slots = [(np.array([index[alpha] for alpha, _ in slot]),
+                        np.array([[c] for _, c in slot]))
+                       for slot in zip_longest(*terms, fillvalue=(None, 0.0))]
+
+    def __call__(self, batch: np.ndarray) -> np.ndarray:
+        """The (polynomials, P) values at the rows of the (P, nvars) batch."""
+        points = len(batch)
+        coords = batch.T
+        mono = np.empty((self._rows, points))
+        mono[0] = 1.0
+        mono[-1] = 0.0
+        for lo, hi, parents, variables in self._levels:
+            level = mono[lo:hi]
+            mono.take(parents, 0, level, "clip")
+            level *= coords[variables]
+        total = np.zeros((self._count, points))
+        term = np.empty((self._count, points))
+        for rows, coeffs in self._slots:
+            mono.take(rows, 0, term, "clip")  # rows in range; "raise" copies via a buffer
+            term *= coeffs
+            total += term
+        return total
+
+
+@functools.cache
+def _stack_index(size: int) -> np.ndarray:
+    """Entry (i, j) of a size x size symmetric matrix, row by row, as an
+    index into its upper triangle, row by row; read-only, as it is shared."""
+    index = np.array([min(i, j) * (2 * size - min(i, j) + 1) // 2 + abs(j - i)
+                      for i in range(size) for j in range(size)], dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def _symmetric_stack(values: np.ndarray, size: int) -> np.ndarray:
+    """The (P, size, size) stack of symmetric matrices from the (E, P)
+    values of their upper triangles, row by row."""
+    return values.T[:, _stack_index(size)].reshape(values.shape[1], size, size)
 
 
 def _is_natural(token: str) -> bool:
@@ -979,13 +1048,13 @@ class SymPolyMatrix(PolyMatrix):
         """Float matrix (ell, ell) at one point (n,), or the (P, ell, ell)
         stack of matrices at a (P, n) batch of points."""
         pts = np.asarray(point, dtype=float)
-        batch = np.atleast_2d(pts)
-        out = np.empty((len(batch), self.size, self.size))
-        monomials = {}  # one table of monomial values for every entry
-        for i, row in enumerate(self.entries):
-            for j in range(i, self.size):
-                out[:, i, j] = out[:, j, i] = _float_values(row[j], batch, monomials)
+        values = FloatEvaluator(self.nvars, self.upper())(np.atleast_2d(pts))
+        out = _symmetric_stack(values, self.size)
         return out[0] if pts.ndim == 1 else out
+
+    def upper(self) -> list:
+        """The entries (i, j), i <= j, row by row."""
+        return [p for i, row in enumerate(self.entries) for p in row[i:]]
 
     def homogenize(self, target_degree: int) -> "SymPolyMatrix":
         return SymPolyMatrix(
@@ -1289,7 +1358,8 @@ def min_eigenvalue_numeric(M):
     """Numeric smallest eigenvalue of a symmetric matrix (a float), or of
     each matrix of a (P, ell, ell) stack (an array of P floats).  An exact
     matrix with an entry past the float range is scaled by a power of two
-    first; an eigenvalue past the range is then -inf or inf."""
+    first; an eigenvalue past the range is then -inf or inf.  A 1 x 1
+    matrix's eigenvalue is its entry, read without LAPACK."""
     if isinstance(M, RationalSymMatrix):
         try:
             arr = M.to_numpy()
@@ -1299,7 +1369,10 @@ def min_eigenvalue_numeric(M):
         arr = np.asarray(M, float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
-    low = np.linalg.eigvalsh(arr)[..., 0]
+    if arr.shape[-2:] == (1, 1):  # eigvalsh returns the entry, bit for bit
+        low = arr[..., 0, 0].copy()
+    else:
+        low = np.linalg.eigvalsh(arr)[..., 0]
     return float(low) if arr.ndim == 2 else low
 
 

@@ -188,8 +188,8 @@ def _cmd_certify_simplex(args) -> int:
     else:
         if prob.G != ball_constraint(prob.n):
             print(
-                "error: --trivial-ball requires G == [1 - ||x||^2]; "
-                "supply --ball-witness instead",
+                "error: without --ball-witness G must be [1 - ||x||^2]; "
+                "supply --ball-witness for this G",
                 file=sys.stderr,
             )
             return 2

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ring import ExtRational, ONE
 from .algebra import (
+    FloatEvaluator,
     PolyMatrix,
     Polynomial,
     SymPolyMatrix,
@@ -27,6 +28,7 @@ from .algebra import (
     _at,
     _finish,
     _pack,
+    _symmetric_stack,
     _unpack,
     min_eigenvalue_numeric,
     monomials_upto,
@@ -41,6 +43,10 @@ from .certify import (
 )
 
 FEASIBILITY_TOL = 1e-9
+# refine sweeps scored per batch: on the describe workload's homogenize
+# problems an estimate took 1.7 times as long at 1 as at 8, 1.2 times at 2,
+# 1.07 at 16 and 1.27 at 50, and within 3% of it at 4 to 12
+SWEEP_BATCH = 8
 
 
 class EmptyFeasibleSample(Exception):
@@ -122,10 +128,16 @@ def estimate_homogenized_min(
     Dense deterministic sphere sampling filtered by lambda_min(G^) >= -1e-9,
     then `refine_iters` sweeps of projected coordinate descent from the best
     sample: a sweep scores the 2(n+1) moves point +- step e_a, normalised onto
-    the sphere, as one batch, moves to the best feasible one if it improves
-    the estimate and halves the step otherwise.  The value is advisory (it
-    feeds the bound calculators); a nonpositive one flags that the positivity
-    hypotheses fail.
+    the sphere, moves to the best feasible one if it improves the estimate
+    and halves the step otherwise.  One FloatEvaluator over the upper
+    triangles of G^ and F~ scores every batch, an infeasible point at +inf.
+    The sweeps of the next SWEEP_BATCH step sizes (step, step/2, ...) are
+    scored as one batch and then replayed in order: the first that improves
+    moves and keeps its step, the ones after it are dropped, and each one
+    replayed counts against `refine_iters`.  A point's score does not depend
+    on its batch, so the result is that of one sweep at a time.  The value
+    is advisory (it feeds the bound calculators); a nonpositive one flags
+    that the positivity hypotheses fail.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
@@ -134,30 +146,46 @@ def estimate_homogenized_min(
     dim = prob.n + 1
     count = min(grid * grid, 20000) if dim <= 3 else min(grid**2, 8192)
     pts = _sphere_samples(dim, count)
+    G, F = prob.G_hat, prob.F_tilde
+    g_entries = G.upper()
+    split = len(g_entries)
+    evaluate = FloatEvaluator(dim, g_entries + F.upper())
 
-    def best_feasible(p):
-        """(least objective, its row) over the feasible rows of p, and their count."""
-        p = p[min_eigenvalue_numeric(prob.G_hat.evaluate_float(p)) >= -FEASIBILITY_TOL]
-        if not len(p):
-            return math.inf, None, 0
-        values = min_eigenvalue_numeric(prob.F_tilde.evaluate_float(p))
-        k = int(np.argmin(values))
-        return float(values[k]), p[k], len(p)
+    def scores(p):
+        """lambda_min(F~) at each row of p, +inf where lambda_min(G^) < -1e-9."""
+        values = evaluate(p)
+        low_g = min_eigenvalue_numeric(_symmetric_stack(values[:split], G.size))
+        feasible = low_g >= -FEASIBILITY_TOL
+        out = np.full(len(p), math.inf)
+        out[feasible] = min_eigenvalue_numeric(
+            _symmetric_stack(values[split:, feasible], F.size))
+        return out
 
-    best, point, n_feas = best_feasible(pts)
+    start = scores(pts)
+    n_feas = int(np.count_nonzero(start < math.inf))
     if not n_feas:
         raise EmptyFeasibleSample(
             f"none of {len(pts)} sphere samples satisfied the lifted constraint"
         )
+    k = int(np.argmin(start))
+    best, point = float(start[k]), pts[k]
     step = 4.0 / math.sqrt(len(pts))
     moves = np.vstack([np.eye(dim), -np.eye(dim)])
-    for _ in range(refine_iters):
-        cands = point + step * moves
-        value, cand, _ = best_feasible(cands / np.linalg.norm(cands, axis=1, keepdims=True))
-        if value < best - 1e-15:
-            best, point = value, cand
-        else:
-            step *= 0.5
+    left = refine_iters
+    while left:
+        steps = []
+        for _ in range(min(SWEEP_BATCH, left)):
+            steps.append(step)
+            step *= 0.5  # the next sweep's step if this one does not improve
+        cands = (point + np.array(steps)[:, None, None] * moves).reshape(-1, dim)
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+        sweeps = scores(cands).reshape(len(steps), len(moves))
+        for s, (k, value) in enumerate(zip(sweeps.argmin(axis=1).tolist(),
+                                           sweeps.min(axis=1).tolist())):
+            left -= 1
+            if value < best - 1e-15:
+                best, point, step = value, cands[s * len(moves) + k], steps[s]
+                break
     return SphereMinEstimate(best, [float(c) for c in point], len(pts), n_feas)
 
 

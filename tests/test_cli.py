@@ -375,6 +375,14 @@ class TestExitCodes:
     def test_trivial_ball_guard(self, problems, capsys):
         assert main(["certify-simplex", str(problems["unb"])]) == 2
 
+    def test_ball_guard_names_the_missing_flag(self, problems, capsys):
+        # certify-simplex has no --trivial-ball flag: the trivial witness is
+        # what it uses without --ball-witness
+        assert main(["certify-simplex", str(problems["unb"])]) == 2
+        err = capsys.readouterr().err
+        assert "--trivial-ball" not in err
+        assert err.startswith("error: without --ball-witness G must be [1 - ||x||^2]")
+
 
 class TestGoldenOutputs:
     def test_bound_bytes_stable(self, capsys):

@@ -21,7 +21,9 @@ estimated by `estimate_homogenized_min` at its defaults, in blocks of
 SUITE_BLOCK instances: one child per block and variant, the variants
 alternating from block to block as they do from job to job; gap is the
 estimate minus the SLSQP reference, which this process computes without
-pmicert.
+pmicert.  Each record also gives the estimate and its argmin in float.hex,
+and bitwise_as_<first variant> counts the instances whose two agree bit for
+bit with the first variant's.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ for inst in constrained_suite.instances()[int(sys.argv[2]):int(sys.argv[3])]:
     F, G = constrained_suite.problem(inst)
     start = time.process_time()
     est = estimate_homogenized_min(lift_problem(F, G))
-    out.append({"estimate": est.value, "cpu_s": time.process_time() - start})
+    out.append({"estimate": est.value, "cpu_s": time.process_time() - start,
+                "estimate_hex": est.value.hex(), "argmin_hex": [c.hex() for c in est.argmin]})
 print(json.dumps(out))
 """
 
@@ -125,9 +128,8 @@ def main() -> int:
     for k, ref in enumerate(references):
         rec = {"instance": k, "reference": ref}
         for label, _ in variants:
-            est = suite[label][k]["estimate"]
-            rec[label] = {"estimate": est, "gap": est - ref,
-                          "cpu_s": round(suite[label][k]["cpu_s"], 6)}
+            run = suite[label][k]
+            rec[label] = dict(run, gap=run["estimate"] - ref, cpu_s=round(run["cpu_s"], 6))
         constrained.append(rec)
 
     first = variants[0][0]
@@ -154,12 +156,17 @@ def main() -> int:
             "above_1e-3": sum(g > 1e-3 for g in gaps),
             "worse_than_" + first: sum(d > 1e-6 for d in delta),
             "better_than_" + first: sum(d < -1e-6 for d in delta),
+            "bitwise_as_" + first: sum(_bits(r[label]) == _bits(r[first]) for r in constrained),
             "cpu_s_total": round(sum(r[label]["cpu_s"] for r in constrained), 4),
         }
         summary[label] = kinds
     harness.write(args.out, args, variants, summary, records, repeats=args.repeats,
                   constrained=constrained)
     return 0
+
+
+def _bits(run: dict) -> tuple:
+    return run["estimate_hex"], run["argmin_hex"]
 
 
 def _kind(argv: list) -> str:
