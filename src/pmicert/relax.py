@@ -10,15 +10,22 @@ affine coefficient-matching set, riding on the constant-monomial constraint,
 and the loop alternates projections onto that set and onto PSD x PSD x R,
 with safeguarded Anderson acceleration of the fixed-point map.  It exits
 optimal (small displacement, closed duality gap), infeasible or unbounded
-(converged nonzero displacement with PSD Gram blocks), or on the
-iteration budget.  Everything is deterministic for fixed inputs.
+(converged nonzero displacement with PSD Gram blocks, above the rounding
+level of the data), or on the iteration budget; a displacement that
+overflows, or converges within that rounding level, is a SolverError
+naming the cause.  Everything is deterministic for fixed inputs.
 
 The coefficient-matching data are index arrays per Gram block (constraint,
 row, column, value).  The PSD projection reads the block layout of the
 iterate: one stacked eigh per run of adjacent equal-size blocks, a clip for
 1x1 blocks.  Each float it computes goes through the same operations in the
 same order as a per-block projection, so iterates, evaluation counts and
-every output are independent of how the blocks are grouped.
+every output are independent of how the blocks are grouped.  The loop calls
+LAPACK's symmetric eigensolver and its linear solve as numpy's gufuncs
+(_eigh, _solve1), the kernels np.linalg.eigh and np.linalg.solve wrap, on
+the same arrays, so they return the same floats; one error state per solve
+(_kernel_errors) makes a failed kernel raise np.linalg.LinAlgError, as
+np.linalg does, and keeps floating-point warnings off stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .ring import ExtRational, ZERO
 from .algebra import (
@@ -172,6 +180,31 @@ def _constraint_matrix(p: SDPProblem) -> np.ndarray:
     return A
 
 
+# The LAPACK kernels behind np.linalg.eigh (UPLO='L') and np.linalg.solve with
+# a 1-D right-hand side.  At the sizes of one evaluation the wrappers' type
+# checks and errstate context cost more than the kernel itself, so the loop
+# calls the gufuncs directly: same routines on the same arrays, so the same
+# floats (tests/test_relax_reference.py pins this).  Called directly, a
+# failed kernel returns NaN and raises numpy's "invalid" flag instead of
+# LinAlgError; solve_sdp sets _kernel_errors() once per solve to turn that
+# flag into the LinAlgError np.linalg raises.
+_eigh = _umath_linalg.eigh_lo
+_solve1 = _umath_linalg.solve1
+
+
+def _raise_linalg_error(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError(
+        f"{err} in the relaxation solver: eigh or solve failed, or an iterate is not finite")
+
+
+def _kernel_errors() -> np.errstate:
+    """The floating-point error state of np.linalg's wrappers: an invalid
+    value raises LinAlgError, overflow, division and underflow pass silently
+    (solve_sdp tests the displacement for overflow itself)."""
+    return np.errstate(call=_raise_linalg_error, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
 def _psd_project(X: np.ndarray) -> np.ndarray:
     X = 0.5 * (X + X.T)
     w, U = np.linalg.eigh(X)
@@ -182,29 +215,45 @@ def _psd_project(X: np.ndarray) -> np.ndarray:
 def _block_views(v: np.ndarray, out: np.ndarray, sizes: list) -> list:
     """For each run of adjacent equal-size square blocks, whose vec forms lie
     in turn at the start of v and of out: the stacked (count, size, size)
-    views of the run in v and in out."""
+    views of the run in v and in out, and for a run of blocks larger than
+    1x1 the buffers _project_blocks writes into (the symmetrized blocks, the
+    eigenvalues, the eigenvectors, the eigenvectors scaled by the clipped
+    eigenvalues) with the transposed and broadcast views it reads."""
     views = []
     start = 0
     for size, group in itertools.groupby(sizes):
-        stop = start + len(list(group)) * size * size
-        views.append((v[start:stop].reshape(-1, size, size),
-                      out[start:stop].reshape(-1, size, size)))
+        count = len(list(group))
+        stop = start + count * size * size
+        X = v[start:stop].reshape(count, size, size)
+        Y = out[start:stop].reshape(count, size, size)
         start = stop
+        if size == 1:
+            views.append((X, Y))
+            continue
+        S, U, UW = (np.empty((count, size, size)) for _ in range(3))
+        w = np.empty((count, size))
+        views.append((X, X.transpose(0, 2, 1), S, w, w[:, None, :], U,
+                      U.transpose(0, 2, 1), UW, Y))
     return views
 
 
 def _project_blocks(views: list) -> None:
-    """PSD-project every block of the (source, target) views of _block_views,
-    with one eigh per run (a clip for 1x1 blocks).  Each block goes through
-    the operations of _psd_project in the same order, so each target equals
-    its _psd_project bit for bit."""
-    for X, Y in views:
-        if X.shape[1] == 1:
+    """PSD-project every block of the views of _block_views, with one eigh
+    per run (a clip for 1x1 blocks).  Each block goes through the operations
+    of _psd_project in the same order, so each target equals its
+    _psd_project bit for bit."""
+    for run in views:
+        if len(run) == 2:
+            X, Y = run
             np.maximum(X, 0.0, out=Y)
             continue
-        w, U = np.linalg.eigh(0.5 * (X + X.transpose(0, 2, 1)))
+        X, XT, S, w, w_row, U, UT, UW, Y = run
+        np.add(X, XT, out=S)
+        np.multiply(S, 0.5, out=S)
+        _eigh(S, out=(w, U))
         np.maximum(w, 0.0, out=w)
-        np.matmul(U * w[:, None, :], U.transpose(0, 2, 1), out=Y)
+        np.multiply(U, w_row, out=UW)
+        np.matmul(UW, UT, out=Y)
 
 
 def _blocks_psd(v: np.ndarray, N0: int, M1: int, floor: float) -> bool:
@@ -269,17 +318,24 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     - once the displacements of two consecutive evaluations agree on a
       nonzero D (Banjac et al., JOTA 2019) whose Gram blocks are PSD to
       within sqrt(feas_tol)*|D|, as those of a limit displacement are,
-      SolverError when D moves gamma (unbounded above), else Infeasible;
+      SolverError when D moves gamma (unbounded above), else Infeasible; but
+      SolverError, naming the cause, when that |D| is within the rounding
+      level of the data, which then decides neither;
+    - SolverError as soon as |D| overflows;
     - MaxIterationsError when max_iter iterations end first, as they do on a
       weakly infeasible problem, which has no converged displacement.
 
     The Gram blocks are projected through _project_blocks, one eigh per run
     of adjacent equal-size blocks of z (both blocks at once when N0 = M1)
-    and a clip for 1x1 blocks.  An evaluation writes its vectors, the
-    projection and the Anderson history into buffers allocated once here.
-    Every float is computed by the same operations in the same order as
-    with per-block projections into fresh arrays, so the iterates and the
-    evaluation count are bit-identical to that form.
+    and a clip for 1x1 blocks; the Anderson system is solved by LAPACK's
+    gesv.  Both kernels are called as the gufuncs _eigh and _solve1, without
+    np.linalg's wrappers, under one _kernel_errors() state for the loop, so a
+    failed kernel raises np.linalg.LinAlgError as np.linalg does, and no
+    floating-point warning is printed.  An evaluation writes its vectors,
+    the projection and the Anderson history into buffers allocated once
+    here.  Every float is computed by the same operations in the same order
+    as with np.linalg and per-block projections into fresh arrays, so the
+    iterates and the evaluation count are bit-identical to that form.
     """
     check_solvable(p, tol, max_iter)
     N0, M1 = p.block_sizes
@@ -290,10 +346,20 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     b = np.array([float(v) for v in p.rhs])
     feas_tol = max(tol * 1e-2, 1e-10)
     dim = A.shape[1]
+    # The rounding level of the data: each entry of the affine projection
+    # sums terms over at most C = len(b) constraints on the scale of the
+    # largest coefficient of f, so a sum's rounding error can reach
+    # C * eps * max|b| (the usual bound for a recursive float sum; Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), and
+    # |D| over dim entries sqrt(dim) times that.  A converged |D| at or below
+    # it can be rounding alone: with f = 1e16 x + x^2 on [-1, 1] the loop
+    # stalls on |D| = 2.0, one unit in the last place of 1e16.
+    bmax = float(np.abs(b).max())
+    rounding = len(b) * math.sqrt(dim) * math.ulp(1.0) * bmax
     # every vector of an evaluation lives in a buffer allocated here: w is
     # z + STEP*e_gamma, r the affine residual A w - b, y the PSD x PSD x R
-    # projection of v, E = D - D_prev
-    z, w, x, v, y, D, D_prev, E, zD, last_zD = np.zeros((10, dim))
+    # projection of v
+    z, w, x, v, y, D, D_prev, zD, last_zD, step = np.zeros((10, dim))
     blocks = _block_views(v, y, p.block_sizes)
     r, mu = np.zeros((2, len(b)))
     # ring buffers of the last AA_MEMORY differences of accepted evaluations:
@@ -302,62 +368,85 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     dT = np.zeros((AA_MEMORY, dim))
     dG = np.zeros((AA_MEMORY, dim))
     GtG = np.zeros((AA_MEMORY, AA_MEMORY))
-    eye = np.eye(AA_MEMORY)
+    # per history length h: views of the first h pairs and of their Gram
+    # matrix, the identity, and the buffers of the Anderson system H g = rhs
+    rhs, g = np.zeros((2, AA_MEMORY))
+    history = [(GtG[:h, :h], np.eye(h), np.empty((h, h)), dG[:h], dT[:h], rhs[:h], g[:h])
+               for h in range(AA_MEMORY + 1)]
     h = slot = 0
     # The last accepted evaluation, if any, is the previous one: its z + D
     # is last_zD and its D is D_prev.
     has_last = False
     fallback = None  # |D| at the point the pending Anderson step left
-    for it in range(1, max_iter + 1):
-        D, D_prev = D_prev, D
-        np.copyto(w, z)
-        w[-1] += STEP
-        np.matmul(A, w, out=r)
-        r -= b
-        np.matmul(gram_pinv, r, out=mu)
-        np.matmul(mu, A, out=x)
-        np.subtract(w, x, out=x)
-        np.multiply(x, 2.0, out=v)
-        v -= z
-        _project_blocks(blocks)
-        y[-1] = v[-1]
-        np.subtract(y, x, out=D)
-        res = math.sqrt(D @ D)
-        gamma = float(x[-1])
-        if res < feas_tol and abs(float(b @ mu) / STEP - gamma) < tol * max(1.0, abs(gamma)):
-            X0 = x[:s0].reshape(N0, N0)
-            X1 = x[s0:s1].reshape(M1, M1)
-            margin = min(min_eigenvalue_numeric(X0), min_eigenvalue_numeric(X1))
-            return RelaxResult(gamma, X0, X1, res, margin, it)
-        if it > 1 and res > feas_tol:
-            np.subtract(D, D_prev, out=E)
-            if (math.sqrt(E @ E) <= feas_tol * res
-                    and _blocks_psd(D, N0, M1, -math.sqrt(feas_tol) * res)):
-                if D[-1] > feas_tol:
-                    raise SolverError("relaxation appears unbounded above")
-                return Infeasible(res, gamma, it)
-        if fallback is not None and res > AA_SAFEGUARD * fallback:
-            z, last_zD = last_zD, z
-            h = slot = 0
-            has_last, fallback = False, None
-            continue
-        np.add(z, D, out=zD)
-        if has_last:
-            np.subtract(zD, last_zD, out=dT[slot])
-            np.subtract(D, D_prev, out=dG[slot])
-            h = min(h + 1, AA_MEMORY)
-            GtG[slot, :h] = GtG[:h, slot] = dG[:h] @ dG[slot]
-            slot = (slot + 1) % AA_MEMORY
-        has_last = True
-        zD, last_zD = last_zD, zD
-        trace = GtG[:h, :h].trace()
-        if trace > 0.0:
-            fallback = res
-            H = GtG[:h, :h] + (AA_REG * trace) * eye[:h, :h]
-            np.subtract(last_zD, np.linalg.solve(H, dG[:h] @ D) @ dT[:h], out=z)
-        else:
-            fallback = None
-            np.copyto(z, last_zD)
+    with _kernel_errors():
+        for it in range(1, max_iter + 1):
+            D, D_prev = D_prev, D
+            np.copyto(w, z)
+            w[-1] += STEP
+            np.matmul(A, w, out=r)
+            r -= b
+            np.matmul(gram_pinv, r, out=mu)
+            np.matmul(mu, A, out=x)
+            np.subtract(w, x, out=x)
+            np.multiply(x, 2.0, out=v)
+            v -= z
+            _project_blocks(blocks)
+            y[-1] = v[-1]
+            np.subtract(y, x, out=D)
+            res = math.sqrt(D @ D)
+            if res == math.inf:
+                raise SolverError(f"displacement overflowed at iteration {it}: coefficients "
+                                  f"up to {bmax:.3g} are too large for the solver's floats")
+            gamma = float(x[-1])
+            if res < feas_tol and abs(float(b @ mu) / STEP - gamma) < tol * max(1.0, abs(gamma)):
+                X0 = x[:s0].reshape(N0, N0)
+                X1 = x[s0:s1].reshape(M1, M1)
+                margin = min(min_eigenvalue_numeric(X0), min_eigenvalue_numeric(X1))
+                return RelaxResult(gamma, X0, X1, res, margin, it)
+            # D - D_prev goes straight into the history slot it fills if
+            # this evaluation is accepted; a rejected one clears the history
+            diff = None
+            if it > 1 and res > feas_tol:
+                diff = dG[slot]
+                np.subtract(D, D_prev, out=diff)
+                if (math.sqrt(diff @ diff) <= feas_tol * res
+                        and _blocks_psd(D, N0, M1, -math.sqrt(feas_tol) * res)):
+                    if res <= rounding:
+                        raise SolverError(
+                            f"displacement {res:.3g} converged within the rounding level "
+                            f"{rounding:.3g} of coefficients up to {bmax:.3g}: neither "
+                            "infeasibility nor unboundedness is decided")
+                    if D[-1] > feas_tol:
+                        raise SolverError("relaxation appears unbounded above")
+                    return Infeasible(res, gamma, it)
+            if fallback is not None and res > AA_SAFEGUARD * fallback:
+                z, last_zD = last_zD, z
+                h = slot = 0
+                has_last, fallback = False, None
+                continue
+            np.add(z, D, out=zD)
+            if has_last:
+                np.subtract(zD, last_zD, out=dT[slot])
+                if diff is None:
+                    np.subtract(D, D_prev, out=dG[slot])
+                h = min(h + 1, AA_MEMORY)
+                GtG[slot, :h] = GtG[:h, slot] = dG[:h] @ dG[slot]
+                slot = (slot + 1) % AA_MEMORY
+            has_last = True
+            zD, last_zD = last_zD, zD
+            GtG_h, eye_h, H_h, dG_h, dT_h, rhs_h, g_h = history[h]
+            trace = GtG_h.trace()
+            if trace > 0.0:
+                fallback = res
+                np.multiply(AA_REG * trace, eye_h, out=H_h)
+                np.add(GtG_h, H_h, out=H_h)
+                np.matmul(dG_h, D, out=rhs_h)
+                _solve1(H_h, rhs_h, out=g_h)
+                np.matmul(g_h, dT_h, out=step)
+                np.subtract(last_zD, step, out=z)
+            else:
+                fallback = None
+                np.copyto(z, last_zD)
     raise MaxIterationsError(f"iteration budget {max_iter} exhausted")
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,30 @@ class TestSolve:
     def test_max_iterations(self):
         with pytest.raises(MaxIterationsError):
             solve_sdp(build_relaxation(x(), ball_constraint(1), 1), tol=1e-9, max_iter=3)
+
+
+class TestLargeCoefficients:
+    """Feasible, bounded problems on [-1, 1] at k = 1 whose objective
+    coefficients are past what the solver's floats resolve: the run fails
+    with its cause named, never with a verdict of infeasible or unbounded,
+    and prints no warning."""
+
+    @pytest.mark.parametrize("f, cause", [
+        (10 ** 16 * x() + x() * x(), "rounding level"),
+        (10 ** 40 * x() + x() * x(), "rounding level"),
+        (10 ** 200 * (x() + x() * x()), "overflowed"),
+    ], ids=["1e16", "1e40", "1e200"])
+    def test_fails_with_cause(self, f, cause, tmp_path, capsys):
+        path = tmp_path / "large.pmi"
+        path.write_text(dump_problem(ProblemData(1, 1, 1, scalar(f), ball_constraint(1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["relax", str(path), "--order", "1"]) == 1
+            out, err = capsys.readouterr()
+            assert out.startswith("FAIL: ") and cause in out
+            assert err == ""
+            with pytest.raises(SolverError, match=cause):
+                solve_sdp(build_relaxation(f, ball_constraint(1), 1))
 
 
 class TestHierarchy:

@@ -6,6 +6,7 @@ same order, so every comparison is exact."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,3 +295,64 @@ def test_solver_exits_match_reference(G, outcome):
     assert (r.residual, r.gamma_probed, r.iterations) == (ref.residual, ref.gamma_probed,
                                                           ref.iterations)
 
+
+
+# -- the LAPACK kernels the loop calls ----------------------------------------
+
+def _with_zeros(rng, a):
+    """a with about a quarter of its entries set to +0.0 and a quarter to -0.0."""
+    draw = rng.random(a.shape)
+    a[draw < 0.25] = 0.0
+    a[(draw >= 0.25) & (draw < 0.5)] = -0.0
+    return a
+
+
+def _bits(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("size", range(2, 13))
+def test_bound_eigh_matches_linalg(count, size):
+    rng = np.random.default_rng(100 * count + size)
+    X = _with_zeros(rng, rng.normal(size=(count, size, size)))
+    upper = np.triu_indices(size, 1)
+    X[:, upper[0], upper[1]] = X[:, upper[1], upper[0]]
+    expected = _bits(*np.linalg.eigh(X))
+    assert _bits(*relax._eigh(X)) == expected
+    w, U = np.empty((count, size)), np.empty((count, size, size))
+    relax._eigh(X, out=(w, U))
+    assert _bits(w, U) == expected
+
+
+@pytest.mark.parametrize("size", range(1, AA_MEMORY + 1))
+def test_bound_solve_matches_linalg(size):
+    rng = np.random.default_rng(size)
+    M = rng.normal(size=(size, size))
+    H = M @ M.T + AA_REG * np.trace(M @ M.T) * np.eye(size)
+    rhs = _with_zeros(rng, rng.normal(size=size))
+    expected = _bits(np.linalg.solve(H, rhs))
+    assert _bits(relax._solve1(H, rhs)) == expected
+    g = np.empty(size)
+    relax._solve1(H, rhs, out=g)
+    assert _bits(g) == expected
+
+
+def test_failed_kernels_raise_linalg_error_without_warning():
+    sizes = [3, 3, 1]
+    v = np.zeros(sum(s * s for s in sizes) + 1)
+    v[9:18] = np.nan
+    views = relax._block_views(v, np.empty_like(v), sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with relax._kernel_errors():
+            with pytest.raises(np.linalg.LinAlgError):
+                relax._project_blocks(views)
+            with pytest.raises(np.linalg.LinAlgError):
+                relax._solve1(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        # through the solver: NaN data reach the projection on the first
+        # evaluation
+        p = build_relaxation(*INSTANCES["box-n2-k2"][:2], 2)
+        p.rhs = [math.nan] * len(p.rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_sdp(p)

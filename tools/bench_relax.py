@@ -10,11 +10,13 @@ Instances: the relax jobs of the benchmark's `relax` workload at --seed
 (perfbench/workloads.py), and 32 box instances at k = 2: the two degenerate
 ones 4 x1^2 - 8 x1 - 3 x2^2 - 2 x2 and x1^2 + x1 + 2 x2^2 + 4 x2, and
 perfbench's box_separable(Random(s), n) for s in 0..14 and n in {2, 3}, the
-draws of tests/test_relax.py.  Each instance runs once per variant, the
-variants alternating, in a fresh process with PYTHONPATH set to the
-variant's source tree and numpy's BLAS held to one thread (tools/harness.py);
-CPU time is the child's user plus system time, interpreter start-up and
-imports included.  The run also writes the numeric certificate
+draws of tests/test_relax.py; and the scale family 10^e x1 + x1^2 on
+1 - x1^2 at k = 1 for e in 1..4, whose evaluation count grows with e (the
+solver's STEP and feasibility tolerance are absolute).  Each instance runs
+once per variant, the variants alternating, in a fresh process with
+PYTHONPATH set to the variant's source tree and numpy's BLAS held to one
+thread (tools/harness.py); CPU time is the child's user plus system time,
+interpreter start-up and imports included.  The run also writes the numeric certificate
 (--emit-certificate) and the SDPA file (--export-sdpa), and the record gives
 the sha256 of each (None if it was not written), so that byte-identical
 output across variants can be read off: the summary counts them as
@@ -70,6 +72,7 @@ print(json.dumps({"solve_s": solve_s, "extract_s": extract_s,
 """
 
 DEGENERATE_BOXES = [("box-opt-9", [4, -3], [-8, -2]), ("box-opt-2.25", [1, 2], [1, 4])]
+SCALE_EXPONENTS = (1, 2, 3, 4)
 
 
 def instances(seed: int, workdir: str):
@@ -84,13 +87,18 @@ def instances(seed: int, workdir: str):
         for n in (2, 3):
             a, b = fam.box_separable(random.Random(s), n)
             boxes.append((f"box-s{s}-n{n}", a, b))
+    problems = []
     for name, a, b in boxes:
         n = len(a)
         A = [[a[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        problems.append((name, n, 2, fam.quad_poly(n, A, b)))
+    for e in SCALE_EXPONENTS:
+        problems.append((f"scale-1e{e}", 1, 1, fam.quad_poly(1, [[1]], [10 ** e])))
+    for name, n, k, f in problems:
         path = os.path.join(workdir, "in", f"{name}.pmi")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(write_problem(n, [[fam.quad_poly(n, A, b)]], fam.box_grid(n)))
-        out.append((name, n, 2, path))
+            fh.write(write_problem(n, [[f]], fam.box_grid(n)))
+        out.append((name, n, k, path))
     return out
 
 
