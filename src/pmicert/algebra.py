@@ -176,9 +176,6 @@ class Polynomial:
     def coeff(self, alpha) -> ExtRational:
         return self.terms.get(tuple(alpha), ZERO)
 
-    def constant_term(self) -> ExtRational:
-        return self.terms.get((0,) * self.nvars, ZERO)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

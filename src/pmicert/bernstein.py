@@ -283,14 +283,6 @@ def simplex_lattice_rounded(n: int, resolution: int) -> tuple:
     return betas, (sp * b - den) / den + (sq * b) / den * math.sqrt(sr)
 
 
-def simplex_lattice_float(n: int, resolution: int) -> np.ndarray:
-    scale = n + math.sqrt(n)
-    pts = []
-    for beta in _lattice_compositions(resolution, n + 1):
-        pts.append([scale * b / resolution - 1.0 for b in beta[:n]])
-    return np.array(pts)
-
-
 def lattice_resolution_for(n: int, target_points: int) -> int:
     """Smallest even resolution whose lattice has at least target_points."""
     res = 2

@@ -100,12 +100,6 @@ class SOSBlock:
     def size(self) -> int:
         return self.gram.size
 
-    def to_sym_poly(self, nvars: int, ell: int) -> SymPolyMatrix:
-        width = _width(max(map(sum, self.basis), default=0))
-        polys = {ij: _finish(nvars, width, *_accumulate([(form, None, None)]))
-                 for ij, form in _collapse(self.basis, self.gram, ell, width).items()}
-        return SymPolyMatrix.from_upper(ell, polys, nvars)
-
     def degree(self) -> int:
         return 2 * max((sum(b) for b in self.basis), default=0)
 

@@ -6,9 +6,10 @@ becomes G^ = x0^d0 * G~ with d0 in {0, 1} chosen so the entries of G^ are
 homogeneous of even degree, and the sphere x0^2 + ||x||^2 = 1 closes the set.
 A membership certificate for F~ over {G^ >= 0, sphere} transfers back to one
 for (1 + ||x||^2)^k F over G by substituting (1, x)/sqrt(1 + ||x||^2): the
-sphere multiplier vanishes identically, every other piece splits by parity
-into polynomial and sqrt-carrying parts, and the sqrt-carrying aggregate
-must cancel exactly.
+sphere multiplier vanishes identically, and every other piece splits by
+parity into polynomial and sqrt-carrying parts.  For a valid input the
+sqrt-carrying parts cancel, so the transfer keeps the polynomial parts and
+one exact verification of the result decides it.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class EmptyFeasibleSample(Exception):
 
 
 class OddPartNonzero(Exception):
-    """The sqrt-carrying aggregate of a substituted certificate did not cancel,
-    so the input certificate cannot have been valid."""
+    """The input does not certify this lifted problem: the polynomial part of
+    the substituted certificate failed its exact verification for
+    (1 + ||x||^2)^k F over G."""
 
 
 @dataclass
@@ -249,19 +251,23 @@ def _u_power_squares(j: int, n: int):
 def dehomogenize_certificate(cert: QMCertificate, prob: HomogenizedProblem):
     """Transfer a sphere certificate for F~ into one for (1+||x||^2)^k F.
 
-    The certificate must be exact, verify for F~ over {G^ >= 0, sphere}, and
-    deg F must be even (as the positivity of the leading form requires).
-    Returns (k, certificate over G); the output is re-verified exactly before
-    returning, and OddPartNonzero is raised if the sqrt-carrying aggregate of
-    the substitution fails to cancel.
+    The certificate must be exact and shaped for prob (ValueError names the
+    field otherwise), and deg F must be even (as the positivity of the
+    leading form requires).  Returns (k, certificate over G).  Only the
+    polynomial parts are kept: for a valid input the sqrt-carrying parts
+    cancel identically, and the output is verified exactly before returning,
+    so an input that does not certify F~ raises OddPartNonzero.
     """
     if cert.mode != "exact":
         raise ValueError("dehomogenization requires an exact certificate")
     n = prob.n
+    for field, have, want in (("nvars", cert.nvars, n + 1), ("ell", cert.ell, prob.F.size),
+                              ("m", cert.m, prob.G.size)):
+        if have != want:
+            raise ValueError(f"certificate {field} {have} does not match the problem's {want}")
     d = prob.deg_f
     if d % 2 != 0:
         raise ValueError("degree of F must be even (leading form cannot be PD otherwise)")
-    ell = cert.ell
     deg_hat = prob.d0 + prob.d_G  # homogeneous degree of the entries of G^
 
     vec_squares = blocks_to_vector_squares(cert)
@@ -282,67 +288,42 @@ def dehomogenize_certificate(cert: QMCertificate, prob: HomogenizedProblem):
     for _ in range(max_u):
         u_pows.append(u_pows[-1] * u)
 
+    # total - 2 dv and total - 2 Np - deg_hat below are even and nonnegative:
+    # d and deg_hat are even, and k was chosen to cover both
     out_squares = []
-    odd_agg = PolyMatrix.zero(ell, ell, n)
     for w, vec in vec_squares:
         dv = max(max(p.degree for p in vec), 0)
         splits = [_split_rescaled(p, dv, u_pows) for p in vec]
-        V1 = [s[0] for s in splits]
-        V2 = [s[1] for s in splits]
-        e = total - 2 * dv
-        if e < 0 or e % 2:
-            raise AssertionError("degree bookkeeping failed for an SOS square")
-        j = e // 2
-        for jj, V in ((j, V1), (j + 1, V2)):
+        j = (total - 2 * dv) // 2
+        for jj, V in ((j, [s[0] for s in splits]), (j + 1, [s[1] for s in splits])):
             if all(p.is_zero() for p in V):
                 continue
             for weight, gamma in _u_power_squares(jj, n):
                 mono = Polynomial(n, {gamma: ONE})
                 out_squares.append((w * weight, [mono * p for p in V]))
-        cross = PolyMatrix(
-            [[V1[i] * V2[jx] + V2[i] * V1[jx] for jx in range(ell)] for i in range(ell)]
-        )
-        odd_agg = odd_agg + cross.scale_poly(u_pows[j]).scale(w)
 
     out_mults = []
     for term in cert.multipliers:
         Np = max(term.matrix.degree, 0)
         P1, P2 = _split_matrix(term.matrix, Np, u_pows)
-        e = total - 2 * Np - deg_hat
-        if e < 0 or e % 2:
-            raise AssertionError("degree bookkeeping failed for a multiplier")
-        j = e // 2
+        j = (total - 2 * Np - deg_hat) // 2
         for jj, Q in ((j, P1), (j + 1, P2)):
             if Q.is_zero():
                 continue
-            if jj % 2 == 0:
-                out_mults.append(
-                    MultiplierTerm(term.scale, Q.scale_poly(u_pows[jj // 2]))
-                )
-            else:
-                base = Q.scale_poly(u_pows[(jj - 1) // 2])
-                out_mults.append(MultiplierTerm(term.scale, base))
-                for i in range(n):
-                    out_mults.append(
-                        MultiplierTerm(
-                            term.scale, base.scale_poly(Polynomial.variable(n, i))
-                        )
-                    )
-        cross = (P1.transpose() @ prob.G @ P2) + (P2.transpose() @ prob.G @ P1)
-        odd_agg = odd_agg + cross.scale_poly(u_pows[j]).scale(term.scale)
+            # u^jj = (u^(jj // 2))^2, times u = 1 + sum x_i^2 for odd jj,
+            # which splits the term over {1, x_i}
+            base = Q.scale_poly(u_pows[jj // 2])
+            odd = [Polynomial.variable(n, i) for i in range(n)] if jj % 2 else []
+            out_mults.append(MultiplierTerm(term.scale, base))
+            out_mults += [MultiplierTerm(term.scale, base.scale_poly(xi)) for xi in odd]
 
     # the sphere multiplier term vanishes identically under the substitution
-    if not odd_agg.is_zero():
-        raise OddPartNonzero(
-            "sqrt-carrying terms did not cancel; the input certificate is invalid"
-        )
-
-    block = gram_from_squares(out_squares, n, ell)
-    out = QMCertificate(n, ell, prob.G.size, total, "exact", [block], out_mults)
+    block = gram_from_squares(out_squares, n, cert.ell)
+    out = QMCertificate(n, cert.ell, prob.G.size, total, "exact", [block], out_mults)
     target = SymPolyMatrix(prob.F.scale_poly(u_pows[k]).entries)
     report = verify_certificate(target, prob.G, out, mode="exact")
     if not report.ok:
-        raise AssertionError(f"dehomogenized certificate failed: {report.messages}")
+        raise OddPartNonzero(f"the input does not certify the lifted problem: {report.messages}")
     return k, out
 
 

@@ -31,13 +31,11 @@ from .algebra import (
 from .bernstein import (
     BernsteinExpansion,
     ExpansionParseError,
-    _basis_sum,
     elevate,
     lattice_resolution_for,
     norm_of_expansion,
     read_expansion,
     serialize_expansion,
-    simplex_lattice_float,
     simplex_lattice_point,
     simplex_lattice_rounded,
     to_bernstein,
@@ -113,15 +111,21 @@ def _pd_margin(mat: RationalSymMatrix) -> float | None:
     return margin
 
 
+def _lattice_scan(F: SymPolyMatrix, target_points: int) -> tuple:
+    """(resolution, compositions, float points, smallest eigenvalue of F at
+    each point) of the simplex lattice with at least target_points points."""
+    n = F.nvars
+    res = lattice_resolution_for(n, target_points)
+    betas, pts = simplex_lattice_rounded(n, res)
+    return res, betas, pts, min_eigenvalue_numeric(F.evaluate_float(pts))
+
+
 def grid_min_eigenvalue(F: SymPolyMatrix, target_points: int):
     """Numeric min of the smallest eigenvalue of F over a simplex lattice.
 
     Returns (value, float point, resolution).
     """
-    n = F.nvars
-    res = lattice_resolution_for(n, target_points)
-    pts = simplex_lattice_float(n, res)
-    eigs = min_eigenvalue_numeric(F.evaluate_float(pts))
+    res, _, pts, eigs = _lattice_scan(F, target_points)
     first = int(np.argmin(eigs))
     return float(eigs[first]), pts[first], res
 
@@ -169,9 +173,7 @@ def polya_certificate(F: SymPolyMatrix, max_degree: int) -> PolyaCertificate:
 
     # failed within the cap: look for an exact refutation point
     n = F.nvars
-    res = lattice_resolution_for(n, 10**n * (d + 1))
-    betas, pts = simplex_lattice_rounded(n, res)
-    eigs = min_eigenvalue_numeric(F.evaluate_float(pts))
+    res, betas, _, eigs = _lattice_scan(F, 10**n * (d + 1))
     witness = None
     witness_eig = None
     for idx in np.flatnonzero(eigs < 1e-9):
@@ -279,13 +281,3 @@ def _read_polya(r: LineReader) -> PolyaCertificate:
     if unmatched:
         raise ValueError(f"alpha {unmatched[0]} has a margin or a record, not both")
     return PolyaCertificate(degree, expansion, margins)
-
-
-def simplex_form(e: BernsteinExpansion) -> SymPolyMatrix:
-    """Homogeneous matrix on the standard simplex whose scaled-basis
-    coefficients are the Bernstein coefficients of e (the substitution link
-    between the two bases)."""
-    def scaled_monomial(alpha):
-        mono = alpha + (e.degree - sum(alpha),)
-        return Polynomial(e.nvars + 1, {mono: multinomial(e.degree, mono)})
-    return _basis_sum(e, e.nvars + 1, scaled_monomial)

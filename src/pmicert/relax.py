@@ -85,10 +85,6 @@ class SDPProblem:
         return len(self.monomials)
 
 
-def count_monomials(n: int, d: int) -> int:
-    return math.comb(n + d, n)
-
-
 def _index_arrays(slots: dict) -> tuple:
     """(cons, row, col, val) arrays of the nonzero {(cons, row, col): exact
     coefficient} slots, sorted by key."""
@@ -450,10 +446,6 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     raise MaxIterationsError(f"iteration budget {max_iter} exhausted")
 
 
-def _poly_from_rhs(p: SDPProblem) -> Polynomial:
-    return Polynomial(p.n, {g: v for g, v in zip(p.monomials, p.rhs)})
-
-
 def solve_relaxation(
     f: Polynomial, G: SymPolyMatrix, k: int, tol: float = 1e-6, max_iter: int = 60000
 ):
@@ -511,9 +503,3 @@ def extract_certificate(result: RelaxResult, p: SDPProblem) -> QMCertificate:
                                                   [(num, 0, den, 0) for _, (num, den) in terms])])
         mults.append(MultiplierTerm(ExtRational(weight), PolyMatrix(entries)))
     return QMCertificate(p.n, 1, p.m, 2 * p.k, "numeric", [block], mults)
-
-
-def certificate_target(p: SDPProblem, gamma: float) -> SymPolyMatrix:
-    """The scalar matrix [f - gamma] the extracted certificate represents."""
-    f = _poly_from_rhs(p)
-    return SymPolyMatrix.scalar(f - ExtRational(gamma))

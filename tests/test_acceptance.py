@@ -25,7 +25,7 @@ from pmicert.bernstein import (
     elevate,
     from_bernstein,
     norm_of_expansion,
-    simplex_lattice_float,
+    simplex_lattice_rounded,
     to_bernstein,
 )
 from pmicert.bounds import BoundInputs, convergence_rate, putinar_matrix_bound, theta
@@ -207,7 +207,7 @@ def test_criterion_4_bernstein_suite():
         ng = bernstein_norm(SymPolyMatrix.scalar(g), d2)
         ok &= bernstein_norm(SymPolyMatrix.scalar(f), d1 + d2) <= nf + 1e-10
         ok &= bernstein_norm(SymPolyMatrix.scalar(f * g), d1 + d2) <= nf * ng + 1e-10
-        pts = simplex_lattice_float(n, 200 if n == 1 else 19)
+        pts = simplex_lattice_rounded(n, 200 if n == 1 else 19)[1]
         sup = max(abs(f.evaluate_float(p)) for p in pts)
         ok &= len(pts) >= 200 and sup <= nf + 1e-10
     # quadratic-form bound, 500 unit vectors per matrix
@@ -266,7 +266,7 @@ def test_criterion_6_putinar_vasilescu():
         if not verify_certificate(F_tilde, sprob.G_hat, cert, sphere=True).ok:
             ok = False
             break
-        k, out = dehomogenize_certificate(cert, sprob)  # asserts odd cancellation
+        k, out = dehomogenize_certificate(cert, sprob)  # verifies its output exactly
         target = SymPolyMatrix(sprob.F.scale_poly(_one_plus_norm2(n) ** k).entries)
         ok &= verify_certificate(target, G, out, mode="exact").ok
         done += 1

@@ -59,7 +59,7 @@ class TestPolynomialArithmetic:
         assert p.evaluate([2]) == ExtRational(3)
         assert p.evaluate([Fraction(1, 2)]) == ExtRational(Fraction(-3, 4))
         q = random_poly(random.Random(3), 2, 3)
-        assert q.evaluate([0, 0]) == q.constant_term()
+        assert q.evaluate([0, 0]) == q.coeff((0, 0))
         with pytest.raises(ValueError):
             p.evaluate([1, 2])
 

@@ -15,7 +15,6 @@ from pmicert.bernstein import (
     elevate,
     from_bernstein,
     simplex_lattice,
-    simplex_lattice_float,
     simplex_lattice_point,
     simplex_lattice_rounded,
     to_bernstein,
@@ -83,7 +82,7 @@ class TestBasisPoly:
     def test_nonnegative_on_simplex_samples(self):
         for alpha in monomials_upto(2, 3):
             b = basis_poly(alpha, 3, 2)
-            for pt in simplex_lattice_float(2, 6):
+            for pt in simplex_lattice_rounded(2, 6)[1]:
                 assert b.evaluate_float(pt) >= -1e-12
 
 
@@ -198,7 +197,7 @@ class TestNorms:
             n = rng.randint(1, 2)
             p = random_poly(rng, n, 3)
             norm = bernstein_norm(scalar(p), max(p.degree, 0))
-            pts = simplex_lattice_float(n, 200 if n == 1 else 19)
+            pts = simplex_lattice_rounded(n, 200 if n == 1 else 19)[1]
             assert len(pts) >= 200
             sup = max(abs(p.evaluate_float(pt)) for pt in pts)
             assert sup <= norm + 1e-10

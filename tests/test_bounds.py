@@ -252,7 +252,7 @@ class TestMarkov:
 
     def test_dominates_sampled_gradient(self):
         import numpy as np
-        from pmicert.bernstein import simplex_lattice_float
+        from pmicert.bernstein import simplex_lattice_rounded
 
         rng = random.Random(17)
         from conftest import random_poly
@@ -261,7 +261,7 @@ class TestMarkov:
             p = random_poly(rng, 1, 3)
             bound = markov_gradient_bound(p)
             dp = Polynomial(1, {(max(a[0] - 1, 0),): c * a[0] for a, c in p.terms.items() if a[0]})
-            for pt in simplex_lattice_float(1, 16):
+            for pt in simplex_lattice_rounded(1, 16)[1]:
                 assert abs(dp.evaluate_float(pt)) <= bound + 1e-9
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,47 @@ def _norm2_tilde(N):
         xi = Polynomial.variable(N, i)
         out = out + xi * xi
     return out
+
+
+def _odd_power_case(n):
+    """(certificate, problem) with F~ = ||x~||^2 * A^T G^ A for constant A on
+    the ball: the transfer meets an odd power of (1 + ||x||^2) on a
+    multiplier and splits it over {1, x_i}."""
+    from pmicert.algebra import PolyMatrix
+    from pmicert.certify import MultiplierTerm, ball_constraint
+    from pmicert.homogenize import HomogenizedProblem
+
+    N = n + 1
+    G = ball_constraint(n)
+    prob0 = lift_problem(SymPolyMatrix.zero(1, n), G)
+    A = PolyMatrix([[Polynomial.const(N, 1)]])
+    AGA = A.transpose() @ prob0.G_hat @ A
+    F_tilde = SymPolyMatrix(AGA.scale_poly(_norm2_tilde(N)).entries)
+    H = SymPolyMatrix(AGA.entries)
+    cert = QMCertificate(N, 1, 1, 4, "exact", [], [MultiplierTerm(ExtRational(1), A)], H)
+    prob = HomogenizedProblem(F_tilde.dehomogenize(), G, F_tilde, prob0.G_tilde,
+                              prob0.G_hat, prob0.d0, n, 4, prob0.d_G)
+    return cert, prob
+
+
+def golden_transfers():
+    """{golden file name: (certificate, problem)} of the pinned transfers:
+    the synthetic family on the ball in two variables at ell = 1 and 2, and
+    the odd-power multiplier split."""
+    import random
+
+    from pmicert.certify import ball_constraint
+
+    out = {}
+    for ell in (1, 2):
+        prob, _, cert = synthetic_sphere_certificate(random.Random(f"golden-{ell}"),
+                                                     ball_constraint(2), ell)
+        out[f"dehomogenize_n2_l{ell}.qmc"] = cert, prob
+    out["dehomogenize_odd_power.qmc"] = _odd_power_case(2)
+    return out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestLift:
@@ -259,36 +301,16 @@ class TestDehomogenize:
         assert verify_certificate(target, free_constraint(n), out).ok
 
     def test_odd_power_multiplier_split(self):
-        # F~ = ||x~||^2 * A^T G^ A with constant A: the transfer meets an odd
-        # power of (1 + ||x||^2) on a multiplier and splits it over {1, x_i}
-        from pmicert.certify import ball_constraint
-        from pmicert.certify import MultiplierTerm
-        from pmicert.algebra import PolyMatrix
+        from pmicert.homogenize import _one_plus_norm2
 
         n = 2
-        N = n + 1
-        G = ball_constraint(n)
-        prob0 = lift_problem(SymPolyMatrix.zero(1, n), G)
-        A = PolyMatrix([[Polynomial.const(N, 1)]])
-        AGA = A.transpose() @ prob0.G_hat @ A
-        norm2 = _norm2_tilde(N)
-        F_tilde = SymPolyMatrix(AGA.scale_poly(norm2).entries)
-        H = SymPolyMatrix(AGA.entries)
-        cert = QMCertificate(
-            N, 1, 1, 4, "exact", [], [MultiplierTerm(ExtRational(1), A)], H
-        )
-        assert verify_certificate(F_tilde, prob0.G_hat, cert, sphere=True).ok
-        F = F_tilde.dehomogenize()
-        from pmicert.homogenize import HomogenizedProblem, _one_plus_norm2
-
-        prob = HomogenizedProblem(
-            F, G, F_tilde, prob0.G_tilde, prob0.G_hat, prob0.d0, n, 4, prob0.d_G
-        )
-        assert F.homogenize(4) == F_tilde
+        cert, prob = _odd_power_case(n)
+        assert verify_certificate(prob.F_tilde, prob.G_hat, cert, sphere=True).ok
+        assert prob.F.homogenize(4) == prob.F_tilde
         k, out = dehomogenize_certificate(cert, prob)
         assert len(out.multipliers) == 1 + n  # the {1, x_i} split
-        target = SymPolyMatrix(F.scale_poly(_one_plus_norm2(n) ** k).entries)
-        assert verify_certificate(target, G, out).ok
+        target = SymPolyMatrix(prob.F.scale_poly(_one_plus_norm2(n) ** k).entries)
+        assert verify_certificate(target, prob.G, out).ok
 
     def test_odd_part_nonzero_rejected(self, rng):
         from pmicert.certify import ball_constraint
@@ -320,6 +342,41 @@ class TestDehomogenize:
         k1, out1 = dehomogenize_certificate(cert, prob)
         assert cert.sphere_multiplier is not None and not cert.sphere_multiplier.is_zero()
         assert out1.sphere_multiplier is None
+
+    @pytest.mark.parametrize("name", sorted(golden_transfers()))
+    def test_output_bytes_pinned(self, name):
+        from pmicert.certify import serialize
+
+        cert, prob = golden_transfers()[name]
+        _, out = dehomogenize_certificate(cert, prob)
+        assert serialize(out) == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("field", ["nvars", "ell", "m"])
+    def test_shape_mismatch_named_before_any_work(self, rng, field):
+        from pmicert.certify import ball_constraint
+
+        # the problem is in 1 variable for the nvars case, in 2 otherwise,
+        # with ell = 1 and the 1 x 1 ball constraint
+        prob, _, _ = synthetic_sphere_certificate(rng, ball_constraint(1 + (field != "nvars")), 1)
+        G = ball_constraint(2)
+        if field == "m":
+            G = SymPolyMatrix([[G[0, 0], Polynomial.zero(2)],
+                               [Polynomial.zero(2), Polynomial.const(2, 1)]])
+        _, _, cert = synthetic_sphere_certificate(rng, G, 2 if field == "ell" else 1)
+        with pytest.raises(ValueError, match=rf"certificate {field} \d+ does not match"):
+            dehomogenize_certificate(cert, prob)
+
+    def test_valid_certificate_for_another_target_rejected(self, rng):
+        import dataclasses
+
+        from pmicert.certify import ball_constraint
+
+        prob, F_tilde, cert = synthetic_sphere_certificate(rng, ball_constraint(1), 1)
+        assert verify_certificate(F_tilde, prob.G_hat, cert, sphere=True).ok
+        wrong = dataclasses.replace(prob, F=SymPolyMatrix(
+            (prob.F + SymPolyMatrix.identity(1, 1)).entries))
+        with pytest.raises(OddPartNonzero):
+            dehomogenize_certificate(cert, wrong)
 
 
 class TestPerturb:

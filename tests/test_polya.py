@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from pmicert.ring import ExtRational
-from pmicert.algebra import Polynomial, RationalSymMatrix, SymPolyMatrix, congruence, psd_exact
-from pmicert.bernstein import elevate, from_bernstein, to_bernstein
+from pmicert.algebra import (
+    Polynomial,
+    RationalSymMatrix,
+    SymPolyMatrix,
+    congruence,
+    multinomial,
+    psd_exact,
+)
+from pmicert.bernstein import _basis_sum, elevate, from_bernstein, to_bernstein
 from pmicert.polya import (
     NotPositiveDefiniteOnSimplex,
     advisory,
@@ -14,7 +21,6 @@ from pmicert.polya import (
     polya_bound,
     polya_certificate,
     scherer_hol_step,
-    simplex_form,
 )
 from conftest import random_poly, random_sym_matrix
 
@@ -26,6 +32,16 @@ def submatrix(M: RationalSymMatrix, idx) -> RationalSymMatrix:
 
 def x(i=0, n=1):
     return Polynomial.variable(n, i)
+
+
+def simplex_form(e):
+    """Homogeneous matrix on the standard simplex whose scaled-basis
+    coefficients are the Bernstein coefficients of e (the substitution link
+    between the two bases)."""
+    def scaled_monomial(alpha):
+        mono = alpha + (e.degree - sum(alpha),)
+        return Polynomial(e.nvars + 1, {mono: multinomial(e.degree, mono)})
+    return _basis_sum(e, e.nvars + 1, scaled_monomial)
 
 
 class TestPolyaBound:

@@ -6,15 +6,23 @@ the program.
     python3 tools/bench_describe.py --variant parent=/tmp/parent/src \\
         --variant new=src --seed 7 --out BENCH_describe.json
 
-Jobs: the `scalarize`, `scalarize --charpoly` and `homogenize` jobs of the
-benchmark's `describe` workload at --seed (perfbench/workloads.py).  Each
-job runs once per variant, the variants alternating, in a fresh process
-with PYTHONPATH set to the variant's source tree and numpy's BLAS held to
-one thread (tools/harness.py).  The child calls `pmicert.cli.main` once
-untimed, counting `scalarize.verify_witness` calls, and then --repeats
-times; cpu_s is the median of those calls' process CPU times (imports
-excluded).  Each record also gives a digest of the standard output, so that
-byte-identical output across variants can be read off.
+Jobs: the jobs of the benchmark's `describe` workload at --seed
+(perfbench/workloads.py).  Each job runs once per variant, the variants
+alternating, in a fresh process with PYTHONPATH set to the variant's source
+tree and numpy's BLAS held to one thread (tools/harness.py).  For a
+`scalarize`, `scalarize --charpoly` or `homogenize` job the child calls
+`pmicert.cli.main` once untimed, counting `scalarize.verify_witness` calls,
+and then --repeats times; cpu_s is the median of those calls' process CPU
+times (imports excluded), and the record gives a digest of the standard
+output.  For a `dehomogenize_certificate` job the child loads the problem
+and the sphere certificate, lifts the problem and transfers the certificate
+once untimed, then times --repeats batches of DEHOMOGENIZE_CALLS transfers,
+and the median batch over DEHOMOGENIZE_CALLS is the CPU time of one
+transfer.  A transfer takes about a millisecond, so a job runs in
+DEHOMOGENIZE_ROUNDS such children per variant, the variants alternating
+from round to round; cpu_s is the median over the rounds, and the record
+gives a digest of the first round's serialized output.  So byte-identical
+output across variants can be read off every job.
 
 Constrained suite: the 60 instances of tests/constrained_suite.py, each
 estimated by `estimate_homogenized_min` at its defaults, in blocks of
@@ -68,6 +76,28 @@ print(json.dumps({"cpu_s": statistics.median(times), "exit": code,
                   "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}))
 """
 
+DEHOMOGENIZE_CHILD = """
+import hashlib, json, statistics, sys, time
+from pmicert.certify import deserialize, serialize
+from pmicert.homogenize import dehomogenize_certificate, lift_problem
+from pmicert.problemio import load_problem
+problem, certificate, _ = json.loads(sys.argv[1])
+repeats, calls = int(sys.argv[2]), int(sys.argv[3])
+data = load_problem(problem)
+with open(certificate, encoding="utf-8") as fh:
+    cert = deserialize(fh.read())
+lifted = lift_problem(data.F, data.G)
+k, out = dehomogenize_certificate(cert, lifted)
+times = []
+for _ in range(repeats):
+    start = time.process_time()
+    for _ in range(calls):
+        dehomogenize_certificate(cert, lifted)
+    times.append((time.process_time() - start) / calls)
+print(json.dumps({"cpu_s": statistics.median(times), "k": k,
+                  "output_sha256": hashlib.sha256(serialize(out).encode()).hexdigest()}))
+"""
+
 SUITE_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -84,13 +114,16 @@ print(json.dumps(out))
 """
 
 SUITE_BLOCK = 10
+DEHOMOGENIZE_CALLS = 20
+DEHOMOGENIZE_ROUNDS = 5
+KINDS = ("scalarize", "charpoly", "homogenize", "dehomogenize")
 
 
 def jobs(seed: int, workdir: str) -> list:
-    """(job id, command) of the describe workload's CLI jobs but dehomogenize."""
+    """(job id, kind, argv) of the describe workload's jobs, kind one of KINDS;
+    a dehomogenize job's argv is (problem, sphere certificate, output)."""
     manifest = workloads.generate("describe", seed, workdir)
-    return [(job["id"], job["argv"]) for job in manifest["jobs"]
-            if job["kind"] == "cli" and job["argv"][0] in ("scalarize", "homogenize")]
+    return [(job["id"], _kind(job), job["argv"]) for job in manifest["jobs"]]
 
 
 def child(src: str, argv: list, cwd: str | None = None):
@@ -107,12 +140,21 @@ def main() -> int:
     variants = harness.variants(args)
     records = []
     with tempfile.TemporaryDirectory() as workdir:
-        for i, (job, argv) in enumerate(jobs(args.seed, workdir)):
-            rec = {"job": job, "argv": argv[:1] + argv[2:]}
-            for label, src in harness.in_turn(variants, i):
-                rec[label] = child(src, ["-c", JOB_CHILD, json.dumps(argv), str(args.repeats)],
-                                   cwd=workdir)
-                rec[label]["cpu_s"] = round(rec[label]["cpu_s"], 6)
+        for i, (job, kind, argv) in enumerate(jobs(args.seed, workdir)):
+            rec = {"job": job, "kind": kind}
+            if kind == "dehomogenize":
+                code = [DEHOMOGENIZE_CHILD, json.dumps(argv), str(args.repeats),
+                        str(DEHOMOGENIZE_CALLS)]
+            else:
+                rec["argv"] = argv[:1] + argv[2:]
+                code = [JOB_CHILD, json.dumps(argv), str(args.repeats)]
+            runs = {label: [] for label, _ in variants}
+            for r in range(DEHOMOGENIZE_ROUNDS if kind == "dehomogenize" else 1):
+                for label, src in harness.in_turn(variants, i + r):
+                    runs[label].append(child(src, ["-c", *code], cwd=workdir))
+            for label, _ in variants:
+                cpu = statistics.median(run["cpu_s"] for run in runs[label])
+                rec[label] = dict(runs[label][0], cpu_s=round(cpu, 6))
             records.append(rec)
             print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
                   file=sys.stderr)
@@ -136,16 +178,18 @@ def main() -> int:
     summary = {}
     for label, _ in variants:
         kinds = {}
-        for kind in ("scalarize", "charpoly", "homogenize"):
-            sel = [r for r in records if _kind(r["argv"]) == kind]
+        for kind in KINDS:
+            sel = [r for r in records if r["kind"] == kind]
+            digest = "output" if kind == "dehomogenize" else "stdout"
             kinds[kind] = {
                 "jobs": len(sel),
-                "cpu_s_total": round(sum(r[label]["cpu_s"] for r in sel), 4),
-                "witness_checks_per_job": statistics.mean(r[label]["witness_checks"]
-                                                          for r in sel),
-                "stdout_as_" + first: sum(r[label]["stdout_sha256"] == r[first]["stdout_sha256"]
-                                          for r in sel),
+                "cpu_s_total": round(sum(r[label]["cpu_s"] for r in sel), 6),
+                digest + "_as_" + first: sum(r[label][digest + "_sha256"]
+                                             == r[first][digest + "_sha256"] for r in sel),
             }
+            if kind != "dehomogenize":
+                kinds[kind]["witness_checks_per_job"] = statistics.mean(
+                    r[label]["witness_checks"] for r in sel)
         gaps = [r[label]["gap"] for r in constrained]
         delta = [r[label]["gap"] - r[first]["gap"] for r in constrained]
         kinds["constrained"] = {
@@ -169,8 +213,10 @@ def _bits(run: dict) -> tuple:
     return run["estimate_hex"], run["argmin_hex"]
 
 
-def _kind(argv: list) -> str:
-    return "charpoly" if "--charpoly" in argv else argv[0]
+def _kind(job: dict) -> str:
+    if job["kind"] == "dehomogenize":
+        return "dehomogenize"
+    return "charpoly" if "--charpoly" in job["argv"] else job["argv"][0]
 
 
 if __name__ == "__main__":
