@@ -7,7 +7,8 @@ an l x l target the Gram acts on basis (x) kron R^l) and multiplier terms
 scale * P^T G P with scale >= 0.  The scale generalizes the plain P^T G P
 form: positive constants such as sqrt(n)/2 that the facet identities need
 are not sums of squares in Q[sqrt(n)], so they ride along as explicit
-nonnegative weights.
+nonnegative weights.  A sphere multiplier H (a .qmc's sphere-multiplier
+section) adds H (||x||^2 - 1); verify_certificate accepts it on forms only.
 
 SOS parts and multiplier parts reconstruct through one Gram shape.  The
 multiplier terms fold into one PSD form W = sum scale vec(P) vec(P)^T over
@@ -121,12 +122,12 @@ class QMCertificate:
     multipliers: list = field(default_factory=list)
     sphere_multiplier: SymPolyMatrix | None = None
 
-    def reconstruction(self, G: SymPolyMatrix, sphere: bool = False) -> SymPolyMatrix:
-        """sigma_0 + sum scale P^T G P (+ H (||x||^2 - 1) with sphere).  The
-        multipliers fold into W = sum scale vec(P) vec(P)^T, vec(P)[a ell + i]
-        = P[a][i]; with S its collapse onto monomials, built square by square
-        from the nonzero terms only, entry (i, j) gains
-        sum_ab G_ab S[(a,i),(b,j)].
+    def reconstruction(self, G: SymPolyMatrix) -> SymPolyMatrix:
+        """sigma_0 + sum scale P^T G P, plus H (||x||^2 - 1) when the
+        certificate has a sphere multiplier H.  The multipliers fold into
+        W = sum scale vec(P) vec(P)^T, vec(P)[a ell + i] = P[a][i]; with S
+        its collapse onto monomials, built square by square from the nonzero
+        terms only, entry (i, j) gains sum_ab G_ab S[(a,i),(b,j)].
 
         Terms whose vec(P) holds the same polynomial objects (a parsed
         certificate shares every repeated line) are one square whose scale is
@@ -165,7 +166,7 @@ class QMCertificate:
                             items.append((_at(G[a, b], width), _at(s, width), None))
                 out[i, j] = _finish(n, width, *_accumulate(items))
         H = self.sphere_multiplier
-        if sphere and H is not None:
+        if H is not None:
             if H.size != ell or H.nvars != n:
                 raise ValueError(f"sphere multiplier is {H.size}x{H.size} in {H.nvars} "
                                  f"variables, expected {ell}x{ell} in {n}")
@@ -462,6 +463,7 @@ def assemble_simplex_putinar(
     n = F.nvars
     ell = F.size
     ball = ball_constraint(n)
+    # a witness's sphere term, which the assembly drops, fails here: 1 - ||x||^2 is not a form
     bw_report = verify_certificate(ball, G, ball_witness, mode="exact")
     if not bw_report.ok:
         raise ValueError(f"ball witness rejected: {bw_report.messages}")
@@ -563,9 +565,11 @@ def verify_certificate(
     cert: QMCertificate,
     mode: str = "exact",
     tol: float = 1e-8,
-    sphere: bool = False,
 ) -> VerifyReport:
-    """Check F == reconstruction(cert, G) and PSD-ness of the Gram blocks.
+    """Check F == cert.reconstruction(G), with cert's sphere term if it has
+    one, and PSD-ness of the Gram blocks.  A sphere term proves F PSD on
+    {G PSD} only for forms, F of positive degree, as homogenize lifts them:
+    {G PSD} is then a cone, and F is PSD on it if it is on its unit sphere.
 
     exact mode: zero residual and exactly PSD Grams (LDL^T decision, no size
     cap).  numeric mode: residual Bernstein norm <= tol and numeric Gram
@@ -594,10 +598,14 @@ def verify_certificate(
     H = cert.sphere_multiplier
     if H is not None and (H.size != cert.ell or H.nvars != cert.nvars):
         messages.append(f"sphere multiplier has size {H.size} in {H.nvars} variables")
+    elif H is not None and not (F.degree != 0 and F.is_homogeneous_of(F.degree)
+                                and G.is_homogeneous_of(G.degree)):
+        messages.append("sphere multiplier needs F homogeneous of positive degree "
+                        "and G homogeneous")
     if messages:
         return VerifyReport(False, math.inf, [], messages)
 
-    recon = cert.reconstruction(G, sphere=sphere)
+    recon = cert.reconstruction(G)
     if recon.degree > cert.k:
         messages.append(
             f"reconstruction degree {recon.degree} exceeds declared degree {cert.k}"

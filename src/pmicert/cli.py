@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .ring import parse_ext_rational
-from .algebra import SymPolyMatrix
+from .algebra import PolyMatrix, SymPolyMatrix
 from . import bounds as bounds_mod
 from .bounds import BoundInputs
 from .certify import (
@@ -35,6 +35,7 @@ from .relax import (
     build_relaxation,
     check_solvable,
     extract_certificate,
+    relaxation_size,
     solve_sdp,
 )
 from .scalarize import charpoly_scalarization, scalarize
@@ -271,8 +272,9 @@ def _cmd_relax(args) -> int:
     if prob.ell != 1:
         print("error: relax expects a scalar objective (ell = 1)", file=sys.stderr)
         return 2
+    # refused before anything is built, so a refused run writes no file
+    check_solvable(relaxation_size(prob.F[0, 0], prob.G, args.order)[1], args.tol, args.max_iter)
     p = build_relaxation(prob.F[0, 0], prob.G, args.order)
-    check_solvable(p, args.tol, args.max_iter)  # a refused run writes no file
     if args.export_sdpa:
         with open(args.export_sdpa, "w", encoding="utf-8") as fh:
             fh.write(export_sdpa(p))
@@ -313,14 +315,8 @@ def _cmd_verify(args) -> int:
     target = prob.F
     gamma = parse_ext_rational(args.gamma)
     if not gamma.is_zero():
-        shifted = [
-            [
-                target[i, j] - gamma if i == j else target[i, j]
-                for j in range(target.size)
-            ]
-            for i in range(target.size)
-        ]
-        target = SymPolyMatrix(shifted)
+        shift = PolyMatrix.identity(prob.ell, prob.n).scale(gamma)
+        target = SymPolyMatrix((target - shift).entries)
     report = verify_certificate(target, prob.G, cert, mode=args.mode, tol=args.tol)
     payload = {
         "ok": report.ok,
@@ -329,6 +325,9 @@ def _cmd_verify(args) -> int:
         "messages": report.messages,
     }
     human = "PASS" if report.ok else "FAIL: " + "; ".join(report.messages)
+    if cert.sphere_multiplier is not None:
+        payload["sphere"] = True
+        human += "\nthe identity includes the sphere term H (||x||^2 - 1)"
     human += f"\nresidual norm: {report.residual_norm!r}"
     _emit(args, payload, human)
     return 0 if report.ok else 1

@@ -93,8 +93,10 @@ def _index_arrays(slots: dict) -> tuple:
     return cons, row, col, np.array([float(slots[key]) for key in keys])
 
 
-def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
-    """Exact coefficient-matching data of the order-k relaxation."""
+def relaxation_size(f: Polynomial, G: SymPolyMatrix, k: int) -> tuple:
+    """(k', block sizes [C(n + k, n), m C(n + k', n)]) of the order-k
+    relaxation from the degrees alone, k' = k - ceil(deg G / 2).  ValueError
+    when f and G do not share variables, 2k < deg f or k' < 0."""
     n = f.nvars
     if G.nvars != n:
         raise ValueError("objective and constraint must share variables")
@@ -104,6 +106,13 @@ def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
     kprime = k - (-(-d_G // 2))
     if kprime < 0:
         raise ValueError(f"relaxation order {k} too small for constraint degree {d_G}")
+    return kprime, [math.comb(n + k, n), G.size * math.comb(n + kprime, n)]
+
+
+def build_relaxation(f: Polynomial, G: SymPolyMatrix, k: int) -> SDPProblem:
+    """Exact coefficient-matching data of the order-k relaxation."""
+    n = f.nvars
+    kprime, _ = relaxation_size(f, G, k)
     m = G.size
     # graded-lex order: each basis is a prefix of the order-2k monomials
     monomials = monomials_upto(n, 2 * k)
@@ -281,14 +290,14 @@ AA_REG = 1e-10
 AA_SAFEGUARD = 1.0
 
 
-def check_solvable(p: SDPProblem, tol: float, max_iter: int) -> None:
+def check_solvable(block_sizes: list, tol: float, max_iter: int) -> None:
     """The ValueError of a run solve_sdp refuses before it starts: tol not
     finite and > 0, max_iter below 1, or blocks past MAX_TOTAL_BLOCK_SIZE."""
     if not (math.isfinite(tol) and tol > 0 and max_iter >= 1):
         raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
-    if sum(p.block_sizes) > MAX_TOTAL_BLOCK_SIZE:
+    if sum(block_sizes) > MAX_TOTAL_BLOCK_SIZE:
         raise ValueError(
-            f"total block size {sum(p.block_sizes)} exceeds {MAX_TOTAL_BLOCK_SIZE}"
+            f"total block size {sum(block_sizes)} exceeds {MAX_TOTAL_BLOCK_SIZE}"
         )
 
 
@@ -333,7 +342,7 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
     as with np.linalg and per-block projections into fresh arrays, so the
     iterates and the evaluation count are bit-identical to that form.
     """
-    check_solvable(p, tol, max_iter)
+    check_solvable(p.block_sizes, tol, max_iter)
     N0, M1 = p.block_sizes
     s0 = N0 * N0
     s1 = s0 + M1 * M1
@@ -449,7 +458,8 @@ def solve_sdp(p: SDPProblem, tol: float = 1e-6, max_iter: int = 60000):
 def solve_relaxation(
     f: Polynomial, G: SymPolyMatrix, k: int, tol: float = 1e-6, max_iter: int = 60000
 ):
-    """build_relaxation + solve_sdp."""
+    """build_relaxation + solve_sdp, refused before the build."""
+    check_solvable(relaxation_size(f, G, k)[1], tol, max_iter)
     p = build_relaxation(f, G, k)
     return p, solve_sdp(p, tol=tol, max_iter=max_iter)
 

@@ -263,7 +263,7 @@ def test_criterion_6_putinar_vasilescu():
         sprob, F_tilde, cert = synthetic_sphere_certificate(rng, G, ell, q=guard % 2)
         if sprob.F_tilde != F_tilde:
             continue
-        if not verify_certificate(F_tilde, sprob.G_hat, cert, sphere=True).ok:
+        if not verify_certificate(F_tilde, sprob.G_hat, cert).ok:
             ok = False
             break
         k, out = dehomogenize_certificate(cert, sprob)  # verifies its output exactly

@@ -298,9 +298,9 @@ def congruence_is_zero(cert, G):
     return congruence(term.matrix, G).scale(term.scale).is_zero()
 
 
-def _oracle_reconstruction(cert, G, sphere):
+def _oracle_reconstruction(cert, G):
     """Term by term: each Gram entry as its own monomial, plus one congruence
-    P^T G P per multiplier term."""
+    P^T G P per multiplier term and H (||x||^2 - 1) for a sphere multiplier H."""
     n, ell = cert.nvars, cert.ell
     out = PolyMatrix.zero(ell, ell, n)
     for block in cert.sos_blocks:
@@ -312,7 +312,7 @@ def _oracle_reconstruction(cert, G, sphere):
         out = out + PolyMatrix(grid)
     for term in cert.multipliers:
         out = out + congruence(term.matrix, G).scale(term.scale)
-    if sphere and cert.sphere_multiplier is not None:
+    if cert.sphere_multiplier is not None:
         out = out + cert.sphere_multiplier.scale_poly(-ball_polynomial(n))
     return SymPolyMatrix(out.entries)
 
@@ -388,9 +388,7 @@ class TestOneGramShape:
                       for i in range(ell) for j in range(i, ell)}, n)
         cert = QMCertificate(n, ell, m, 8, "numeric" if numeric else "exact",
                              blocks, mults, H)
-        for with_sphere in {False, sphere}:
-            assert cert.reconstruction(G, sphere=with_sphere) == \
-                _oracle_reconstruction(cert, G, with_sphere)
+        assert cert.reconstruction(G) == _oracle_reconstruction(cert, G)
 
     def test_multiplier_shape_checked(self, rng):
         G = random_sym_matrix(rng, 2, 1, 1)
@@ -412,7 +410,25 @@ class TestOneGramShape:
             assert not report.ok
             assert report.messages == [f"sphere multiplier has size {size} in 1 variables"]
             with pytest.raises(ValueError, match=f"sphere multiplier is {size}x{size}"):
-                cert.reconstruction(G, sphere=True)
+                cert.reconstruction(G)
+
+    @pytest.mark.parametrize("f, g, ok", [
+        (x() * x(), Polynomial.const(1, 1), True),
+        (Polynomial.const(1, -1), -(x() * x()), False),  # F(0) = -1 on {G >= 0} = {0}
+        (2 * x() * x(), 1 + x() * x(), False),
+    ], ids=["forms", "constant-F", "G-not-a-form"])
+    def test_sphere_term_needs_forms(self, f, g, ok):
+        # each identity f = g + (x^2 - 1) is exact; modulo the sphere it
+        # proves f >= 0 on {g >= 0} only when f and g are forms, f of positive
+        # degree
+        cert = QMCertificate(1, 1, 1, 2, "exact", [],
+                             [MultiplierTerm(ExtRational(1), PolyMatrix([[Polynomial.const(1, 1)]]))],
+                             scalar(Polynomial.const(1, 1)))
+        assert cert.reconstruction(scalar(g)) == scalar(f)
+        report = verify_certificate(scalar(f), scalar(g), cert)
+        assert report.ok is ok
+        assert report.messages == ([] if ok else [
+            "sphere multiplier needs F homogeneous of positive degree and G homogeneous"])
 
     def test_variable_counts_reported_not_raised(self):
         report = verify_certificate(scalar(ball_polynomial(1)), ball_constraint(2),

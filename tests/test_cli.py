@@ -419,6 +419,80 @@ class TestGoldenOutputs:
         assert payload["d0"] == 0
 
 
+class TestSphereCertificates:
+    """A certificate with a sphere-multiplier section declares an identity
+    with the term H (||x||^2 - 1); verify checks that term, accepts it on
+    forms only, and says so."""
+
+    @staticmethod
+    def _lifted(tmp_path):
+        import random
+
+        from conftest import synthetic_sphere_certificate
+        from pmicert.certify import serialize
+
+        prob, F_tilde, cert = synthetic_sphere_certificate(random.Random(1), ball_constraint(1), 1)
+        problem = tmp_path / "lifted.pmi"
+        problem.write_text(dump_problem(
+            ProblemData(F_tilde.nvars, F_tilde.size, prob.G_hat.size, F_tilde, prob.G_hat)))
+        return serialize(cert).splitlines(), problem
+
+    def _verify(self, tmp_path, lines, problem, *flags):
+        cert = tmp_path / "sphere.qmc"
+        cert.write_text("\n".join(lines) + "\n")
+        return main(["verify", str(cert), str(problem), "--mode", "exact", *flags])
+
+    def test_sphere_term_is_checked_and_stated(self, tmp_path, capsys):
+        lines, problem = self._lifted(tmp_path)
+        assert self._verify(tmp_path, lines, problem) == 0
+        assert capsys.readouterr().out == ("PASS\nthe identity includes the sphere term "
+                                           "H (||x||^2 - 1)\nresidual norm: 0.0\n")
+        assert self._verify(tmp_path, lines, problem, "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True and payload["sphere"] is True
+
+    def test_sphere_term_needs_forms(self, tmp_path, capsys):
+        # H (x1^2 - 1) = F for H = [1] and F = x1^2 - 1, yet F(0) = -1 on
+        # G = [1]: modulo the sphere this proves nothing about F off it
+        from pmicert.certify import QMCertificate, serialize
+
+        one = Polynomial.const(1, 1)
+        problem = tmp_path / "plain.pmi"
+        problem.write_text(dump_problem(ProblemData(
+            1, 1, 1, SymPolyMatrix.scalar(x() * x() - 1), SymPolyMatrix.scalar(one))))
+        cert = QMCertificate(1, 1, 1, 2, "exact", [], [], SymPolyMatrix.scalar(one))
+        assert self._verify(tmp_path, serialize(cert).splitlines(), problem, "--json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False and payload["sphere"] is True
+        assert payload["messages"] == [
+            "sphere multiplier needs F homogeneous of positive degree and G homogeneous"]
+
+    def test_ball_witness_with_sphere_term_rejected(self, problems, tmp_path, capsys):
+        # H = [-1] proves 1 - ||x||^2 modulo the sphere only; the simplex
+        # assembly has no place for H, so the witness is refused up front
+        from pmicert.certify import QMCertificate, serialize
+
+        witness = QMCertificate(1, 1, 1, 2, "exact", [], [],
+                                SymPolyMatrix.scalar(Polynomial.const(1, -1)))
+        (tmp_path / "w.qmc").write_text(serialize(witness))
+        args = ["certify-simplex", str(problems["mat"]), "--ball-witness", str(tmp_path / "w.qmc")]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: ball witness rejected: ['sphere multiplier needs F homogeneous "
+                       "of positive degree and G homogeneous']\n")
+
+    def test_tampered_sphere_multiplier_fails(self, tmp_path, capsys):
+        lines, problem = self._lifted(tmp_path)
+        at = lines.index("sphere-multiplier 1") + 1
+        coeff = lines[at].split(" ")[0]
+        lines[at] = lines[at].replace(coeff, f"({Fraction(coeff[1:-1]) + 1})", 1)
+        assert self._verify(tmp_path, lines, problem) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: nonzero residual")
+        assert "the identity includes the sphere term" in out
+
+
 class TestPipelines:
     def test_certify_verify_round_trip(self, problems, tmp_path, capsys):
         cert_path = tmp_path / "mat.qmc"

@@ -268,7 +268,7 @@ class TestDehomogenize:
             prob, F_tilde, cert = synthetic_sphere_certificate(rng, G, ell, q=trial % 2)
             if prob.F_tilde != F_tilde:
                 continue  # degenerate draw: dehomogenized form lost degree
-            assert verify_certificate(F_tilde, prob.G_hat, cert, sphere=True).ok
+            assert verify_certificate(F_tilde, prob.G_hat, cert).ok
             k, out = dehomogenize_certificate(cert, prob)
             u_k = _one_plus_norm2(n) ** k
             target = SymPolyMatrix(prob.F.scale_poly(u_k).entries)
@@ -293,7 +293,7 @@ class TestDehomogenize:
         )
         prob = lift_problem(F_tilde.dehomogenize(), free_constraint(n))
         assert prob.F_tilde == F_tilde
-        assert verify_certificate(F_tilde, prob.G_hat, cert, sphere=True).ok
+        assert verify_certificate(F_tilde, prob.G_hat, cert).ok
         k, out = dehomogenize_certificate(cert, prob)
         from pmicert.homogenize import _one_plus_norm2
 
@@ -305,7 +305,7 @@ class TestDehomogenize:
 
         n = 2
         cert, prob = _odd_power_case(n)
-        assert verify_certificate(prob.F_tilde, prob.G_hat, cert, sphere=True).ok
+        assert verify_certificate(prob.F_tilde, prob.G_hat, cert).ok
         assert prob.F.homogenize(4) == prob.F_tilde
         k, out = dehomogenize_certificate(cert, prob)
         assert len(out.multipliers) == 1 + n  # the {1, x_i} split
@@ -372,7 +372,7 @@ class TestDehomogenize:
         from pmicert.certify import ball_constraint
 
         prob, F_tilde, cert = synthetic_sphere_certificate(rng, ball_constraint(1), 1)
-        assert verify_certificate(F_tilde, prob.G_hat, cert, sphere=True).ok
+        assert verify_certificate(F_tilde, prob.G_hat, cert).ok
         wrong = dataclasses.replace(prob, F=SymPolyMatrix(
             (prob.F + SymPolyMatrix.identity(1, 1)).entries))
         with pytest.raises(OddPartNonzero):

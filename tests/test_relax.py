@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from pmicert import relax
 from pmicert.ring import ExtRational
 from pmicert.algebra import Polynomial, SymPolyMatrix, psd_exact
-from pmicert.certify import ball_constraint, verify_certificate
+from pmicert.certify import ball_constraint, ball_polynomial, verify_certificate
 from pmicert.cli import main
 from pmicert.problemio import ProblemData, dump_problem
 from pmicert.scalarize import scalarize
@@ -84,10 +85,46 @@ class TestBuild:
             solve_sdp(p)
         path = tmp_path / "cap.pmi"
         path.write_text(dump_problem(ProblemData(3, 1, 1, scalar(f), ball_constraint(3))))
-        assert main(["relax", str(path), "--order", "8"]) == 2
+        # the CLI decides the cap from the degrees alone, before it builds
+        # anything of the problem
+        tracemalloc.start()
+        try:
+            assert main(["relax", str(path), "--order", "8"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert err == "error: total block size 285 exceeds 200\n"
+
+    def test_library_refuses_before_it_builds(self):
+        # solve_relaxation, and hierarchy through it, decides the cap from
+        # the degrees alone: order 12 on the n = 3 ball is never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="total block size 819 exceeds 200"):
+                relax.solve_relaxation(Polynomial.variable(3, 0), ball_constraint(3), 12)
+            with pytest.raises(ValueError, match="total block size 819 exceeds 200"):
+                relax.hierarchy(Polynomial.variable(3, 0), ball_constraint(3), 12, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("f, g, extra, message", [
+        (Polynomial.variable(3, 0) ** 40, ball_polynomial(3), [], "2k = 24 is below deg f = 40"),
+        (Polynomial.variable(3, 0), Polynomial.const(3, 1) - Polynomial.variable(3, 0) ** 40, [],
+         "relaxation order 12 too small for constraint degree 40"),
+        (Polynomial.variable(3, 0), ball_polynomial(3), ["--tol", "0"],
+         "need a finite tol > 0 and max_iter >= 1, got 0.0 and 60000"),
+    ], ids=["degree-f", "kprime", "tol"])
+    def test_errors_before_the_cap_keep_their_order(self, tmp_path, capsys, f, g, extra,
+                                                    message):
+        path = tmp_path / "p.pmi"
+        path.write_text(dump_problem(ProblemData(3, 1, 1, scalar(f), scalar(g))))
+        assert main(["relax", str(path), "--order", "12", *extra]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSolve:
