@@ -10,18 +10,21 @@ with |alpha| <= t is
 an exact polynomial over Q[sqrt(n)].  Monomial -> Bernstein conversion is the
 closed form on a simplex (Farouki, "The Bernstein polynomial basis: a
 centennial retrospective", CAGD 2012), straight to any degree t >= deg F,
-exact, with no linear solve and no table kept between calls.
+exact, with no linear solve.  Its index tables depend on (n, t, deg F)
+only; the last CONVERSION_TABLE_SIZE of them are kept (_conversion_tables).
 Degree elevation uses the standard convex-combination recurrence.  Spectral
 norms of coefficient matrices are numeric.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,6 +63,37 @@ def basis_poly(alpha, t: int, n: int) -> Polynomial:
     return out
 
 
+# (n, t, d) shapes whose conversion tables are kept, least recently used
+# dropped first
+CONVERSION_TABLE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=CONVERSION_TABLE_SIZE)
+def _conversion_tables(n: int, t: int, d: int) -> tuple:
+    """(below, weight), read-only, of the degree-t conversion of a matrix of
+    degree d: below maps each alpha with |alpha| <= t, in monomials_upto
+    order, to the tuple of (beta, prod_i C(alpha_i, beta_i)) over beta <=
+    alpha with |beta| <= d, and weight maps each beta with |beta| <= d to
+    (-c)^|beta| / multinom(t; beta, t - |beta|), c = n + sqrt(n)."""
+    below = {
+        alpha: tuple(
+            (beta, math.prod(map(math.comb, alpha, beta)))
+            for beta in itertools.product(*(range(e + 1) for e in alpha))
+            if sum(beta) <= d
+        )
+        for alpha in monomials_upto(n, t)
+    }
+    c = ExtRational(n, 1, n)
+    powers = [ONE]  # (-c)^k
+    for _ in range(d):
+        powers.append(powers[-1] * -c)
+    weight = {
+        beta: powers[sum(beta)] / multinomial(t, beta + (t - sum(beta),))
+        for beta in monomials_upto(n, d)
+    }
+    return MappingProxyType(below), MappingProxyType(weight)
+
+
 def _monomial_to_bernstein(upper: dict, ell: int, n: int, t: int) -> dict:
     """Degree-t Bernstein coefficients {alpha: ell x ell grid} of the
     symmetric matrix whose entries (i, j), i <= j, are the {exponent:
@@ -76,25 +110,8 @@ def _monomial_to_bernstein(upper: dict, ell: int, n: int, t: int) -> dict:
     d = max((sum(g) for terms in upper.values() for g in terms), default=0)
     if t < d:
         raise ValueError(f"target degree {t} below matrix degree {d}")
-    alphas = monomials_upto(n, t)
-    # beta <= alpha with |beta| <= d, and prod_i C(alpha_i, beta_i)
-    below = {
-        alpha: [
-            (beta, math.prod(map(math.comb, alpha, beta)))
-            for beta in itertools.product(*(range(e + 1) for e in alpha))
-            if sum(beta) <= d
-        ]
-        for alpha in alphas
-    }
-    c = ExtRational(n, 1, n)
-    powers = [ONE]  # (-c)^k
-    for _ in range(d):
-        powers.append(powers[-1] * -c)
-    weight = {
-        beta: powers[sum(beta)] / multinomial(t, beta + (t - sum(beta),))
-        for beta in monomials_upto(n, d)
-    }
-    grids = {alpha: [[ZERO] * ell for _ in range(ell)] for alpha in alphas}
+    below, weight = _conversion_tables(n, t, d)
+    grids = {alpha: [[ZERO] * ell for _ in range(ell)] for alpha in below}
     for (i, j), terms in upper.items():
         shifted = {}
         for gamma, a in terms.items():
@@ -105,9 +122,9 @@ def _monomial_to_bernstein(upper: dict, ell: int, n: int, t: int) -> dict:
                 prev = shifted.get(beta)
                 shifted[beta] = v if prev is None else prev + v
         scaled = {beta: v * weight[beta] for beta, v in shifted.items() if v}
-        for alpha in alphas:
+        for alpha, pairs in below.items():
             acc = None
-            for beta, k in below[alpha]:
+            for beta, k in pairs:
                 v = scaled.get(beta)
                 if v is not None:
                     if k != 1:

@@ -42,11 +42,13 @@ tolerates a residual of small Bernstein norm and slightly negative margins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
+from types import MappingProxyType
 
 from .ring import ExtRational, ONE, _make, common_radicand
 from .algebra import (
@@ -69,6 +71,7 @@ from .algebra import (
     ldlt,
     min_eigenvalue_numeric,
     lower_triangle_rows,
+    monomials_upto,
     multinomial,
     psd_exact,
 )
@@ -80,6 +83,16 @@ class CertificateParseError(ValueError):
     pass
 
 
+# Shapes kept by each per-shape table of certify-simplex (ball_polynomial and
+# the facet identities per n, the Bernstein basis memberships per (n, t), the
+# CLI's bound line per (n, m, d, d_G)), the least recently used dropped
+# first.  A table's entries are pure functions of their key and immutable;
+# the final exact check of every assembled certificate stays the check of
+# record.
+SHAPE_TABLE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=SHAPE_TABLE_SIZE)
 def ball_polynomial(n: int) -> Polynomial:
     """1 - ||x||^2 in n variables."""
     p = Polynomial.const(n, 1)
@@ -404,29 +417,67 @@ def _blocks_to_squares(cert: QMCertificate):
     return [(w, vec[0]) for w, vec in blocks_to_vector_squares(cert)]
 
 
-def _facet_membership(kind: str, n: int, index: int = 0):
-    _, cert = facet_certificate(kind, n, index)
-    return _blocks_to_squares(cert), cert.multipliers[0].scale
+@functools.lru_cache(maxsize=SHAPE_TABLE_SIZE)
+def _facet_table(n: int) -> tuple:
+    """The ball-module memberships (squares, ball scale) of the upper facet
+    and then of the lower facets 1 + x_i, i < n, from facet_certificate."""
+    table = []
+    for kind, index in [("upper", 0)] + [("lower", i) for i in range(n)]:
+        _, cert = facet_certificate(kind, n, index)
+        table.append((tuple(_blocks_to_squares(cert)), cert.multipliers[0].scale))
+    return tuple(table)
 
 
-def _product_membership(alpha, t: int, n: int, facet_cache):
+def _product_membership(alpha, t: int, n: int):
     """Membership of prod facets (upper^(t-|alpha|) * prod (1+x_i)^alpha_i)
     in the ball module: returns (squares, sigma_squares) with
     product = sum squares + (sum sigma_squares) * (1 - ||x||^2)."""
     g = ball_polynomial(n)
+    facets = _facet_table(n)
     S = [(ONE, Polynomial.const(n, 1))]
     sigma = []
-    multiset = [("upper", 0)] * (t - sum(alpha))
+    multiset = [0] * (t - sum(alpha))
     for i, e in enumerate(alpha):
-        multiset.extend([("lower", i)] * e)
-    for kind, idx in multiset:
-        fs, fc = facet_cache[(kind, idx)]
+        multiset.extend([i + 1] * e)
+    for idx in multiset:
+        fs, fc = facets[idx]
         new_S = [(w1 * w2, q1 * q2) for w1, q1 in S for w2, q2 in fs]
         new_S += [(w * fc, q * g) for w, q in sigma]
         new_sigma = [(w * fc, q) for w, q in S]
         new_sigma += [(w1 * w2, q1 * q2) for w1, q1 in sigma for w2, q2 in fs]
         S, sigma = new_S, new_sigma
     return S, sigma
+
+
+@functools.lru_cache(maxsize=SHAPE_TABLE_SIZE)
+def _basis_memberships(n: int, t: int):
+    """{alpha: (squares, sigma)}, read-only, for every alpha with |alpha| <= t:
+    the degree-t Bernstein basis polynomial B_alpha = c_alpha b_alpha is
+    sum w q^2 + (sum w' q'^2) (1 - ||x||^2), squares the tuple of (w, q) and
+    sigma of (w', q'), the squares of _product_membership scaled by c_alpha.
+    The squares of one q are one square at the exact sum of their weights,
+    at the place of the first, and value-equal q are one object throughout
+    the table: at n = 2, t = 6, 20,412 squares become 3,003 over 924
+    polynomials."""
+    base = ExtRational(n, 1, n) ** (-t) if t else ONE
+    table, shared = {}, {}
+    for alpha in monomials_upto(n, t):
+        c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
+        table[alpha] = tuple(_summed_squares(c_alpha, part, shared)
+                             for part in _product_membership(alpha, t, n))
+    return MappingProxyType(table)
+
+
+def _summed_squares(c: ExtRational, squares, shared: dict) -> tuple:
+    """The (c w, q) over the distinct q of squares in the order q first
+    appears, w the sum of the weights of q's squares; q is shared's object
+    of its value (added if new)."""
+    summed = {}  # keyed by identity: q is shared's object
+    for w, q in squares:
+        q = shared.setdefault(q, q)
+        prev = summed.get(id(q))
+        summed[id(q)] = (w, q) if prev is None else (prev[0] + w, q)
+    return tuple((c * w, q) for w, q in summed.values())
 
 
 def assemble_simplex_putinar(
@@ -441,7 +492,9 @@ def assemble_simplex_putinar(
     The positive-definite Bernstein expansion F = sum_alpha c_alpha b_alpha
     M_alpha (Polya engine) is expanded facet by facet: b_alpha, a product of
     facets, is a sum of scalar squares w q^2 plus sigma (1 - ||x||^2), and
-    sigma's squares route through the supplied witness.  The SOS part is
+    sigma's squares route through the supplied witness.  Those expansions
+    depend on (n, t) only and are read from _basis_memberships, which keeps
+    them for the last SHAPE_TABLE_SIZE shapes.  The SOS part is
     therefore sum_alpha A_alpha (x) M_alpha, A_alpha the Gram matrix of the
     scalar squares of c_alpha b_alpha on the graded-lex union of the
     monomials of every q (one _gram_sums call per alpha).  The Kronecker sum
@@ -471,22 +524,15 @@ def assemble_simplex_putinar(
     bw_mults = ball_witness.multipliers
 
     pc = polya_certificate(F, max_degree)
-    t = pc.degree
-
-    facet_cache = {("upper", 0): _facet_membership("upper", n)}
-    for i in range(n):
-        facet_cache[("lower", i)] = _facet_membership("lower", n, i)
-
-    scale_base = ExtRational(n, 1, n) ** (-t) if t else ONE
+    table = _basis_memberships(n, pc.degree)
     expanded = []   # (M_alpha, scalar squares of c_alpha b_alpha)
     merged = {}     # q -> [(c_alpha w, M_alpha)] over the squares w q^2 of each sigma
     for alpha, mat in pc.expansion.items():
-        c_alpha = scale_base * multinomial(t, alpha + (t - sum(alpha),))
-        S, sigma = _product_membership(alpha, t, n, facet_cache)
-        squares = [(c_alpha * w, q) for w, q in S]
+        squares, sigma = table[alpha]
+        if bw_squares:
+            squares = [*squares, *((w * ws, bs * q) for w, q in sigma for ws, bs in bw_squares)]
         for w, q in sigma:
-            squares += [(c_alpha * w * ws, bs * q) for ws, bs in bw_squares]
-            merged.setdefault(q, []).append((c_alpha * w, mat))
+            merged.setdefault(q, []).append((w, mat))
         expanded.append((mat, squares))
 
     out_mults = []
@@ -555,8 +601,14 @@ def _coefficient_count(F: SymPolyMatrix, G: SymPolyMatrix, cert: QMCertificate) 
 class VerifyReport:
     ok: bool
     residual_norm: float
-    gram_margins: list
+    grams: list              # the Gram blocks checked
     messages: list = field(default_factory=list)
+
+    @functools.cached_property
+    def gram_margins(self) -> list:
+        """The numeric least eigenvalue of each Gram block, computed when
+        first read: an exact check decides without it."""
+        return [min_eigenvalue_numeric(M) for M in self.grams]
 
 
 def verify_certificate(
@@ -572,8 +624,9 @@ def verify_certificate(
     {G PSD} is then a cone, and F is PSD on it if it is on its unit sphere.
 
     exact mode: zero residual and exactly PSD Grams (LDL^T decision, no size
-    cap).  numeric mode: residual Bernstein norm <= tol and numeric Gram
-    margins >= -tol.  Failed checks are reported, never raised.
+    cap); the report's gram_margins are then computed only if read.
+    numeric mode: residual Bernstein norm <= tol and numeric Gram margins
+    >= -tol.  Failed checks are reported, never raised.
     A residual whose conversion is past the norm budget (NORM_BUDGET_FLOOR)
     gets the norm inf uncomputed: numeric mode then fails naming its degree.
     A tol not finite and >= 0 raises ValueError; 0 is a strict numeric check.
@@ -624,7 +677,6 @@ def verify_certificate(
             unnormed = (f"residual of degree {t} needs {steps} Bernstein conversion steps, "
                         f"past the budget of {budget}; its norm is not computed")
     grams = [block.gram for block in cert.sos_blocks]
-    margins = [min_eigenvalue_numeric(M) for M in grams]
 
     if mode == "exact":
         ok = residual.is_zero()
@@ -634,20 +686,20 @@ def verify_certificate(
             if not psd_exact(M):
                 ok = False
                 messages.append(f"gram block {idx} is not PSD")
-        return VerifyReport(ok, rnorm, margins, messages)
+        return VerifyReport(ok, rnorm, grams, messages)
 
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    ok = rnorm <= tol
+    report = VerifyReport(rnorm <= tol, rnorm, grams, messages)
     if unnormed:
         messages.append(unnormed)
-    elif not ok:
+    elif not report.ok:
         messages.append(f"residual Bernstein norm {rnorm:.3g} exceeds tol {tol:.3g}")
-    for idx, margin in enumerate(margins):
+    for idx, margin in enumerate(report.gram_margins):
         if margin < -tol:
-            ok = False
+            report.ok = False
             messages.append(f"gram block {idx} margin {margin:.3g} below -tol")
-    return VerifyReport(ok, rnorm, margins, messages)
+    return report
 
 
 # ---------------------------------------------------------------------------

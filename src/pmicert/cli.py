@@ -18,6 +18,7 @@ from .algebra import PolyMatrix, SymPolyMatrix
 from . import bounds as bounds_mod
 from .bounds import BoundInputs
 from .certify import (
+    SHAPE_TABLE_SIZE,
     ball_constraint,
     deserialize,
     serialize,
@@ -223,12 +224,14 @@ def _cmd_certify_simplex(args) -> int:
 def _bound_context(prob) -> str:
     """Worst-case degree formula evaluated with default Lojasiewicz data, for
     comparison against the achieved certificate degree."""
-    d = max(prob.F.degree, 1)
-    d_G = max(prob.G.degree, 1)
-    eta = bounds_mod.eta_estimate(prob.n, max(prob.m, 2), d_G, "matrix")
-    report = bounds_mod.putinar_matrix_bound(
-        BoundInputs(n=prob.n, m=max(prob.m, 2), d=d, d_G=d_G, eta=min(eta, 6))
-    )
+    return _bound_line(prob.n, max(prob.m, 2), max(prob.F.degree, 1), max(prob.G.degree, 1))
+
+
+# the bound line of the last SHAPE_TABLE_SIZE (n, m, d, d_G) shapes is kept
+@functools.lru_cache(maxsize=SHAPE_TABLE_SIZE)
+def _bound_line(n: int, m: int, d: int, d_G: int) -> str:
+    eta = bounds_mod.eta_estimate(n, m, d_G, "matrix")
+    report = bounds_mod.putinar_matrix_bound(BoundInputs(n=n, m=m, d=d, d_G=d_G, eta=min(eta, 6)))
     return f"{report.value} (eta estimate {eta} capped at 6 for display; C = kappa = ratio = 1)"
 
 

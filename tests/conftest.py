@@ -108,3 +108,24 @@ def synthetic_sphere_certificate(rng: random.Random, G: SymPolyMatrix, ell: int,
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def shape_tables() -> list:
+    """The per-shape tables that certify-simplex keeps for the life of the
+    process (functools.lru_cache functions)."""
+    from pmicert import bernstein, certify, cli
+
+    return [certify.ball_polynomial, certify._facet_table, certify._basis_memberships,
+            bernstein._conversion_tables, cli._bound_line]
+
+
+@pytest.fixture
+def cold_shape_tables():
+    """The per-shape tables emptied before and after the test, so that a
+    test that patches what fills them reads its patch and leaves no entry
+    made from it behind."""
+    for table in shape_tables():
+        table.cache_clear()
+    yield
+    for table in shape_tables():
+        table.cache_clear()

@@ -19,9 +19,10 @@ from pmicert.algebra import (
     psd_exact,
 )
 from pmicert.certify import (
+    SHAPE_TABLE_SIZE,
     CertificateParseError,
+    _basis_memberships,
     _blocks_to_squares,
-    _facet_membership,
     _fold_squares,
     _product_membership,
     MultiplierTerm,
@@ -39,10 +40,11 @@ from pmicert.certify import (
     trivial_ball_witness,
     verify_certificate,
 )
-from pmicert.bernstein import elevate, to_bernstein
+from pmicert.bernstein import basis_poly, elevate, to_bernstein
 from pmicert.cli import main
 from pmicert.polya import polya_certificate
-from conftest import random_poly, random_sym_matrix
+from pmicert.problemio import ProblemData, dump_problem, load_problem
+from conftest import random_poly, random_sym_matrix, shape_tables
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -666,13 +668,11 @@ def _ldl_column_gram(F, witness, max_degree):
     bw_squares = _blocks_to_squares(witness)
     pc = polya_certificate(F, max_degree)
     t = pc.degree
-    facets = {("upper", 0): _facet_membership("upper", n)}
-    facets.update({("lower", i): _facet_membership("lower", n, i) for i in range(n)})
     base = ExtRational(n, 1, n) ** (-t) if t else ExtRational(1)
     squares = []
     for alpha, mat in pc.expansion.items():
         c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
-        S, sigma = _product_membership(alpha, t, n, facets)
+        S, sigma = _product_membership(alpha, t, n)
         for col, piv in zip(*ldlt(mat)):
             consts = [Polynomial.const(n, c) for c in col]
             squares += [(c_alpha * w * piv, [q * p for p in consts]) for w, q in S]
@@ -708,14 +708,17 @@ class TestKroneckerAssembly:
         assert cert.sos_blocks[0].basis == oracle.basis
         assert cert.sos_blocks[0].gram == oracle.gram
 
-    def test_corrupted_facet_square_raises(self, monkeypatch):
+    def test_corrupted_facet_square_raises(self, monkeypatch, cold_shape_tables):
         # facet_certificate makes no check of its own: the final exact check
-        # of the assembled certificate must catch a wrong facet identity
+        # of the assembled certificate must catch a wrong facet identity.
+        # The tables start cold, so the assembly reads the corrupted identity.
         import pmicert.certify as certify
 
         real = certify.facet_certificate
+        calls = []
 
         def corrupted(kind, n, index=0):
+            calls.append(kind)
             target, cert = real(kind, n, index)
             block = cert.sos_blocks[0]
             gram = [row[:] for row in block.gram.entries]
@@ -727,6 +730,95 @@ class TestKroneckerAssembly:
         with pytest.raises(AssertionError, match="failed verification"):
             assemble_simplex_putinar(scalar(x() + 2), ball_constraint(1),
                                      trivial_ball_witness(1), 6)
+        assert calls
+
+
+class TestShapeTables:
+    """The Bernstein basis memberships, facet identities and conversion
+    tables that certify-simplex keeps per shape: each entry is the exact
+    identity it stands for, a certificate does not depend on what the
+    tables hold, and each table stays at its bound."""
+
+    GOLDEN = ROOT / "tests" / "golden"
+    # (problem, committed .qmc): shapes (n, t) = (1, 1) and (2, 3)
+    CASES = [(ROOT / "samples" / "matrix_target.pmi", GOLDEN / "matrix_target.qmc"),
+             (GOLDEN / "simplex_n2.pmi", GOLDEN / "simplex_n2.qmc")]
+
+    @pytest.mark.parametrize("n, t", [(n, t) for n in (1, 2, 3) for t in range(5)])
+    def test_basis_memberships_are_the_basis(self, n, t):
+        table = _basis_memberships(n, t)
+        assert list(table) == monomials_upto(n, t)
+        zero = Polynomial.zero(n)
+        for alpha, (squares, sigma) in table.items():
+            for part in (squares, sigma):
+                assert len({q for _, q in part}) == len(part)  # one square per q
+            sos = sum((q * q * w for w, q in squares), zero)
+            ball = sum((q * q * w for w, q in sigma), zero)
+            assert sos + ball * ball_polynomial(n) == basis_poly(alpha, t, n)
+
+    def _assembled(self, case):
+        prob = load_problem(str(self.CASES[case][0]))
+        cert = assemble_simplex_putinar(prob.F, prob.G, trivial_ball_witness(prob.n), 12)
+        return serialize(cert)
+
+    def test_output_is_the_same_cold_and_warm(self, cold_shape_tables):
+        golden = [qmc.read_text() for _, qmc in self.CASES]
+        assert self._assembled(0) == golden[0]       # cold
+        assert self._assembled(0) == golden[0]       # warmed by its own shape
+        assert self._assembled(1) == golden[1]       # cold, another shape warm
+        for n, t in [(1, 2), (1, 3), (2, 2), (3, 1)]:
+            _basis_memberships(n, t)
+        assert self._assembled(1) == golden[1]       # warmed by other shapes
+        assert self._assembled(0) == golden[0]
+        for table in shape_tables():
+            table.cache_clear()
+        assert self._assembled(1) == golden[1]       # cold again
+
+    def test_tables_stay_at_their_bound(self, cold_shape_tables, tmp_path, capsys):
+        # x1 + 2 on the ball in n variables certifies at Polya degree 1, so
+        # each n is a new shape of every table
+        for n in range(1, SHAPE_TABLE_SIZE + 2):
+            path = tmp_path / f"n{n}.pmi"
+            path.write_text(dump_problem(ProblemData(n, 1, 1, scalar(x(0, n) + 2),
+                                                     ball_constraint(n))))
+            assert main(["certify-simplex", str(path)]) == 0
+        assert "certificate assembled" in capsys.readouterr().out
+        for table in shape_tables():
+            info = table.cache_info()
+            assert info.maxsize == SHAPE_TABLE_SIZE
+            assert info.currsize == SHAPE_TABLE_SIZE, table.__name__
+
+
+class TestLazyMargins:
+    """An exact verify decides without the float Gram margins; they are
+    computed when first read, with the values an eager computation gives."""
+
+    def test_exact_verify_reads_no_eigenvalue(self, monkeypatch):
+        import pmicert.certify as certify
+        from pmicert.algebra import min_eigenvalue_numeric
+
+        F = scalar(x() + 2)
+        cert = assemble_simplex_putinar(F, ball_constraint(1), trivial_ball_witness(1), 6)
+        calls = []
+        monkeypatch.setattr(certify, "min_eigenvalue_numeric",
+                            lambda M: calls.append(M) or min_eigenvalue_numeric(M))
+        report = verify_certificate(F, ball_constraint(1), cert, mode="exact")
+        assert report.ok and calls == []
+        margins = report.gram_margins
+        assert margins == [min_eigenvalue_numeric(b.gram) for b in cert.sos_blocks]
+        assert report.gram_margins is margins and len(calls) == len(cert.sos_blocks)
+
+    def test_numeric_verify_reads_its_margins(self):
+        # diag(1, -1) on the basis (1, x) is 1 - x^2 exactly: zero residual,
+        # margin -1
+        one = ExtRational(1)
+        gram = RationalSymMatrix([[one, ExtRational(0)], [ExtRational(0), -one]])
+        cert = QMCertificate(1, 1, 1, 2, "numeric", [SOSBlock([(0,), (1,)], gram)], [])
+        report = verify_certificate(scalar(ball_polynomial(1)), ball_constraint(1), cert,
+                                    mode="numeric")
+        assert report.residual_norm == 0 and not report.ok
+        assert report.gram_margins == [pytest.approx(-1)]
+        assert report.messages == ["gram block 0 margin -1 below -tol"]
 
 
 class TestAdvisoryPlacement:

@@ -37,7 +37,6 @@ from pmicert.certify import (
     MultiplierTerm,
     QMCertificate,
     _blocks_to_squares,
-    _facet_membership,
     _product_membership,
     assemble_simplex_putinar,
     ball_constraint,
@@ -349,12 +348,10 @@ def _coefficients(F, max_degree):
     n = F.nvars
     pc = polya_certificate(F, max_degree)
     t = pc.degree
-    facets = {("upper", 0): _facet_membership("upper", n)}
-    facets.update({("lower", i): _facet_membership("lower", n, i) for i in range(n)})
     base = ExtRational(n, 1, n) ** (-t) if t else ONE
     for alpha, M in pc.expansion.items():
         c_alpha = base * multinomial(t, alpha + (t - sum(alpha),))
-        yield (c_alpha, M, *_product_membership(alpha, t, n, facets))
+        yield (c_alpha, M, *_product_membership(alpha, t, n))
 
 
 def _sigma_parts(F, max_degree):

@@ -10,15 +10,20 @@ benchmark's `certify` workload at --seed (perfbench/workloads.py); the
 refutations run the longest elevation chains.  Each job runs once per
 variant, the variants alternating, in a fresh process with PYTHONPATH set
 to the variant's source tree and numpy's BLAS held to one thread
-(tools/harness.py).  The child calls `pmicert.cli.main` once untimed,
-counting `certify.verify_certificate` calls, and then --repeats times;
-cpu_s is the median of those calls' process CPU times (imports excluded).
+(tools/harness.py).  The child calls `pmicert.cli.main` once, counting
+`certify.verify_certificate` calls, and then --repeats times; cold_cpu_s is
+the first call's process CPU time, what a one-shot `pmicert` process spends
+past its imports with every per-shape table empty, and cpu_s the median of
+the repeats', with the tables warm (imports excluded from both).
 Each record also gives the sha256 of the standard output and, for a
 certify-simplex job, the size of the written .qmc in bytes, its multiplier
 term count and the sha256 of the .qmc, so that byte-identical output
 across variants can be read off (a change of certificate layout reads 0
 there).  The summary repeats the totals per Polya degree t of the
 certify-simplex jobs (the `-t<t>-` of the job id) and for the refutations.
+`shapes` counts the distinct (n, t) of the certify-simplex jobs and the jobs
+whose (n, t) an earlier job of the round has: a process that runs the round
+reads those from its per-shape tables.
 """
 
 from __future__ import annotations
@@ -48,14 +53,17 @@ def once():
     with contextlib.redirect_stdout(text):
         code = main(argv)
     return code, text.getvalue()
+start = time.process_time()
 code, stdout = once()
+cold = time.process_time() - start
 verify_calls = calls[0]
 times = []
 for _ in range(repeats):
     start = time.process_time()
     once()
     times.append(time.process_time() - start)
-rec = {"cpu_s": statistics.median(times), "exit": code, "verify_calls": verify_calls,
+rec = {"cpu_s": statistics.median(times), "cold_cpu_s": cold, "exit": code,
+       "verify_calls": verify_calls,
        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
 if out:
     with open(out, "rb") as fh:
@@ -76,14 +84,13 @@ def jobs(seed: int, workdir: str) -> list:
 
 
 def totals(label: str, records: list) -> dict:
-    """Job count and CPU seconds of label's records, and the multiplier
-    terms and .qmc bytes of those that wrote a certificate."""
+    """Job count and CPU seconds (warm and cold) of label's records, and the
+    multiplier terms and .qmc bytes of those that wrote a certificate."""
     certs = [r[label] for r in records if "qmc_bytes" in r[label]]
-    out = {
-        "jobs": len(records),
-        "cpu_s_total": round(sum(r[label]["cpu_s"] for r in records), 4),
-        "cpu_s_median": round(statistics.median(r[label]["cpu_s"] for r in records), 6),
-    }
+    out = {"jobs": len(records)}
+    for key in ("cpu_s", "cold_cpu_s"):
+        out[key + "_total"] = round(sum(r[label][key] for r in records), 4)
+        out[key + "_median"] = round(statistics.median(r[label][key] for r in records), 6)
     if certs:
         out["multiplier_terms_per_job"] = round(
             statistics.mean(c["multiplier_terms"] for c in certs), 2)
@@ -106,15 +113,20 @@ def main() -> int:
                 if proc.returncode != 0:
                     raise SystemExit(f"{job} on {src} exited {proc.returncode}: {proc.stderr}")
                 rec[label] = json.loads(proc.stdout)
-                rec[label]["cpu_s"] = round(rec[label]["cpu_s"], 6)
+                for key in ("cpu_s", "cold_cpu_s"):
+                    rec[label][key] = round(rec[label][key], 6)
             records.append(rec)
             print(job, *(f"{label}={rec[label]['cpu_s']:.4f}s" for label, _ in variants),
                   file=sys.stderr)
     first = variants[0][0]
-    groups = {}
+    groups, seen, reused = {}, set(), 0
     for r in records:
         t = re.search(r"-t(\d+)-", r["job"])
         groups.setdefault(f"t{t.group(1)}" if t else "refute", []).append(r)
+        shape = re.search(r"-n(\d+)-.*-t(\d+)-", r["job"])
+        if shape:
+            reused += shape.groups() in seen
+            seen.add(shape.groups())
     summary = {}
     for label, _ in variants:
         summary[label] = dict(
@@ -127,7 +139,8 @@ def main() -> int:
                                       for r in records if "qmc_sha256" in r[first])},
             by_degree={g: totals(label, groups[g])
                        for g in sorted(groups, key=lambda g: (g == "refute", len(g), g))})
-    harness.write(args.out, args, variants, summary, records, repeats=args.repeats)
+    harness.write(args.out, args, variants, summary, records, repeats=args.repeats,
+                  shapes={"distinct": len(seen), "jobs_reusing_a_shape": reused})
     return 0
 
 
